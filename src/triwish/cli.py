@@ -80,6 +80,8 @@ def _load_scale(args, m=None):
 
 
 def cmd_sample(args):
+    if args.nsamples < 1:
+        raise InvalidParameter(f"--nsamples must be a positive integer, got {args.nsamples}")
     scale = _load_scale(args, args.m)
     spec = SamplerSpec(scale.dim, args.n, scale, retcholu=args.retcholu)
     if args.square and not args.retcholu:

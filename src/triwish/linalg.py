@@ -13,6 +13,7 @@ instead, but the cost model here books them under TRMM).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -126,6 +127,24 @@ def tri_mul(c, x, counter=None):
     return blas.dtrmm(1.0, c, x, side=0, lower=0, trans_a=0)
 
 
+@lru_cache(maxsize=32)
+def _below_mask(m, k):
+    # True at and below diagonal k: the entries np.triu(x, k + 1) zeroes.
+    mask = np.tri(m, k=k, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _mirror_upper(raw):
+    """``np.triu(raw) + np.triu(raw, 1).T``, bit for bit, with cached masks.
+
+    ``np.triu`` is ``np.where(mask, 0, x)`` around a freshly built mask;
+    building it dominated the symmetrizing step at small m.
+    """
+    m = raw.shape[0]
+    return np.where(_below_mask(m, -1), 0.0, raw) + np.where(_below_mask(m, 0), 0.0, raw).T
+
+
 def gram_ut(u, counter=None):
     """Symmetric product U^T U, exactly symmetric by construction.
 
@@ -135,9 +154,7 @@ def gram_ut(u, counter=None):
     u = as_square(u)
     if counter is not None:
         counter.trmm += 1
-    raw = blas.dtrmm(1.0, u, u, side=0, lower=0, trans_a=1)
-    upper = np.triu(raw)
-    return upper + np.triu(raw, 1).T
+    return _mirror_upper(blas.dtrmm(1.0, u, u, side=0, lower=0, trans_a=1))
 
 
 def gram_vt(v, counter=None):
@@ -148,9 +165,7 @@ def gram_vt(v, counter=None):
     v = as_square(v)
     if counter is not None:
         counter.trmm += 1
-    raw = blas.dtrmm(1.0, v, v, side=1, lower=0, trans_a=1)
-    upper = np.triu(raw)
-    return upper + np.triu(raw, 1).T
+    return _mirror_upper(blas.dtrmm(1.0, v, v, side=1, lower=0, trans_a=1))
 
 
 def frobenius_norm_sq(x):

@@ -18,6 +18,8 @@ Standard normal
     draw: with uniforms u1 then u2,
     ``z = sqrt(-2 log(1 - u1)) * cos(2 pi u2)``.
     (1 - u1 lies in (0, 1], so the log is always defined.)
+    :func:`box_muller` computes the same bits for a batch of uniforms taken
+    with :meth:`RngStream.take_uniforms`.
 
 Gamma(shape, scale)
     Marsaglia-Tsang rejection for shape >= 1.  Each attempt consumes one
@@ -63,17 +65,55 @@ class RngStream:
         self.stream = int(stream)
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self._bitgen = np.random.Philox(key=key)
+        # The current block both as an array (for take_uniforms slices) and
+        # as a reversed list (popped by uniform); only the list's length
+        # says how much of the block is consumed.
+        self._block = None
         self._buf = []
+        self._blocks = 0
+
+    def _refill(self):
+        block = (self._bitgen.random_raw(_BLOCK) >> 11) * _U53
+        block.flags.writeable = False
+        buf = block.tolist()
+        buf.reverse()
+        self._block = block
+        self._buf = buf
+        self._blocks += 1
+        return buf
+
+    @property
+    def position(self):
+        """Number of uniforms consumed so far: the exact Philox stream position."""
+        return self._blocks * _BLOCK - len(self._buf)
 
     def uniform(self):
         """Next uniform double in [0, 1)."""
         buf = self._buf
         if not buf:
-            raw = self._bitgen.random_raw(_BLOCK)
-            buf = ((raw >> 11) * _U53).tolist()
-            buf.reverse()
-            self._buf = buf
+            buf = self._refill()
         return buf.pop()
+
+    def take_uniforms(self, k):
+        """The next k uniforms as a read-only float64 array, in stream order.
+
+        Returns exactly what k calls of :meth:`uniform` would, and leaves
+        the stream at the same position.
+        """
+        buf = self._buf
+        parts = []
+        while k > 0:
+            if not buf:
+                buf = self._refill()
+            left = len(buf)
+            count = min(k, left)
+            start = _BLOCK - left
+            parts.append(self._block[start:start + count])
+            del buf[left - count:]
+            k -= count
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts) if parts else np.empty(0)
 
     def standard_normal(self):
         """One N(0, 1) draw; consumes exactly two raw outputs."""
@@ -122,16 +162,21 @@ class RngStream:
         return RngStream(self.seed, stream)
 
 
-def draw_std_normal(rng):
-    """Functional alias for :meth:`RngStream.standard_normal`."""
-    return rng.standard_normal()
+def box_muller(u):
+    """Standard normals from interleaved uniforms ``u1, u2, u1, u2, ...``.
 
-
-def draw_chi(rng, k):
-    """Functional alias for :meth:`RngStream.chi`."""
-    return rng.chi(k)
-
-
-def draw_gamma(rng, shape, scale=1.0):
-    """Functional alias for :meth:`RngStream.gamma`."""
-    return rng.gamma(shape, scale)
+    Bit-identical to :meth:`RngStream.standard_normal` over the same
+    uniforms: ``log`` and ``cos`` are the same ``math`` (libm) calls, made
+    per element, and the subtraction, products and ``sqrt`` are correctly
+    rounded IEEE operations, so numpy gives the scalar bits.  ``np.log`` is
+    not used because its SIMD kernels do not always round like libm.
+    """
+    k = len(u) // 2
+    # Iterating a memoryview makes one Python float at a time, where
+    # .tolist() would hold them all at once.
+    z = np.fromiter(map(math.log, memoryview(1.0 - u[0::2])), float, k)
+    cos = np.fromiter(map(math.cos, memoryview(_TWO_PI * u[1::2])), float, k)
+    z *= -2.0
+    np.sqrt(z, out=z)
+    z *= cos
+    return z

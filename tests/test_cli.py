@@ -130,6 +130,27 @@ def test_sample_df_rejected_before_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", ["inf", "-inf", "nan"])
+def test_sample_non_finite_df_rejected(tmp_path, capsys, n):
+    scale = write_scale(tmp_path, np.eye(2))
+    out = tmp_path / "never.csv"
+    rc = run_cli(["sample", "--n", n, "--scale", scale, "--out", str(out)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("nsamples", ["0", "-3"])
+def test_sample_nonpositive_nsamples_rejected(tmp_path, capsys, nsamples):
+    scale = write_scale(tmp_path, np.eye(2))
+    out = tmp_path / "never.csv"
+    argv = ["sample", "--n", "5", "--scale", scale, "--nsamples", nsamples, "--out", str(out)]
+    rc = run_cli(argv)
+    assert rc == 2
+    assert "--nsamples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_not_spd_exit_code(tmp_path, capsys):
     scale = write_scale(tmp_path, np.array([[1.0, 2.0], [2.0, 1.0]]))
     rc = run_cli(["sample", "--n", "5", "--scale", scale, "--iscov", "--out", "-"])

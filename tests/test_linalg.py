@@ -107,6 +107,22 @@ def test_gram_outputs_exactly_symmetric():
         assert np.array_equal(b, b.T)
 
 
+def test_gram_symmetrization_matches_triu_reference_bits():
+    # The mirrored output must equal np.triu(raw) + np.triu(raw, 1).T bit
+    # for bit, signed zeros included.
+    from scipy.linalg import blas
+
+    rng = np.random.default_rng(17)
+    for m in (1, 2, 4, 7, 33):
+        u = np.triu(rng.standard_normal((m, m)))
+        u[0, 0] = -0.0
+        for got, raw in (
+            (gram_ut(u), blas.dtrmm(1.0, u, u, side=0, lower=0, trans_a=1)),
+            (gram_vt(u), blas.dtrmm(1.0, u, u, side=1, lower=0, trans_a=1)),
+        ):
+            assert got.tobytes() == (np.triu(raw) + np.triu(raw, 1).T).tobytes()
+
+
 def test_gram_ut_matches_naive_triple_loop():
     rng = np.random.default_rng(11)
     for m in (1, 2, 3, 6, 8):

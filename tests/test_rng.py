@@ -7,7 +7,7 @@ import pytest
 import scipy.stats
 
 from triwish.errors import InvalidDegreesOfFreedom, InvalidParameter
-from triwish.rng import RngStream, draw_chi, draw_gamma, draw_std_normal
+from triwish.rng import RngStream, box_muller
 from triwish.validation import chi_square_cdf, ks_one_sample, normal_cdf
 
 
@@ -136,12 +136,39 @@ def test_gamma_against_scipy_oracle():
     assert pvalue > 0.001
 
 
-def test_module_level_aliases():
-    a = RngStream(99)
-    b = RngStream(99)
-    assert draw_std_normal(a) == b.standard_normal()
-    assert draw_chi(a, 4.0) == b.chi(4.0)
-    assert draw_gamma(a, 1.5, 2.0) == b.gamma(1.5, 2.0)
+def test_position_counts_uniforms():
+    rng = RngStream(99)
+    assert rng.position == 0
+    rng.uniform()
+    assert rng.position == 1
+    rng.standard_normal()
+    assert rng.position == 3
+    for _ in range(5000):
+        rng.uniform()
+    assert rng.position == 5003
+
+
+def test_take_uniforms_matches_scalar_calls():
+    # Batches of every size, across several 4096-uniform block boundaries,
+    # mixed with scalar draws.
+    a = RngStream(2718)
+    b = RngStream(2718)
+    for k in (0, 1, 5, 4090, 3, 4096, 1, 9000, 0, 7):
+        batch = a.take_uniforms(k)
+        assert batch.dtype == np.float64
+        assert batch.tolist() == [b.uniform() for _ in range(k)]
+        assert a.position == b.position
+        assert a.uniform() == b.uniform()
+
+
+def test_box_muller_matches_standard_normal_bits():
+    a = RngStream(31337)
+    b = RngStream(31337)
+    k = 20_000
+    vector = box_muller(a.take_uniforms(2 * k))
+    scalar = np.array([b.standard_normal() for _ in range(k)])
+    assert vector.tobytes() == scalar.tobytes()
+    assert box_muller(np.empty(0)).shape == (0,)
 
 
 def test_golden_first_draws():

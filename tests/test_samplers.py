@@ -70,6 +70,11 @@ def test_bartlett_wishart_df_guard():
         draw_bartlett_wishart(StubRng(), 3, 2)
     with pytest.raises(InvalidDegreesOfFreedom):
         draw_bartlett_invwishart(StubRng(), 3, 2)
+    for n in (np.inf, np.nan):
+        with pytest.raises(InvalidDegreesOfFreedom):
+            draw_bartlett_wishart(StubRng(), 3, n)
+        with pytest.raises(InvalidDegreesOfFreedom):
+            draw_bartlett_invwishart(StubRng(), 3, n)
 
 
 def test_bartlett_invwishart_m1_matches_wishart():
@@ -328,6 +333,8 @@ def test_sampler_spec_validation():
     with pytest.raises(InvalidDegreesOfFreedom):
         SamplerSpec(3, 2.0, scale3)
     SamplerSpec(3, 2.0001, scale3)  # strict inequality: just above m-1 is fine
+    with pytest.raises(InvalidDegreesOfFreedom):
+        SamplerSpec(3, float("inf"), scale3)
     with pytest.raises(DimensionMismatch):
         SamplerSpec(2, 5, scale3)
     with pytest.raises(InvalidParameter):

@@ -91,10 +91,21 @@ def test_ks_two_sample_matches_scipy_statistic():
 
 
 def test_kolmogorov_tail_matches_scipy():
-    from triwish.validation import _kolmogorov_sf
+    from triwish.validation import _ks_pvalue
 
-    for t in (0.3, 0.5, 0.8, 1.0, 1.5, 2.0):
-        assert abs(_kolmogorov_sf(t) - scipy.special.kolmogorov(t)) < 1e-12
+    en = 40.0
+    corrected = en + 0.12 + 0.11 / en
+    for t in (0.01, 0.1, 0.3, 0.5, 0.8, 1.0, 1.5, 2.0):
+        assert abs(_ks_pvalue(t / corrected, en) - scipy.special.kolmogorov(t)) < 1e-12
+    # The survival function is 1 to double precision at small t.
+    assert _ks_pvalue(0.01 / corrected, en) == 1.0
+
+
+def test_ks_pvalue_of_a_perfect_fit_is_one():
+    n = 1000
+    res = ks_one_sample((np.arange(n) + 0.5) / n, lambda x: x)
+    assert res.statistic == pytest.approx(0.5 / n)
+    assert res.pvalue == 1.0
 
 
 def test_ks_alpha_calibration():
