@@ -1,9 +1,25 @@
-"""End-to-end tests of the triwish command line interface."""
+"""End-to-end tests of the triwish command line interface.
 
+``tests/data/golden_cli_v1.json`` pins the bytes the CLI writes: the sha256
+of ``triwish sample`` CSV and NDJSON files for every (param, route,
+retcholu) combination, the ``triwish opcount`` table, and the sha256 of a
+``triwish validate`` report over its deterministic checks.  It was generated
+by running this module as a script:
+
+    PYTHONPATH=src python tests/test_cli.py
+
+Matrix outputs pass through OpenBLAS kernels, so the digests are exact only
+on the platform (CPU, numpy, scipy, OpenBLAS) where the file was made.
+"""
+
+import hashlib
+import io
 import json
+import pathlib
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -16,6 +32,27 @@ from triwish.samplers import ScaleParam, cholesky_upper_param
 
 SIGMA_2 = np.array([[2.0, 0.6], [0.6, 1.0]])
 
+GOLDEN_CLI = pathlib.Path(__file__).parent / "data" / "golden_cli_v1.json"
+GOLDEN_SQUARE_5 = np.array(
+    [
+        [2.0, 0.3, -0.2, 0.1, 0.4],
+        [0.3, 1.5, 0.25, -0.1, 0.2],
+        [-0.2, 0.25, 1.0, 0.3, -0.15],
+        [0.1, -0.1, 0.3, 2.5, 0.5],
+        [0.4, 0.2, -0.15, 0.5, 1.75],
+    ]
+)
+GOLDEN_FACTOR_5 = np.array(
+    [
+        [1.5, 0.2, -0.3, 0.1, 0.25],
+        [0.0, 1.2, 0.4, -0.2, 0.1],
+        [0.0, 0.0, 0.8, 0.3, -0.1],
+        [0.0, 0.0, 0.0, 1.1, 0.2],
+        [0.0, 0.0, 0.0, 0.0, 0.9],
+    ]
+)
+GOLDEN_VALIDATE_ONLY = "opcount,jacobian,density,cli,errors"
+
 
 def write_scale(tmp_path, matrix, name="scale.csv", kind=matio.KIND_SQUARE):
     path = tmp_path / name
@@ -25,6 +62,54 @@ def write_scale(tmp_path, matrix, name="scale.csv", kind=matio.KIND_SQUARE):
 
 def run_cli(argv):
     return main(argv)
+
+
+def _sha256_file(path):
+    return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+
+
+def golden_cli_record(tmp_path):
+    """Recompute everything ``golden_cli_v1.json`` pins, with the CLI in-process."""
+    scales = {
+        "square": write_scale(tmp_path, GOLDEN_SQUARE_5, "square5.csv"),
+        "factor": write_scale(tmp_path, GOLDEN_FACTOR_5, "factor5.csv", kind=matio.KIND_CHOLU),
+    }
+    sample = {}
+    for param in ("cov", "cov_chol", "prec", "prec_chol"):
+        scale = scales["factor" if param.endswith("_chol") else "square"]
+        iscov = ["--iscov"] if param.startswith("cov") else []
+        for route in ("indirect", "direct"):
+            for retcholu in (False, True):
+                for fmt in ("csv", "ndjson"):
+                    out = tmp_path / f"sample.{fmt}"
+                    argv = [
+                        "sample", "--m", "5", "--n", "7.5", "--scale", scale, *iscov,
+                        "--algorithm", route, *(["--retcholu"] if retcholu else []),
+                        "--seed", "7", "--nsamples", "3", "--format", fmt, "--out", str(out),
+                    ]
+                    with redirect_stdout(io.StringIO()):
+                        assert main(argv) == 0
+                    sample[f"{param}/{route}/retcholu={int(retcholu)}/{fmt}"] = _sha256_file(out)
+    opcount = io.StringIO()
+    with redirect_stdout(opcount):
+        assert main(["opcount"]) == 0
+    report = tmp_path / "validate.ndjson"
+    with redirect_stderr(io.StringIO()):
+        rc = main([
+            "validate", "--seed", "424242", "--only", GOLDEN_VALIDATE_ONLY, "--out", str(report),
+        ])
+    assert rc == 0
+    return {
+        "sample": sample,
+        "opcount": opcount.getvalue().splitlines(),
+        "validate": {"only": GOLDEN_VALIDATE_ONLY, "sha256": _sha256_file(report)},
+    }
+
+
+def test_cli_output_matches_golden(tmp_path):
+    stored = json.loads(GOLDEN_CLI.read_text())
+    assert len(stored["sample"]) == 32
+    assert golden_cli_record(tmp_path) == stored
 
 
 def test_sample_roundtrip_csv(tmp_path, capsys):
@@ -339,3 +424,11 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "verdict: MATCH 16/16" in proc.stdout
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        record = golden_cli_record(pathlib.Path(tmp))
+    GOLDEN_CLI.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
