@@ -39,6 +39,8 @@ from .linalg import OpCounter, gram_ut
 from .rng import RngStream
 from .samplers import (
     AUTO,
+    DIRECT,
+    INDIRECT,
     SamplerSpec,
     ScaleParam,
     cholesky_upper_param,
@@ -169,25 +171,7 @@ def _opcount_cell(full, chol):
 
 def cmd_opcount(args):
     del args
-    from .samplers import DIRECT, EXPECTED_OP_COUNTS, INDIRECT
-
-    rng = RngStream(0)
-    diag = np.array([1.0, 2.0, 0.5, 1.5])
-    bases = {
-        "cov": ScaleParam(np.diag(diag), iscov=True),
-        "cov_chol": ScaleParam(np.diag(np.sqrt(diag)), iscov=True, ischolu=True),
-        "prec": ScaleParam(np.diag(diag), iscov=False),
-        "prec_chol": ScaleParam(np.diag(np.sqrt(diag)), iscov=False, ischolu=True),
-    }
-    measured = {}
-    matches = 0
-    for (kind, algorithm, retcholu), expected in EXPECTED_OP_COUNTS.items():
-        spec = SamplerSpec(4, 7.5, bases[kind], retcholu=retcholu)
-        counter = OpCounter()
-        sample_invwishart(rng, spec, algorithm, counter=counter)
-        measured[(kind, algorithm, retcholu)] = counter
-        if counter == expected:
-            matches += 1
+    measured, matches = suite.measure_opcounts(suite.DEFAULT_SEED)
     print(f"{'param':<10} {'algorithm':<10} {'TRTRI':<7} {'TRMM':<7} {'POTRF':<7}")
     for kind in ("cov", "cov_chol", "prec", "prec_chol"):
         for algorithm in (INDIRECT, DIRECT):
@@ -199,14 +183,14 @@ def cmd_opcount(args):
                 f"{_opcount_cell(full.trmm, chol.trmm):<7} "
                 f"{_opcount_cell(full.potrf, chol.potrf):<7}"
             )
-    total = len(EXPECTED_OP_COUNTS)
+    total = len(measured)
     verdict = "MATCH" if matches == total else "MISMATCH"
     print(f"verdict: {verdict} {matches}/{total}")
     return 0 if matches == total else 1
 
 
 def cmd_validate(args):
-    records = suite.run_checks(seed=args.seed, only=args.only, jobs=args.jobs)
+    records = suite.run_checks(seed=args.seed, only=args.only)
     if not records:
         raise InvalidParameter(f"--only {args.only!r} matched no checks")
     buf = io.StringIO()
@@ -234,8 +218,6 @@ def cmd_validate(args):
 
 
 def cmd_bench(args):
-    from .samplers import DIRECT, INDIRECT
-
     reps = max(args.reps, 1)
     sizes = args.m or [200]
     for m in sizes:
@@ -305,7 +287,6 @@ def build_parser():
     p = sub.add_parser("validate", help="run the statistical validation suite")
     p.add_argument("--seed", type=int, default=suite.DEFAULT_SEED, help="64-bit RNG seed")
     p.add_argument("--only", default=None, help="comma-separated substring filter on check names")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for the checks")
     _add_out_flags(p, default_format="ndjson")
     p.set_defaults(func=cmd_validate)
 

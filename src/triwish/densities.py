@@ -20,13 +20,8 @@ import math
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import InvalidDegreesOfFreedom
 from .linalg import as_square, check_cholesky_factor, chol_upper, frobenius_norm_sq, log_det_tri
-
-
-def _check_df(n, m):
-    if not n > m - 1:
-        raise InvalidDegreesOfFreedom(f"kernel needs n > m - 1, got n={n}, m={m}")
+from .samplers import _check_df
 
 
 def _right_div_upper(a, u):
@@ -44,7 +39,7 @@ def logkernel_wishart(a, n, u_sigma):
     a = as_square(a)
     u_sigma = check_cholesky_factor(u_sigma, "covariance factor")
     m = a.shape[0]
-    _check_df(n, m)
+    _check_df(m, n)
     u_a = chol_upper(a)
     ratio = _right_div_upper(u_a, u_sigma)
     logdet_a = 2.0 * log_det_tri(u_a)
@@ -60,7 +55,7 @@ def logkernel_invwishart(b, n, u_omega):
     b = as_square(b)
     u_omega = check_cholesky_factor(u_omega, "precision factor")
     m = b.shape[0]
-    _check_df(n, m)
+    _check_df(m, n)
     u_b = chol_upper(b)
     ratio = _right_div_upper(u_omega, u_b)
     logdet_b = 2.0 * log_det_tri(u_b)
@@ -75,7 +70,7 @@ def logkernel_cholwishart(u_a, n, u_sigma):
     u_a = check_cholesky_factor(u_a, "factor")
     u_sigma = check_cholesky_factor(u_sigma, "covariance factor")
     m = u_a.shape[0]
-    _check_df(n, m)
+    _check_df(m, n)
     ratio = _right_div_upper(u_a, u_sigma)
     j = np.arange(1, m + 1)
     return -0.5 * frobenius_norm_sq(ratio) + float(np.sum((n - j) * np.log(np.diag(u_a))))
@@ -89,7 +84,7 @@ def logkernel_cholinvwishart(u_b, n, u_omega):
     u_b = check_cholesky_factor(u_b, "factor")
     u_omega = check_cholesky_factor(u_omega, "precision factor")
     m = u_b.shape[0]
-    _check_df(n, m)
+    _check_df(m, n)
     ratio = _right_div_upper(u_omega, u_b)
     j = np.arange(1, m + 1)
     return -0.5 * frobenius_norm_sq(ratio) - float(np.sum((n + j) * np.log(np.diag(u_b))))

@@ -82,6 +82,8 @@ def _parse_csv(text):
         match = _BLOCK_RE.match(line)
         if match:
             m = int(match.group(1))
+            if m < 1:
+                raise InvalidParameter(f"block size must be positive on line {i + 1}")
             kind = match.group(2)
             rows = []
             for r in range(m):
@@ -114,16 +116,21 @@ def _parse_ndjson(text):
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InvalidParameter(f"malformed JSON on line {lineno}") from exc
+        if not isinstance(rec, dict):
+            raise InvalidParameter(f"line {lineno} is not a JSON object")
         if "header" in rec:
-            header.extend(rec["header"])
+            lines = rec["header"]
+            if not isinstance(lines, list) or not all(isinstance(v, str) for v in lines):
+                raise InvalidParameter(f"header on line {lineno} is not a list of strings")
+            header.extend(lines)
             continue
         try:
             m = int(rec["m"])
             kind = rec["kind"]
             mat = np.array(rec["rows"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise InvalidParameter(f"malformed matrix record on line {lineno}") from exc
         if kind not in (KIND_SQUARE, KIND_CHOLU):
             raise InvalidParameter(f"unknown matrix kind {kind!r} on line {lineno}")
@@ -140,7 +147,10 @@ def read_matrices(path):
     NDJSON, anything else is parsed as CSV blocks.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidParameter(f"{path} is not UTF-8 text") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _parse_ndjson(text)

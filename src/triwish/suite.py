@@ -4,17 +4,21 @@ Each check draws what it needs from its own deterministic stream, compares a
 statistic against a fixed threshold, and reports one record per assertion:
 ``{check, params, statistic, threshold, pass, seed}``.  The registry drives
 the ``validate`` subcommand and the acceptance tests; ``run_checks`` filters
-by substring and can fan checks out over worker threads while keeping the
-output order fixed.
+by substring and returns the records in registry order.
 """
 
+import io
 import math
 import statistics
+import tempfile
 import time
-from dataclasses import dataclass, field
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from . import cli, matio
 from .densities import (
     logjac_chol,
     logjac_tri_inverse,
@@ -49,6 +53,7 @@ from .validation import (
     mc_mean_wishart,
     normal_cdf,
     rwishart_outer_oracle,
+    triangular_coords,
 )
 
 DEFAULT_SEED = 424242
@@ -96,8 +101,12 @@ def _ks_record(check, params, seed, result, threshold):
 # operation counts
 
 
-def check_opcount(seed):
-    """Every (parameterization, algorithm, retcholU) op count matches the table."""
+def measure_opcounts(seed):
+    """Count the kernels of one m=4 draw for every ``EXPECTED_OP_COUNTS`` key.
+
+    Returns the measured OpCounter per (parameterization, algorithm,
+    retcholU) and how many of them match the table.
+    """
     rng = RngStream(seed, 1)
     diag = np.array([1.0, 2.0, 0.5, 1.5])
     bases = {
@@ -106,13 +115,19 @@ def check_opcount(seed):
         "prec": ScaleParam(np.diag(diag), iscov=False),
         "prec_chol": ScaleParam(np.diag(np.sqrt(diag)), iscov=False, ischolu=True),
     }
-    matches = 0
-    for (kind, algorithm, retcholu), expected in EXPECTED_OP_COUNTS.items():
+    measured = {}
+    for key in EXPECTED_OP_COUNTS:
+        kind, algorithm, retcholu = key
         spec = SamplerSpec(4, 7.5, bases[kind], retcholu=retcholu)
-        counter = OpCounter()
-        sample_invwishart(rng, spec, algorithm, counter=counter)
-        if counter == expected:
-            matches += 1
+        measured[key] = OpCounter()
+        sample_invwishart(rng, spec, algorithm, counter=measured[key])
+    matches = sum(measured[key] == expected for key, expected in EXPECTED_OP_COUNTS.items())
+    return measured, matches
+
+
+def check_opcount(seed):
+    """Every (parameterization, algorithm, retcholU) op count matches the table."""
+    _, matches = measure_opcounts(seed)
     total = len(EXPECTED_OP_COUNTS)
     return [
         CheckRecord(
@@ -181,61 +196,50 @@ def check_bartlett_invwishart(seed):
     )
 
 
+def _entrywise_ks(check, seed, streams, spec, draw_a, draw_b):
+    # Two-sample KS per distinct entry: draw_a and draw_b, each on its own stream.
+    nsamples = 50_000
+    rng_a = RngStream(seed, streams[0])
+    rng_b = RngStream(seed, streams[1])
+    a = np.empty((nsamples, spec.m, spec.m))
+    b = np.empty((nsamples, spec.m, spec.m))
+    for i in range(nsamples):
+        a[i] = draw_a(rng_a)
+        b[i] = draw_b(rng_b)
+    entries = triangular_coords(spec.m)
+    return [
+        _ks_record(
+            check,
+            {"entry": [i + 1, j + 1], "m": spec.m, "n": spec.n, "nsamples": nsamples},
+            seed,
+            ks_two_sample(a[:, i, j], b[:, i, j]),
+            ALPHA / len(entries),
+        )
+        for i, j in entries
+    ]
+
+
 def check_wishart_outer(seed):
     """Triangular-fill Wishart draws match the n-column outer-product construction."""
-    m, n, nsamples = 2, 5, 50_000
+    m, n = 2, 5
     scale = ScaleParam(SIGMA_2, iscov=True)
     spec = SamplerSpec(m, n, scale)
     u_sigma = cholesky_upper_param(scale, invert=False)
-    rng_a = RngStream(seed, 3)
-    rng_b = RngStream(seed, 4)
-    fast = np.empty((nsamples, m, m))
-    naive = np.empty((nsamples, m, m))
-    for i in range(nsamples):
-        fast[i] = rwishart(rng_a, spec)
-        naive[i] = rwishart_outer_oracle(rng_b, m, n, u_sigma)
-    entries = [(i, j) for j in range(m) for i in range(j + 1)]
-    records = []
-    for i, j in entries:
-        res = ks_two_sample(fast[:, i, j], naive[:, i, j])
-        records.append(
-            _ks_record(
-                "bartlett.wishart.outer",
-                {"entry": [i + 1, j + 1], "m": m, "n": n, "nsamples": nsamples},
-                seed,
-                res,
-                ALPHA / len(entries),
-            )
-        )
-    return records
+    return _entrywise_ks(
+        "bartlett.wishart.outer", seed, (3, 4), spec,
+        lambda rng: rwishart(rng, spec),
+        lambda rng: rwishart_outer_oracle(rng, m, n, u_sigma),
+    )
 
 
 def check_agreement(seed):
     """Both inverse-Wishart algorithms draw from the same law (two-sample KS)."""
-    m, n, nsamples = 3, 8, 50_000
-    scale = ScaleParam(SIGMA_3, iscov=True)
-    spec = SamplerSpec(m, n, scale)
-    rng_a = RngStream(seed, 6)
-    rng_b = RngStream(seed, 7)
-    via_indirect = np.empty((nsamples, m, m))
-    via_direct = np.empty((nsamples, m, m))
-    for i in range(nsamples):
-        via_indirect[i] = sample_invwishart(rng_a, spec, INDIRECT)
-        via_direct[i] = sample_invwishart(rng_b, spec, DIRECT)
-    entries = [(i, j) for j in range(m) for i in range(j + 1)]
-    records = []
-    for i, j in entries:
-        res = ks_two_sample(via_indirect[:, i, j], via_direct[:, i, j])
-        records.append(
-            _ks_record(
-                "agreement.invwishart",
-                {"entry": [i + 1, j + 1], "m": m, "n": n, "nsamples": nsamples},
-                seed,
-                res,
-                ALPHA / len(entries),
-            )
-        )
-    return records
+    spec = SamplerSpec(3, 8, ScaleParam(SIGMA_3, iscov=True))
+    return _entrywise_ks(
+        "agreement.invwishart", seed, (6, 7), spec,
+        lambda rng: sample_invwishart(rng, spec, INDIRECT),
+        lambda rng: sample_invwishart(rng, spec, DIRECT),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -335,35 +339,32 @@ def _offset_record(check, seed, params, offsets):
     return CheckRecord(check, params, spread, threshold, spread < threshold, seed)
 
 
-def check_density_wishart(seed):
-    """Factor kernel = squared-matrix kernel + Cholesky Jacobian, up to a constant."""
-    m, n, ndraws = 3, 7.5, 100
-    u_sigma = cholesky_upper_param(ScaleParam(SIGMA_3, iscov=True), invert=False)
-    rng = RngStream(seed, 13)
+def _factor_offsets(check, seed, stream, n, iscov, draw_chol, factor_kernel, matrix_kernel):
+    m, ndraws = 3, 100
+    u_scale = cholesky_upper_param(ScaleParam(SIGMA_3, iscov=iscov), invert=False)
+    rng = RngStream(seed, stream)
     offsets = np.empty(ndraws)
     for i in range(ndraws):
-        u_a = rwishart_chol(rng, m, n, u_sigma)
+        u = draw_chol(rng, m, n, u_scale)
         offsets[i] = (
-            logkernel_cholwishart(u_a, n, u_sigma)
-            - logkernel_wishart(gram_ut(u_a), n, u_sigma)
-            - logjac_chol(u_a)
+            factor_kernel(u, n, u_scale) - matrix_kernel(gram_ut(u), n, u_scale) - logjac_chol(u)
         )
-    return [_offset_record("density.wishart", seed, {"m": m, "n": n, "draws": ndraws}, offsets)]
+    return [_offset_record(check, seed, {"m": m, "n": n, "draws": ndraws}, offsets)]
+
+
+def check_density_wishart(seed):
+    """Factor kernel = squared-matrix kernel + Cholesky Jacobian, up to a constant."""
+    return _factor_offsets(
+        "density.wishart", seed, 13, 7.5, True,
+        rwishart_chol, logkernel_cholwishart, logkernel_wishart,
+    )
 
 
 def check_density_invwishart(seed):
-    m, n, ndraws = 3, 6.5, 100
-    u_omega = cholesky_upper_param(ScaleParam(SIGMA_3, iscov=False), invert=False)
-    rng = RngStream(seed, 14)
-    offsets = np.empty(ndraws)
-    for i in range(ndraws):
-        u_b = rinvwishart_chol(rng, m, n, u_omega)
-        offsets[i] = (
-            logkernel_cholinvwishart(u_b, n, u_omega)
-            - logkernel_invwishart(gram_ut(u_b), n, u_omega)
-            - logjac_chol(u_b)
-        )
-    return [_offset_record("density.invwishart", seed, {"m": m, "n": n, "draws": ndraws}, offsets)]
+    return _factor_offsets(
+        "density.invwishart", seed, 14, 6.5, False,
+        rinvwishart_chol, logkernel_cholinvwishart, logkernel_invwishart,
+    )
 
 
 def check_density_chain(seed):
@@ -394,39 +395,37 @@ def check_density_chain(seed):
 # univariate reductions
 
 
+def _scalar_record(check, params, seed, stream, draw, cdf):
+    # One-sample KS of params["nsamples"] m=1 draws against a closed-form CDF.
+    rng = RngStream(seed, stream)
+    draws = np.array([draw(rng)[0, 0] for _ in range(params["nsamples"])])
+    return _ks_record(check, params, seed, ks_one_sample(draws, cdf), ALPHA)
+
+
 def check_scalar_wishart(seed):
     """m=1 draws follow the scaled chi-square law."""
-    n, nsamples = 4.5, 50_000
-    sigma_sq = 2.0
+    n, sigma_sq = 4.5, 2.0
     spec = SamplerSpec(1, n, ScaleParam(np.array([[sigma_sq]]), iscov=True))
-    rng = RngStream(seed, 16)
-    draws = np.empty(nsamples)
-    for i in range(nsamples):
-        draws[i] = rwishart(rng, spec)[0, 0]
-    res = ks_one_sample(draws, lambda x: chi_square_cdf(x / sigma_sq, n))
     return [
-        _ks_record(
-            "scalar.wishart", {"n": n, "sigma_sq": sigma_sq, "nsamples": nsamples}, seed, res, ALPHA
+        _scalar_record(
+            "scalar.wishart", {"n": n, "sigma_sq": sigma_sq, "nsamples": 50_000}, seed, 16,
+            lambda rng: rwishart(rng, spec),
+            lambda x: chi_square_cdf(x / sigma_sq, n),
         )
     ]
 
 
 def _scalar_invwishart(seed, stream, algorithm):
     """m=1 draws follow the inverse-gamma law (via 2*omega/B ~ chi-square(n))."""
-    n, nsamples = 6, 50_000
-    omega = 3.0
+    n, omega = 6, 3.0
     spec = SamplerSpec(1, n, ScaleParam(np.array([[omega]]), iscov=False))
-    rng = RngStream(seed, stream)
-    draws = np.empty(nsamples)
-    for i in range(nsamples):
-        draws[i] = sample_invwishart(rng, spec, algorithm)[0, 0]
-    res = ks_one_sample(draws, lambda x: 1.0 - chi_square_cdf(omega / x, n))
-    return _ks_record(
+    return _scalar_record(
         f"scalar.invwishart.{algorithm}",
-        {"n": n, "omega": omega, "nsamples": nsamples, "algorithm": algorithm},
+        {"n": n, "omega": omega, "nsamples": 50_000, "algorithm": algorithm},
         seed,
-        res,
-        ALPHA,
+        stream,
+        lambda rng: sample_invwishart(rng, spec, algorithm),
+        lambda x: 1.0 - chi_square_cdf(omega / x, n),
     )
 
 
@@ -468,69 +467,64 @@ def bench_pair(scale, m, n, retcholu, seed, reps=25, warmup=5, streams=(19, 20))
     return med_indirect, med_direct, counts
 
 
-def check_bench_precchol(seed):
-    """Direct beats indirect for a precision-factor scale with factor output."""
+def _bench_record(check, seed, kind, retcholu, faster, streams):
+    # Statistic: median time per draw of the ``faster`` route over the other's.
     m, n, reps = 200, 202, 25
-    scale = ScaleParam(np.diag(np.linspace(0.5, 2.0, m)), iscov=False, ischolu=True)
-    med_indirect, med_direct, _ = bench_pair(scale, m, n, True, seed, reps=reps)
-    ratio = med_direct / med_indirect
+    scale = ScaleParam(
+        np.diag(np.linspace(0.5, 2.0, m)),
+        iscov=kind.startswith("cov"),
+        ischolu=kind.endswith("_chol"),
+    )
+    med_indirect, med_direct, _ = bench_pair(scale, m, n, retcholu, seed, reps=reps, streams=streams)
+    ratio = med_direct / med_indirect if faster == DIRECT else med_indirect / med_direct
     return [
         CheckRecord(
-            "bench.precchol",
-            {"m": m, "n": n, "reps": reps, "retcholu": True, "scale": "prec_chol"},
+            check,
+            {"m": m, "n": n, "reps": reps, "retcholu": retcholu, "scale": kind},
             ratio,
             1.0,
             ratio < 1.0,
             seed,
         )
     ]
+
+
+def check_bench_precchol(seed):
+    """Direct beats indirect for a precision-factor scale with factor output."""
+    return _bench_record("bench.precchol", seed, "prec_chol", True, DIRECT, (19, 20))
 
 
 def check_bench_cov(seed):
     """Indirect beats direct for a covariance scale with full-matrix output."""
-    m, n, reps = 200, 202, 25
-    scale = ScaleParam(np.diag(np.linspace(0.5, 2.0, m)), iscov=True)
-    med_indirect, med_direct, _ = bench_pair(scale, m, n, False, seed, reps=reps, streams=(21, 22))
-    ratio = med_indirect / med_direct
-    return [
-        CheckRecord(
-            "bench.cov",
-            {"m": m, "n": n, "reps": reps, "retcholu": False, "scale": "cov"},
-            ratio,
-            1.0,
-            ratio < 1.0,
-            seed,
-        )
-    ]
+    return _bench_record("bench.cov", seed, "cov", False, INDIRECT, (21, 22))
 
 
 # ---------------------------------------------------------------------------
 # command-line contracts
 
 
+def _run_sample(tmp, scale, argv):
+    """Run ``triwish sample`` in-process on a scale file written under ``tmp``.
+
+    Returns the exit code and what the command wrote to stderr.
+    """
+    scale_path = str(tmp / "scale.csv")
+    matio.write_matrices(scale_path, [scale])
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        rc = cli.main(["sample", "--scale", scale_path, *argv])
+    return rc, err.getvalue()
+
+
 def check_cli_determinism(seed):
     """Same seed, same flags: byte-identical output files."""
-    import io
-    import tempfile
-    from contextlib import redirect_stdout
-    from pathlib import Path
-
-    from . import cli, matio
-
+    args = ["--m", "2", "--n", "5", "--iscov", "--seed", str(seed), "--nsamples", "3"]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        scale_path = str(tmp / "scale.csv")
-        matio.write_matrices(scale_path, [np.eye(2)])
-        args = [
-            "sample", "--m", "2", "--n", "5", "--scale", scale_path, "--iscov",
-            "--seed", str(seed), "--nsamples", "3",
-        ]
         outs = []
         for name in ("a.csv", "b.csv"):
-            out = str(tmp / name)
-            with redirect_stdout(io.StringIO()):
-                rc = cli.main(args + ["--out", out])
-            outs.append((rc, Path(out).read_bytes()))
+            rc, _ = _run_sample(tmp, np.eye(2), args + ["--out", str(tmp / name)])
+            outs.append((rc, (tmp / name).read_bytes()))
         same = outs[0] == outs[1] and outs[0][0] == 0
     return [
         CheckRecord(
@@ -546,26 +540,16 @@ def check_cli_determinism(seed):
 
 def check_cli_square(seed):
     """--retcholu --square reproduces the retcholu=false matrices bit-exactly."""
-    import io
-    import tempfile
-    from contextlib import redirect_stdout
-    from pathlib import Path
-
-    from . import cli, matio
-
+    base = [
+        "--m", "3", "--n", "6.5", "--iscov", "--algorithm", "direct",
+        "--seed", str(seed), "--nsamples", "4",
+    ]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        scale_path = str(tmp / "scale.csv")
-        matio.write_matrices(scale_path, [SIGMA_3])
-        base = [
-            "sample", "--m", "3", "--n", "6.5", "--scale", scale_path, "--iscov",
-            "--algorithm", "direct", "--seed", str(seed), "--nsamples", "4",
-        ]
         squared = str(tmp / "squared.csv")
         plain = str(tmp / "plain.csv")
-        with redirect_stdout(io.StringIO()):
-            rc1 = cli.main(base + ["--retcholu", "--square", "--out", squared])
-            rc2 = cli.main(base + ["--out", plain])
+        rc1, _ = _run_sample(tmp, SIGMA_3, base + ["--retcholu", "--square", "--out", squared])
+        rc2, _ = _run_sample(tmp, SIGMA_3, base + ["--out", plain])
         _, blocks_sq = matio.read_matrices(squared)
         _, blocks_pl = matio.read_matrices(plain)
         same = (
@@ -607,26 +591,14 @@ def check_errors_df(seed):
 
 def check_errors_notspd(seed):
     """A non-positive-definite scale file exits with the numerical-failure code."""
-    import io
-    import tempfile
-    from contextlib import redirect_stderr, redirect_stdout
-    from pathlib import Path
-
-    from . import cli, matio
-
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        scale_path = str(tmp / "bad.csv")
-        matio.write_matrices(scale_path, [np.array([[1.0, 2.0], [2.0, 1.0]])])
-        err = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
-            rc = cli.main(
-                [
-                    "sample", "--m", "2", "--n", "5", "--scale", scale_path, "--iscov",
-                    "--seed", str(seed), "--out", str(tmp / "out.csv"),
-                ]
-            )
-        ok = rc == 4 and "pivot" in err.getvalue()
+        rc, err = _run_sample(
+            tmp,
+            np.array([[1.0, 2.0], [2.0, 1.0]]),
+            ["--m", "2", "--n", "5", "--iscov", "--seed", str(seed), "--out", str(tmp / "out.csv")],
+        )
+        ok = rc == 4 and "pivot" in err
     return [
         CheckRecord("errors.notspd", {"m": 2, "exit": rc}, float(rc), 4.0, ok, seed)
     ]
@@ -692,15 +664,6 @@ def select_checks(only=None):
     return [entry for entry in REGISTRY if _selected(entry[0], only)]
 
 
-def run_checks(seed=DEFAULT_SEED, only=None, jobs=1):
+def run_checks(seed=DEFAULT_SEED, only=None):
     """Run the selected checks; records come back in registry order."""
-    selected = select_checks(only)
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(fn, seed) for _, fn in selected]
-            groups = [f.result() for f in futures]
-    else:
-        groups = [fn(seed) for _, fn in selected]
-    return [record for group in groups for record in group]
+    return [record for _, fn in select_checks(only) for record in fn(seed)]

@@ -9,13 +9,14 @@ for the Bartlett-type samplers.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import special
 
 from .errors import InvalidParameter, MeanUndefined, NumericalFailure, TooFewSamples
 from .linalg import as_square, check_cholesky_factor, gram_ut
-from .samplers import ScaleParam, SamplerSpec, rwishart, sample_invwishart
+from .samplers import SamplerSpec, rwishart, sample_invwishart
 
 MIN_KS_SAMPLES = 10
 CONFIDENT_SAMPLES = 1000
@@ -106,41 +107,37 @@ def chi_square_cdf(x, k):
     return special.gammainc(0.5 * k, 0.5 * x)
 
 
-def _covariance_matrix(scale):
-    if scale.iscov:
-        return gram_ut(scale.matrix) if scale.ischolu else scale.matrix
-    prec = gram_ut(scale.matrix) if scale.ischolu else scale.matrix
-    return np.linalg.inv(prec)
+def _scale_matrix(scale, iscov):
+    # The scale as a full covariance matrix (iscov) or precision matrix.
+    full = gram_ut(scale.matrix) if scale.ischolu else scale.matrix
+    return full if scale.iscov == iscov else np.linalg.inv(full)
 
 
-def _precision_matrix(scale):
-    if not scale.iscov:
-        return gram_ut(scale.matrix) if scale.ischolu else scale.matrix
-    cov = gram_ut(scale.matrix) if scale.ischolu else scale.matrix
-    return np.linalg.inv(cov)
-
-
-def _relative_frobenius(delta, target):
-    return float(np.linalg.norm(delta) / np.linalg.norm(target))
-
-
-def mc_mean_wishart(rng, spec, nsamples):
-    """Monte Carlo mean of Wishart draws against the analytic mean n * Sigma."""
+def _mc_mean(draw, spec, nsamples):
+    # Mean of nsamples full-matrix draws, draw(full_spec) each.
     if nsamples < 1:
         raise TooFewSamples("need at least one draw")
     full = SamplerSpec(spec.m, spec.n, spec.scale, retcholu=False)
     acc = np.zeros((spec.m, spec.m))
     for _ in range(nsamples):
-        acc += rwishart(rng, full)
-    mean = acc / nsamples
-    target = spec.n * _covariance_matrix(spec.scale)
+        acc += draw(full)
+    return acc / nsamples
+
+
+def _moment_report(mean, target, nsamples):
     return MomentReport(
         sample_mean=mean,
         target=target,
-        relative_error=_relative_frobenius(mean - target, target),
+        relative_error=float(np.linalg.norm(mean - target) / np.linalg.norm(target)),
         nsamples=nsamples,
         confident=nsamples >= CONFIDENT_SAMPLES,
     )
+
+
+def mc_mean_wishart(rng, spec, nsamples):
+    """Monte Carlo mean of Wishart draws against the analytic mean n * Sigma."""
+    mean = _mc_mean(partial(rwishart, rng), spec, nsamples)
+    return _moment_report(mean, spec.n * _scale_matrix(spec.scale, iscov=True), nsamples)
 
 
 def mc_mean_invwishart(rng, spec, algorithm, nsamples):
@@ -152,21 +149,9 @@ def mc_mean_invwishart(rng, spec, algorithm, nsamples):
         raise MeanUndefined(
             f"inverse-Wishart mean needs n > m + 1, got n={spec.n}, m={spec.m}"
         )
-    if nsamples < 1:
-        raise TooFewSamples("need at least one draw")
-    full = SamplerSpec(spec.m, spec.n, spec.scale, retcholu=False)
-    acc = np.zeros((spec.m, spec.m))
-    for _ in range(nsamples):
-        acc += sample_invwishart(rng, full, algorithm)
-    mean = acc / nsamples
-    target = _precision_matrix(spec.scale) / (spec.n - spec.m - 1)
-    return MomentReport(
-        sample_mean=mean,
-        target=target,
-        relative_error=_relative_frobenius(mean - target, target),
-        nsamples=nsamples,
-        confident=nsamples >= CONFIDENT_SAMPLES,
-    )
+    mean = _mc_mean(partial(sample_invwishart, rng, algorithm=algorithm), spec, nsamples)
+    target = _scale_matrix(spec.scale, iscov=False) / (spec.n - spec.m - 1)
+    return _moment_report(mean, target, nsamples)
 
 
 def triangular_coords(m):

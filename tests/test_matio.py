@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from triwish import matio
-from triwish.errors import InvalidParameter
+from triwish.errors import InvalidParameter, TriwishError
 
 
 def _ugly_matrices():
@@ -102,3 +104,45 @@ def test_kinds_length_checked(tmp_path):
         matio.write_matrices(str(tmp_path / "x.csv"), [np.eye(2)], kinds=["square", "cholU"])
     with pytest.raises(InvalidParameter):
         matio.write_matrices(str(tmp_path / "x.csv"), [np.eye(2)], fmt="xml")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"# m=1 kind=square\n\xff\xfe\n",
+        b'{"m": 1, "kind": "square", "rows": [[1.0]]}\n5\n',
+        b'{"header": 5}\n',
+        b'{"header": "abc"}\n',
+        b'{"m": 1e999, "kind": "square", "rows": [[1.0]]}\n',
+        b'{"m": ' + b"9" * 5000 + b"}\n",
+        b'{"header": []}\n' + b"[" * 100_000 + b"\n",
+        b"# m=0 kind=square\n",
+    ],
+    ids=[
+        "not-utf8", "number-record", "header-number", "header-string",
+        "m-overflow", "m-too-many-digits", "deep-nesting", "empty-block",
+    ],
+)
+def test_malformed_input_raises_invalid_parameter(tmp_path, data):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(InvalidParameter):
+        matio.read_matrices(str(path))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    prefix=st.sampled_from([b"", b"{", b"# m=2 kind=square\n", b'{"m": 1, "kind": "square", "rows": ']),
+    body=st.binary(max_size=200),
+)
+def test_arbitrary_bytes_read_or_rejected(tmp_path, prefix, body):
+    path = tmp_path / "fuzz.txt"
+    path.write_bytes(prefix + body)
+    try:
+        _, blocks = matio.read_matrices(str(path))
+    except TriwishError:
+        return
+    for kind, mat in blocks:
+        assert kind in (matio.KIND_SQUARE, matio.KIND_CHOLU)
+        assert mat.dtype == np.float64
+        assert mat.ndim == 2 and mat.shape[0] == mat.shape[1] >= 1
