@@ -130,7 +130,7 @@ def _parse_ndjson(text):
             m = int(rec["m"])
             kind = rec["kind"]
             mat = np.array(rec["rows"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidParameter(f"malformed matrix record on line {lineno}") from exc
         if kind not in (KIND_SQUARE, KIND_CHOLU):
             raise InvalidParameter(f"unknown matrix kind {kind!r} on line {lineno}")
