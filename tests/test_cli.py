@@ -4,7 +4,8 @@
 of ``triwish sample`` CSV and NDJSON files for every (param, route,
 retcholu) combination, the ``triwish opcount`` table, and the sha256 of a
 ``triwish validate`` report over its deterministic checks.  It was generated
-by running this module as a script:
+by running this module as a script (it refuses to overwrite the file without
+``--force``):
 
     PYTHONPATH=src python tests/test_cli.py
 
@@ -432,6 +433,9 @@ def test_console_entry_point_runs():
 
 if __name__ == "__main__":
     import tempfile
+
+    if GOLDEN_CLI.exists() and "--force" not in sys.argv[1:]:
+        sys.exit(f"{GOLDEN_CLI.name} exists; pass --force to overwrite it")
 
     with tempfile.TemporaryDirectory() as tmp:
         record = golden_cli_record(pathlib.Path(tmp))

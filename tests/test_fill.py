@@ -1,7 +1,8 @@
 """Bartlett fills pinned to stored bytes, on the scalar and the two-pass path.
 
 ``tests/data/golden_fill_v1.json`` was generated once, from the
-column-by-column scalar fill, by running this module as a script:
+column-by-column scalar fill, by running this module as a script (it
+refuses to overwrite the file without ``--force``):
 
     PYTHONPATH=src python tests/test_fill.py
 
@@ -13,6 +14,7 @@ frozen reference: both fill paths must reproduce it unchanged.
 import hashlib
 import json
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -110,6 +112,8 @@ def test_paths_agree_across_a_block_boundary(monkeypatch, fill):
 
 
 if __name__ == "__main__":
+    if GOLDEN.exists() and "--force" not in sys.argv[1:]:
+        sys.exit(f"{GOLDEN.name} exists; pass --force to overwrite it")
     GOLDEN.parent.mkdir(exist_ok=True)
     lines = ",\n".join(json.dumps(rec) for rec in _golden_records())
     GOLDEN.write_text("[\n" + lines + "\n]\n")
