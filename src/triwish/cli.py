@@ -43,6 +43,7 @@ from .samplers import (
     INDIRECT,
     SamplerSpec,
     ScaleParam,
+    _check_df,
     cholesky_upper_param,
     recommend_algorithm,
     sample_invwishart,
@@ -133,6 +134,8 @@ _KERNELS = {
 def cmd_density(args):
     kernel, wants_omega = _KERNELS[args.kind]
     scale = _load_scale(args)
+    # Checked before the points are read, so an empty points file is no escape.
+    _check_df(scale.dim, args.n)
     # The kernels take the factor of Sigma (Wishart) or Omega (inverse-Wishart);
     # invert when the provided scale lives on the other side.
     invert = args.iscov if wants_omega else not args.iscov

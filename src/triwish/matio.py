@@ -10,6 +10,7 @@ NDJSON layout: an optional first record ``{"header": [...]}``, then one
 record ``{"m": ..., "kind": ..., "rows": [[...], ...]}`` per matrix.
 """
 
+import itertools
 import json
 import re
 
@@ -127,15 +128,21 @@ def _parse_ndjson(text):
             header.extend(lines)
             continue
         try:
-            m = int(rec["m"])
+            m = rec["m"]
             kind = rec["kind"]
-            mat = np.array(rec["rows"], dtype=np.float64)
+            rows = rec["rows"]
+            mat = np.array(rows, dtype=np.float64)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidParameter(f"malformed matrix record on line {lineno}") from exc
+        if type(m) is not int:
+            raise InvalidParameter(f"matrix size on line {lineno} is not an integer: {m!r}")
         if kind not in (KIND_SQUARE, KIND_CHOLU):
             raise InvalidParameter(f"unknown matrix kind {kind!r} on line {lineno}")
         if mat.shape != (m, m):
             raise InvalidParameter(f"matrix on line {lineno} is not {m}x{m}")
+        # rows is now a list of lists; numpy also read "2.5" and true as numbers.
+        if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+            raise InvalidParameter(f"matrix on line {lineno} has a non-numeric entry")
         blocks.append((kind, mat))
     return header, blocks
 

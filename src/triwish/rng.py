@@ -63,11 +63,11 @@ class RngStream:
             raise InvalidParameter("stream id must fit in an unsigned 64-bit integer")
         self.seed = int(seed)
         self.stream = int(stream)
-        key = np.array([self.seed, self.stream], dtype=np.uint64)
-        self._bitgen = np.random.Philox(key=key)
-        # The current block both as an array (for take_uniforms slices) and
-        # as a reversed list (popped by uniform); only the list's length
-        # says how much of the block is consumed.
+        self._key = np.array([self.seed, self.stream], dtype=np.uint64)
+        self._bitgen = np.random.Philox(key=self._key)
+        # The current block both as an array (sliced by take_uniforms and
+        # peek_uniforms) and as a reversed list (popped by uniform); only the
+        # list's length says how much of the block is consumed.
         self._block = None
         self._buf = []
         self._blocks = 0
@@ -114,6 +114,21 @@ class RngStream:
         if len(parts) == 1:
             return parts[0]
         return np.concatenate(parts) if parts else np.empty(0)
+
+    def peek_uniforms(self, k):
+        """The next k uniforms as a float64 array, without consuming them.
+
+        Philox is counter-based, so reading ahead costs only the generation:
+        the uniforms past the current block come from a copy of the state.
+        """
+        left = len(self._buf)
+        start = _BLOCK - left
+        head = self._block[start:start + k] if left else np.empty(0)
+        if k <= left:
+            return head
+        ahead = np.random.Philox(key=self._key)
+        ahead.state = self._bitgen.state
+        return np.concatenate((head, (ahead.random_raw(k - left) >> 11) * _U53))
 
     def standard_normal(self):
         """One N(0, 1) draw; consumes exactly two raw outputs."""

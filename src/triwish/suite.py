@@ -37,8 +37,8 @@ from .samplers import (
     SamplerSpec,
     ScaleParam,
     cholesky_upper_param,
-    draw_bartlett_invwishart,
-    draw_bartlett_wishart,
+    draw_bartlett_invwishart_many,
+    draw_bartlett_wishart_many,
     rinvwishart_chol,
     rwishart,
     rwishart_chol,
@@ -145,15 +145,19 @@ def check_opcount(seed):
 # triangular-fill marginals and the outer-product oracle
 
 
-def _fill_marginals(check_prefix, seed, stream, draw_fn, diag_df, m, n, nsamples):
+# Fills drawn per call of a batched fill in the Monte Carlo checks.
+DRAW_BLOCK = 4096
+
+
+def _fill_marginals(check_prefix, seed, stream, draw_many, diag_df, m, n, nsamples):
     rng = RngStream(seed, stream)
     diags = np.empty((nsamples, m))
     offdiags = np.empty((nsamples, m * (m - 1) // 2))
     iu = np.triu_indices(m, k=1)
-    for i in range(nsamples):
-        z = draw_fn(rng, m, n)
-        diags[i] = np.diag(z)
-        offdiags[i] = z[iu]
+    for start in range(0, nsamples, DRAW_BLOCK):
+        z = draw_many(rng, m, n, min(DRAW_BLOCK, nsamples - start))
+        diags[start:start + len(z)] = np.diagonal(z, axis1=1, axis2=2)
+        offdiags[start:start + len(z)] = z[:, iu[0], iu[1]]
     records = []
     for j in range(1, m + 1):
         df = diag_df(j)
@@ -184,7 +188,8 @@ def check_bartlett_wishart(seed):
     """Wishart fill: z_jj^2 is chi-square(n+1-j), off-diagonals are N(0,1)."""
     m, n, nsamples = 5, 10, 50_000
     return _fill_marginals(
-        "bartlett.wishart", seed, 2, draw_bartlett_wishart, lambda j: n + 1 - j, m, n, nsamples
+        "bartlett.wishart", seed, 2, draw_bartlett_wishart_many, lambda j: n + 1 - j,
+        m, n, nsamples,
     )
 
 
@@ -192,7 +197,8 @@ def check_bartlett_invwishart(seed):
     """Inverse-Wishart fill: z_jj^2 is chi-square(n-m+j), off-diagonals N(0,1)."""
     m, n, nsamples = 5, 10, 50_000
     return _fill_marginals(
-        "bartlett.invwishart", seed, 5, draw_bartlett_invwishart, lambda j: n - m + j, m, n, nsamples
+        "bartlett.invwishart", seed, 5, draw_bartlett_invwishart_many, lambda j: n - m + j,
+        m, n, nsamples,
     )
 
 
@@ -376,10 +382,9 @@ def check_density_chain(seed):
     """
     m, n, ndraws = 3, 8, 100
     u_omega = cholesky_upper_param(ScaleParam(SIGMA_3, iscov=False), invert=False)
-    rng = RngStream(seed, 15)
+    fills = draw_bartlett_invwishart_many(RngStream(seed, 15), m, n, ndraws)
     offsets = np.empty(ndraws)
-    for i in range(ndraws):
-        z = draw_bartlett_invwishart(rng, m, n)
+    for i, z in enumerate(fills):
         u_b = tri_mul(tri_inverse(z), u_omega)
         log_pz = -0.5 * float(np.sum(z * z))
         for j in range(1, m + 1):

@@ -236,6 +236,20 @@ def test_density_non_finite_df_rejected(tmp_path, capsys, n):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", ["inf", "nan", "1.5"])
+def test_density_df_checked_before_reading_points(tmp_path, capsys, n):
+    # A points file with no matrices gives the kernels nothing to check.
+    scale = write_scale(tmp_path, np.eye(3))
+    points = tmp_path / "empty.csv"
+    points.write_text("")
+    out = tmp_path / "never.ndjson"
+    rc = run_cli(["density", "invwishart", str(points), "--n", n, "--scale", scale,
+                  "--out", str(out)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_density_non_utf8_matrix_file_exit_code(tmp_path, capsys):
     scale = write_scale(tmp_path, np.eye(2))
     points = tmp_path / "points.csv"

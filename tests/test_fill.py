@@ -1,4 +1,5 @@
-"""Bartlett fills pinned to stored bytes, on the scalar and the two-pass path.
+"""Bartlett fills pinned to stored bytes, on the scalar and the two-pass path,
+and the batched fills checked against k single fills.
 
 ``tests/data/golden_fill_v1.json`` was generated once, from the
 column-by-column scalar fill, by running this module as a script (it
@@ -18,13 +19,21 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triwish import samplers
 from triwish.rng import RngStream
-from triwish.samplers import draw_bartlett_invwishart, draw_bartlett_wishart
+from triwish.samplers import (
+    draw_bartlett_invwishart,
+    draw_bartlett_invwishart_many,
+    draw_bartlett_wishart,
+    draw_bartlett_wishart_many,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_fill_v1.json"
 FILLS = {"wishart": draw_bartlett_wishart, "invwishart": draw_bartlett_invwishart}
+MANY = {"wishart": draw_bartlett_wishart_many, "invwishart": draw_bartlett_invwishart_many}
 GOLDEN_M = (1, 2, 3, 5, 11, 12, 13, 16, 50, 200)
 GOLDEN_SEEDS = (0, 7, 424242)
 
@@ -109,6 +118,106 @@ def test_paths_agree_across_a_block_boundary(monkeypatch, fill):
         scalar, two_pass = _both_paths(monkeypatch, fill, m, m + 1.5, seed=11, skip=skip)
         assert scalar == two_pass
         assert scalar["position"] > 4096
+
+
+def _digest(z):
+    return hashlib.sha256(np.ascontiguousarray(z, dtype="<f8").tobytes()).hexdigest()
+
+
+def _singles_and_many(fill, m, n, k, seed, skip=0):
+    """(digest, position, next uniform) after k single fills and after one k-batch."""
+    out = []
+    for draw in (lambda rng: np.stack([FILLS[fill](rng, m, n) for _ in range(k)]),
+                 lambda rng: MANY[fill](rng, m, n, k)):
+        rng = RngStream(seed)
+        rng.take_uniforms(skip)
+        z = draw(rng)
+        assert z.shape == (k, m, m)
+        out.append((_digest(z), rng.position, rng.uniform()))
+    return out
+
+
+def _window(m):
+    # Fills laid out per read-ahead window of the batched fill.
+    return max(1, samplers.MANY_READ_AHEAD // (m * (m + 2)))
+
+
+MANY_M = (1, 2, 3, 5, 11, 12, 13)
+
+
+@pytest.mark.parametrize("fill", sorted(FILLS))
+@pytest.mark.parametrize("m", MANY_M)
+def test_many_matches_single_fills(fill, m):
+    for n in _golden_n(m):
+        for k in (1, 2, 37):
+            single, many = _singles_and_many(fill, m, n, k, seed=1000 * m + k)
+            assert single == many, (n, k)
+
+
+@pytest.mark.parametrize("fill", sorted(FILLS))
+@pytest.mark.parametrize("m", MANY_M)
+def test_many_matches_single_fills_past_a_window(fill, m):
+    k = _window(m) + 1
+    assert k > 37
+    single, many = _singles_and_many(fill, m, m + 2.0, k, seed=m)
+    assert single == many
+
+
+@pytest.mark.parametrize("fill", sorted(FILLS))
+def test_many_matches_single_fills_across_a_block_boundary(fill):
+    # 4096 uniforms per Philox block: the read-ahead and the consumption
+    # both start a few uniforms before the first boundary.
+    for skip in (4096 - 1, 4096 - 7, 4096 - 40, 4096):
+        single, many = _singles_and_many(fill, 5, 10.0, 200, seed=21, skip=skip)
+        assert single == many
+        assert single[1] > 4096
+
+
+def test_many_runs_a_failing_fill_singly(monkeypatch):
+    # At m=5, n=10 about one fill in twenty holds a chi that misses its
+    # first Marsaglia-Tsang attempt; such a fill must go through the single
+    # fill, and the batch must still match.
+    calls = []
+    one = samplers._fill_one
+
+    def counted(*args):
+        calls.append(args[1])
+        return one(*args)
+
+    monkeypatch.setattr(samplers, "_fill_one", counted)
+    single, many = _singles_and_many("invwishart", 5, 10.0, 300, seed=424242)
+    assert single == many
+    # The single fills made 300 calls; the batch made a few of its own.
+    assert 300 < len(calls) < 600
+
+
+def test_first_attempt_with_v_not_positive_is_not_accepted():
+    # u1 = 0.999 and u2 = 1/2 make x = -3.72; at gamma shape 1
+    # (d = 2/3, c = 1/sqrt(6)) that gives v = 1 + c x < 0, which the scalar
+    # gamma redraws, so the batch must not accept it.
+    d = np.array([1.0 - 1.0 / 3.0])
+    c = 1.0 / np.sqrt(9.0 * d)
+    ok, _ = samplers._first_attempt_gammas(np.array([[[0.999, 0.5, 0.5]]]), d, c)
+    assert not ok.any()
+
+
+def test_many_above_the_batch_limit_matches_single_fills():
+    m = samplers.MANY_MAX_M + 1
+    single, many = _singles_and_many("wishart", m, m + 0.5, 3, seed=5)
+    assert single == many
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fill=st.sampled_from(sorted(FILLS)),
+    seed=st.integers(0, 2 ** 64 - 1),
+    m=st.integers(1, 8),
+    extra=st.floats(0.01, 30.0),
+    k=st.integers(1, 64),
+)
+def test_many_matches_single_fills_property(fill, seed, m, extra, k):
+    single, many = _singles_and_many(fill, m, m - 1 + extra, k, seed)
+    assert single == many
 
 
 if __name__ == "__main__":

@@ -117,10 +117,19 @@ def test_kinds_length_checked(tmp_path):
         b'{"m": ' + b"9" * 5000 + b"}\n",
         b'{"header": []}\n' + b"[" * 100_000 + b"\n",
         b"# m=0 kind=square\n",
+        b'{"m": 1.7, "kind": "square", "rows": [["2.5"]]}\n',
+        b'{"m": 1, "kind": "square", "rows": [["2.5"]]}\n',
+        b'{"m": 1, "kind": "square", "rows": [[true]]}\n',
+        b'{"m": true, "kind": "square", "rows": [[1.0]]}\n',
+        b'{"m": 2.0, "kind": "square", "rows": [[1.0, 0.0], [0.0, 1.0]]}\n',
+        b'{"m": 2, "kind": "square", "rows": [[1.0, 0.0], [false, 1.0]]}\n',
+        b'{"m": 1, "kind": "square", "rows": [2.5]}\n',
     ],
     ids=[
         "not-utf8", "number-record", "header-number", "header-string",
         "m-overflow", "m-too-many-digits", "deep-nesting", "empty-block",
+        "m-fraction", "string-entry", "bool-entry", "m-bool", "m-float",
+        "bool-among-numbers", "flat-rows",
     ],
 )
 def test_malformed_input_raises_invalid_parameter(tmp_path, data):

@@ -161,6 +161,20 @@ def test_take_uniforms_matches_scalar_calls():
         assert a.uniform() == b.uniform()
 
 
+def test_peek_uniforms_reads_ahead_without_consuming():
+    # Peeks inside the current block, across 4096-uniform block boundaries
+    # and before the first block is drawn; none of them moves the stream.
+    a = RngStream(1618)
+    b = RngStream(1618)
+    for k in (0, 1, 5, 4090, 3, 4096, 1, 9000, 0, 7):
+        peeked = a.peek_uniforms(k + 10).tolist()
+        assert a.peek_uniforms(k + 10).tolist() == peeked
+        assert a.take_uniforms(k).tolist() == [b.uniform() for _ in range(k)] == peeked[:k]
+        assert a.position == b.position
+        assert [a.uniform() for _ in range(10)] == peeked[k:]
+        b.take_uniforms(10)
+
+
 def test_box_muller_matches_standard_normal_bits():
     a = RngStream(31337)
     b = RngStream(31337)

@@ -20,7 +20,9 @@ from triwish.samplers import (
     ScaleParam,
     cholesky_upper_param,
     draw_bartlett_invwishart,
+    draw_bartlett_invwishart_many,
     draw_bartlett_wishart,
+    draw_bartlett_wishart_many,
     recommend_algorithm,
     rinvwishart_chol,
     rinvwishart_direct,
@@ -75,6 +77,30 @@ def test_bartlett_wishart_df_guard():
             draw_bartlett_wishart(StubRng(), 3, n)
         with pytest.raises(InvalidDegreesOfFreedom):
             draw_bartlett_invwishart(StubRng(), 3, n)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, True, "3", None, np.nan, np.inf])
+def test_fill_arguments_checked_in_one_place(bad):
+    # The single fills, the batched fills and SamplerSpec share one check
+    # of m (and of the batch size k), which runs before any draw.
+    rng = RngStream(1)
+    for call in (
+        lambda: draw_bartlett_wishart(rng, bad, 5),
+        lambda: draw_bartlett_invwishart(rng, bad, 5),
+        lambda: draw_bartlett_wishart_many(rng, bad, 5, 3),
+        lambda: draw_bartlett_wishart_many(rng, 2, 5, bad),
+        lambda: draw_bartlett_invwishart_many(rng, 2, 5, bad),
+        lambda: SamplerSpec(bad, 5, ScaleParam(np.eye(2))),
+    ):
+        with pytest.raises(InvalidParameter):
+            call()
+    for call in (
+        lambda: draw_bartlett_wishart_many(rng, 3, 2, 4),
+        lambda: draw_bartlett_invwishart_many(rng, 3, np.nan, 4),
+    ):
+        with pytest.raises(InvalidDegreesOfFreedom):
+            call()
+    assert rng.position == 0
 
 
 def test_bartlett_invwishart_m1_matches_wishart():
