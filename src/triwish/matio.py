@@ -140,7 +140,8 @@ def _parse_ndjson(text):
             raise InvalidParameter(f"unknown matrix kind {kind!r} on line {lineno}")
         if mat.shape != (m, m):
             raise InvalidParameter(f"matrix on line {lineno} is not {m}x{m}")
-        # rows is now a list of lists; numpy also read "2.5" and true as numbers.
+        # The shape check leaves rows a list of lists; np.array also read "2.5" and
+        # true as numbers.
         if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
             raise InvalidParameter(f"matrix on line {lineno} has a non-numeric entry")
         blocks.append((kind, mat))
