@@ -39,9 +39,7 @@ from .samplers import (
     ScaleParam,
     cholesky_upper_param,
     draw_bartlett_invwishart,
-    draw_bartlett_invwishart_many,
     draw_bartlett_wishart,
-    draw_bartlett_wishart_many,
     recommend_algorithm,
     rinvwishart_chol,
     rinvwishart_direct,
@@ -90,9 +88,7 @@ __all__ = [
     "chol_upper",
     "cholesky_upper_param",
     "draw_bartlett_invwishart",
-    "draw_bartlett_invwishart_many",
     "draw_bartlett_wishart",
-    "draw_bartlett_wishart_many",
     "fd_logdet_jacobian",
     "gram_ut",
     "gram_vt",

@@ -100,12 +100,11 @@ def _positive_int(name, value):
     return int(value)
 
 
-def _check_fill_args(m, n, k=1):
-    """The one argument check of a spec, a fill and a batch of k fills; returns int m, k."""
+def _check_fill_args(m, n):
+    """The one (m, n) check of a spec, a single fill and a batch of fills; returns int m."""
     m = _positive_int("dimension m", m)
-    k = _positive_int("batch size k", k)
     _check_df(m, n)
-    return m, k
+    return m
 
 
 @dataclass
@@ -118,7 +117,7 @@ class SamplerSpec:
     retcholu: bool = False
 
     def __post_init__(self):
-        self.m, _ = _check_fill_args(self.m, self.n)
+        self.m = _check_fill_args(self.m, self.n)
         if self.scale.dim != self.m:
             raise DimensionMismatch(
                 f"scale is {self.scale.dim}x{self.scale.dim}, expected {self.m}x{self.m}"
@@ -170,11 +169,13 @@ def _fill_one(rng, m, diag_df):
 
 # A batch of fills reads at most MANY_READ_AHEAD uniforms ahead at a time
 # (one window) and checks the chi draws of MANY_CHUNK fills per vector pass.
-# Above MANY_MAX_M most fills hold a chi that misses its first attempt, and
-# the batch lost to single fills (m = 40-200 on a 2-CPU x86-64 host).
 MANY_READ_AHEAD = 1 << 17
 MANY_CHUNK = 24
-MANY_MAX_M = 32
+
+
+def fills_per_window(m):
+    """Fills of dimension m that one read-ahead window of a batch lays out."""
+    return max(1, MANY_READ_AHEAD // (m * (m + 2)))
 
 
 def _first_attempt_gammas(t, d, c):
@@ -205,7 +206,7 @@ def _fill_many(rng, m, diag_df, k):
     # prefix; the first failing fill runs as a single fill, and the layout
     # resumes at the stream position it leaves.
     shapes = [0.5 * diag_df(j + 1) for j in range(m)]
-    if m > MANY_MAX_M or min(shapes) < 1.0:
+    if min(shapes) < 1.0:
         # The shape < 1 boost takes one more uniform after the gamma.
         return np.stack([_fill_one(rng, m, diag_df) for _ in range(k)])
     d = np.array([shape - 1.0 / 3.0 for shape in shapes])
@@ -220,7 +221,7 @@ def _fill_many(rng, m, diag_df, k):
     done = 0
     while done < k:
         base = rng.position
-        u = rng.peek_uniforms(min(max(1, MANY_READ_AHEAD // per), k - done) * per)
+        u = rng.peek_uniforms(min(fills_per_window(m), k - done) * per)
         off = 0
         slots, starts = [], []
         while done < k and off + per <= len(u):
@@ -253,7 +254,7 @@ def draw_bartlett_wishart(rng, m, n):
     Column j gets j-1 standard normals above a chi_(n+1-j) diagonal entry,
     in the documented draw order.
     """
-    m, _ = _check_fill_args(m, n)
+    m = _check_fill_args(m, n)
     return _fill_one(rng, m, lambda j: n + 1 - j)
 
 
@@ -263,21 +264,23 @@ def draw_bartlett_invwishart(rng, m, n):
     Identical draw order to :func:`draw_bartlett_wishart`; the diagonal of
     column j uses chi_(n-m+j) instead.
     """
-    m, _ = _check_fill_args(m, n)
+    m = _check_fill_args(m, n)
     return _fill_one(rng, m, lambda j: n - m + j)
 
 
 def draw_bartlett_wishart_many(rng, m, n, k):
     """k Wishart fills as a (k, m, m) array: the bytes, and the stream
     position after them, of k successive :func:`draw_bartlett_wishart` calls."""
-    m, k = _check_fill_args(m, n, k)
+    m = _check_fill_args(m, n)
+    k = _positive_int("batch size k", k)
     return _fill_many(rng, m, lambda j: n + 1 - j, k)
 
 
 def draw_bartlett_invwishart_many(rng, m, n, k):
     """k inverse-Wishart fills as a (k, m, m) array: the bytes, and the stream
     position after them, of k successive :func:`draw_bartlett_invwishart` calls."""
-    m, k = _check_fill_args(m, n, k)
+    m = _check_fill_args(m, n)
+    k = _positive_int("batch size k", k)
     return _fill_many(rng, m, lambda j: n - m + j, k)
 
 

@@ -39,6 +39,7 @@ from .samplers import (
     cholesky_upper_param,
     draw_bartlett_invwishart_many,
     draw_bartlett_wishart_many,
+    fills_per_window,
     rinvwishart_chol,
     rwishart,
     rwishart_chol,
@@ -145,17 +146,16 @@ def check_opcount(seed):
 # triangular-fill marginals and the outer-product oracle
 
 
-# Fills drawn per call of a batched fill in the Monte Carlo checks.
-DRAW_BLOCK = 4096
-
-
 def _fill_marginals(check_prefix, seed, stream, draw_many, diag_df, m, n, nsamples):
     rng = RngStream(seed, stream)
     diags = np.empty((nsamples, m))
     offdiags = np.empty((nsamples, m * (m - 1) // 2))
     iu = np.triu_indices(m, k=1)
-    for start in range(0, nsamples, DRAW_BLOCK):
-        z = draw_many(rng, m, n, min(DRAW_BLOCK, nsamples - start))
+    # One batch per read-ahead window: all nsamples fills as one (k, m, m)
+    # array would add about 10 MB to the peak RSS at m=5, k=50,000.
+    block = fills_per_window(m)
+    for start in range(0, nsamples, block):
+        z = draw_many(rng, m, n, min(block, nsamples - start))
         diags[start:start + len(z)] = np.diagonal(z, axis1=1, axis2=2)
         offdiags[start:start + len(z)] = z[:, iu[0], iu[1]]
     records = []

@@ -137,11 +137,6 @@ def _singles_and_many(fill, m, n, k, seed, skip=0):
     return out
 
 
-def _window(m):
-    # Fills laid out per read-ahead window of the batched fill.
-    return max(1, samplers.MANY_READ_AHEAD // (m * (m + 2)))
-
-
 MANY_M = (1, 2, 3, 5, 11, 12, 13)
 
 
@@ -157,7 +152,7 @@ def test_many_matches_single_fills(fill, m):
 @pytest.mark.parametrize("fill", sorted(FILLS))
 @pytest.mark.parametrize("m", MANY_M)
 def test_many_matches_single_fills_past_a_window(fill, m):
-    k = _window(m) + 1
+    k = samplers.fills_per_window(m) + 1
     assert k > 37
     single, many = _singles_and_many(fill, m, m + 2.0, k, seed=m)
     assert single == many
@@ -201,10 +196,15 @@ def test_first_attempt_with_v_not_positive_is_not_accepted():
     assert not ok.any()
 
 
-def test_many_above_the_batch_limit_matches_single_fills():
-    m = samplers.MANY_MAX_M + 1
-    single, many = _singles_and_many("wishart", m, m + 0.5, 3, seed=5)
+def test_many_matches_single_fills_at_large_m(monkeypatch):
+    # At m=40 about one fill in seven holds a chi that misses its first
+    # attempt and goes through the single fill; the rest stay batched.
+    calls = []
+    one = samplers._fill_one
+    monkeypatch.setattr(samplers, "_fill_one", lambda *args: calls.append(1) or one(*args))
+    single, many = _singles_and_many("wishart", 40, 42.0, 8, seed=5)
     assert single == many
+    assert 8 < len(calls) < 16  # 8 single fills, then the batch's few
 
 
 @settings(max_examples=60, deadline=None)

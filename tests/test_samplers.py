@@ -82,7 +82,7 @@ def test_bartlett_wishart_df_guard():
 @pytest.mark.parametrize("bad", [0, -1, 2.5, True, "3", None, np.nan, np.inf])
 def test_fill_arguments_checked_in_one_place(bad):
     # The single fills, the batched fills and SamplerSpec share one check
-    # of m (and of the batch size k), which runs before any draw.
+    # of m and n, which runs before any draw; the batched fills also check k.
     rng = RngStream(1)
     for call in (
         lambda: draw_bartlett_wishart(rng, bad, 5),
