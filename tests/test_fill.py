@@ -34,7 +34,7 @@ from triwish.samplers import (
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_fill_v1.json"
 FILLS = {"wishart": draw_bartlett_wishart, "invwishart": draw_bartlett_invwishart}
 MANY = {"wishart": draw_bartlett_wishart_many, "invwishart": draw_bartlett_invwishart_many}
-GOLDEN_M = (1, 2, 3, 5, 11, 12, 13, 16, 50, 200)
+GOLDEN_M = (1, 2, 3, 5, 11, 12, 13, 16, 27, 28, 50, 200)
 GOLDEN_SEEDS = (0, 7, 424242)
 
 
