@@ -193,6 +193,7 @@ def cmd_opcount(args):
 
 
 def cmd_validate(args):
+    RngStream(args.seed)  # rejects a bad seed even when no selected check draws
     records = suite.run_checks(seed=args.seed, only=args.only)
     if not records:
         raise InvalidParameter(f"--only {args.only!r} matched no checks")

@@ -18,8 +18,9 @@ Standard normal
     draw: with uniforms u1 then u2,
     ``z = sqrt(-2 log(1 - u1)) * cos(2 pi u2)``.
     (1 - u1 lies in (0, 1], so the log is always defined.)
-    :func:`box_muller` computes the same bits for a batch of uniforms taken
-    with :meth:`RngStream.take_uniforms`.
+    :func:`box_muller` computes the same bits for a batch of uniforms read
+    with :meth:`RngStream.peek_uniforms`; :meth:`RngStream.skip` then
+    consumes them.
 
 Gamma(shape, scale)
     Marsaglia-Tsang rejection for shape >= 1.  Each attempt consumes one
@@ -65,9 +66,9 @@ class RngStream:
         self.stream = int(stream)
         self._key = np.array([self.seed, self.stream], dtype=np.uint64)
         self._bitgen = np.random.Philox(key=self._key)
-        # The current block both as an array (sliced by take_uniforms and
-        # peek_uniforms) and as a reversed list (popped by uniform); only the
-        # list's length says how much of the block is consumed.
+        # The current block both as an array (sliced by peek_uniforms) and
+        # as a reversed list (popped by uniform); only the list's length says
+        # how much of the block is consumed.
         self._block = None
         self._buf = []
         self._blocks = 0
@@ -94,26 +95,17 @@ class RngStream:
             buf = self._refill()
         return buf.pop()
 
-    def take_uniforms(self, k):
-        """The next k uniforms as a read-only float64 array, in stream order.
-
-        Returns exactly what k calls of :meth:`uniform` would, and leaves
-        the stream at the same position.
-        """
+    def skip(self, k):
+        """Consume the next k uniforms, leaving the stream where k calls of
+        :meth:`uniform` would.  Whole blocks are skipped by advancing the
+        Philox counter (four outputs per step), without generating them."""
         buf = self._buf
-        parts = []
-        while k > 0:
-            if not buf:
-                buf = self._refill()
-            left = len(buf)
-            count = min(k, left)
-            start = _BLOCK - left
-            parts.append(self._block[start:start + count])
-            del buf[left - count:]
-            k -= count
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts) if parts else np.empty(0)
+        if k > len(buf):
+            whole, k = divmod(k - len(buf), _BLOCK)
+            self._bitgen.advance(whole * _BLOCK // 4)
+            self._blocks += whole
+            buf = self._buf = self._refill() if k else []
+        del buf[len(buf) - k:]
 
     def peek_uniforms(self, k):
         """The next k uniforms as a float64 array, without consuming them.

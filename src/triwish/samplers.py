@@ -21,11 +21,13 @@ normals z_1j .. z_(j-1)j first and the diagonal chi draw z_jj last.  For
 equal (m, n) both fills consume exactly m(m-1)/2 normal draws and m chi
 draws in the same positions; only the chi degrees of freedom differ
 (n+1-j for the Wishart fill, n-m+j for the inverse-Wishart fill).
-For m >= ``FILL_BATCH_MIN_M`` the fill takes each column's normal uniforms
-from the stream as one batch and turns them into normals in a second,
-vectorized pass; it consumes the same uniforms and produces the same bytes.
-The ``_many`` fills return k fills as one (k, m, m) array and consume the
-stream exactly as k successive single fills: same bytes, same position after.
+For m >= ``FILL_BATCH_MIN_M``, and for every batch of k fills (the ``_many``
+fills, one (k, m, m) array), the fill runs through one column engine: it
+reads the stream ahead, checks each chi draw's first attempt in vector
+passes, runs only a chi that needs more than that through the scalar code,
+and turns all normals into numbers in one vectorized pass.  It consumes the
+stream exactly as the column-by-column loop does: same bytes, same position
+after.
 """
 
 import math
@@ -124,10 +126,11 @@ class SamplerSpec:
             )
 
 
-# Smallest m filled by the two-pass path; below it the fixed numpy cost of
-# the batch outweighs the per-normal saving.  The two paths broke even at
-# m = 11-12 on a 2-CPU x86-64 host with numpy 2.4 (see CHANGES.md).
-FILL_BATCH_MIN_M = 12
+# Smallest m whose single fill runs through the column engine; below it the
+# engine's fixed numpy cost outweighs its per-normal saving.  The engine and
+# the scalar loop broke even at m = 26-28 on a 2-CPU x86-64 host with
+# numpy 2.4 (see CHANGES.md).
+FILL_BATCH_MIN_M = 28
 
 
 def _fill_scalar(rng, m, diag_df):
@@ -141,110 +144,106 @@ def _fill_scalar(rng, m, diag_df):
     return z
 
 
-def _fill_two_pass(rng, m, diag_df):
-    # Pass 1 walks the draw order, taking each column's normal uniforms as
-    # one batch and running the chi draw (variable uniform count) in place.
-    # Pass 2 turns all the batched uniforms into normals at once.
-    take = rng.take_uniforms
-    chi = rng.chi
-    uniforms = np.empty(m * (m - 1))
-    diag = []
-    for j in range(m):
-        # Columns before j hold 2 * (0 + 1 + ... + (j-1)) = j(j-1) uniforms.
-        uniforms[j * (j - 1):j * (j + 1)] = take(2 * j)
-        diag.append(chi(diag_df(j + 1)))
-    z = np.zeros((m, m))
-    # Row-major over the lower triangle of z.T is column order over the
-    # strict upper triangle of z: the order the normals were drawn in.
-    z.T[np.tri(m, k=-1, dtype=bool)] = box_muller(uniforms)
-    z[np.diag_indices(m)] = diag
-    return z
-
-
 def _fill_one(rng, m, diag_df):
     if m < FILL_BATCH_MIN_M:
         return _fill_scalar(rng, m, diag_df)
-    return _fill_two_pass(rng, m, diag_df)
+    return _fill_columns(rng, m, diag_df, 1)[0]
 
 
-# A batch of fills reads at most MANY_READ_AHEAD uniforms ahead at a time
-# (one window) and checks the chi draws of MANY_CHUNK fills per vector pass.
+# The column engine reads at most MANY_READ_AHEAD uniforms ahead at a time
+# (one window) and checks the chi draws of MANY_CHUNK columns per vector pass.
 MANY_READ_AHEAD = 1 << 17
-MANY_CHUNK = 24
+MANY_CHUNK = 128
 
 
 def fills_per_window(m):
-    """Fills of dimension m that one read-ahead window of a batch lays out."""
+    """Fills of dimension m that fit in one read-ahead window of the engine."""
     return max(1, MANY_READ_AHEAD // (m * (m + 2)))
 
 
 def _first_attempt_gammas(t, d, c):
     """Marsaglia-Tsang gammas (unit scale) that accept on their first attempt.
 
-    ``t[..., :]`` holds each attempt's uniforms (u1, u2 of the normal, then
-    u); ``d`` and ``c`` are the per-column constants.  Returns which draws
-    accept on that attempt, and d*v.  The operations are the scalar code's,
-    in its order, so every accepted value has the scalar bits.
+    ``t[i]`` holds draw i's attempt uniforms (u1, u2 of the normal, then u);
+    ``d[i]`` and ``c[i]`` are its constants.  Returns which draws accept on
+    that attempt, and d*v.  The operations are the scalar code's, in its
+    order, so every accepted value has the scalar bits.
     """
-    x = box_muller(t[..., :2].ravel()).reshape(t.shape[:-1])
-    u = t[..., 2]
+    x = box_muller(t[:, :2].ravel())
+    u = t[:, 2]
     v = 1.0 + c * x
     drawn = v > 0.0
     v = v * v * v
     x2 = x * x
     ok = drawn & (u < 1.0 - 0.0331 * x2 * x2)
     # The few that miss the squeeze take the log test, one at a time.
-    for i in zip(*np.nonzero(drawn & ~ok)):
-        ui, x2i, vi, di = float(u[i]), float(x2[i]), float(v[i]), float(d[i[-1]])
+    for i in np.flatnonzero(drawn & ~ok):
+        ui, x2i, vi, di = float(u[i]), float(x2[i]), float(v[i]), float(d[i])
         ok[i] = ui > 0.0 and math.log(ui) < 0.5 * x2i + di * (1.0 - vi + math.log(vi))
     return ok, d * v
 
 
-def _fill_many(rng, m, diag_df, k):
-    # Lays out a window of fills as if every chi accepted on its first
-    # attempt (3 uniforms), checks that per chunk, and keeps the verified
-    # prefix; the first failing fill runs as a single fill, and the layout
-    # resumes at the stream position it leaves.
-    shapes = [0.5 * diag_df(j + 1) for j in range(m)]
-    if min(shapes) < 1.0:
-        # The shape < 1 boost takes one more uniform after the gamma.
-        return np.stack([_fill_one(rng, m, diag_df) for _ in range(k)])
-    d = np.array([shape - 1.0 / 3.0 for shape in shapes])
-    c = np.array([1.0 / math.sqrt(9.0 * dj) for dj in d])
-    # Column j starts at j(j+2): 2j normal uniforms, then the chi attempt.
-    per = m * (m + 2)
-    chi_at = np.array([[j * (j + 4) + i for i in range(3)] for j in range(m)])
-    normal_at = np.array([j * (j + 2) + i for j in range(m) for i in range(2 * j)], dtype=int)
-    rows, cols = np.tril_indices(m, -1)
-    diag = np.arange(m)
+def _fill_columns(rng, m, diag_df, k):
+    # k fills in a row are one stream of k*m columns; column j of a fill is
+    # 2j normal uniforms, then a chi draw.  A window lays the columns out as
+    # if every chi accepted on its first attempt (3 uniforms) and checks
+    # that per chunk; the first column that fails runs the scalar chi at its
+    # stream position, and the layout resumes where that leaves the stream.
+    dfs = [diag_df(j + 1) for j in range(m)]
+    shape = 0.5 * np.array(dfs)
+    # NaN constants fail every check, so a column whose shape is below 1
+    # (the boost path) always takes the scalar chi.
+    d = np.where(shape >= 1.0, shape - 1.0 / 3.0, np.nan)
+    c = 1.0 / np.sqrt(9.0 * d)
+    width = 2 * np.arange(m) + 3
     out = np.zeros((k, m, m))
-    done = 0
-    while done < k:
+    flat = out.reshape(-1)
+    col = 0
+    while col < k * m:
+        # Every column takes at least 3 uniforms; at least one is laid out.
+        gcol = col + np.arange(min(k * m - col, MANY_READ_AHEAD // 3 + 1))
+        js = gcol % m
+        ends = np.cumsum(width[js])
+        count = max(1, int(np.searchsorted(ends, MANY_READ_AHEAD, "right")))
+        js, ends = js[:count], ends[:count]
+        starts = ends - width[js]
         base = rng.position
-        u = rng.peek_uniforms(min(fills_per_window(m), k - done) * per)
-        off = 0
-        slots, starts = [], []
-        while done < k and off + per <= len(u):
-            count = min(MANY_CHUNK, k - done, (len(u) - off) // per)
-            at = off + per * np.arange(count)
-            ok, g = _first_attempt_gammas(u[at[:, None, None] + chi_at], d, c)
-            fill_ok = ok.all(axis=1)
-            good = count if fill_ok.all() else int(np.argmin(fill_ok))
-            out[done:done + good, diag, diag] = np.sqrt(g[:good] * 2.0)
-            slots.append(np.arange(done, done + good))
-            starts.append(at[:good])
+        u = rng.peek_uniforms(int(ends[-1]))
+        at = np.empty(count, dtype=int)
+        diag = np.empty(count)
+        # A failed chi takes more than 3 uniforms: the layout behind it
+        # moves down the stream by shift, and may run out of the window.
+        shift = done = 0
+        while done < count:
+            s = starts[done:done + MANY_CHUNK] + shift
+            j = js[done:done + MANY_CHUNK]
+            fit = int(np.count_nonzero(s + width[j] <= len(u)))
+            if not fit:
+                break
+            s, j = s[:fit], j[:fit]
+            ok, g = _first_attempt_gammas(u[s[:, None] + 2 * j[:, None] + (0, 1, 2)], d[j], c[j])
+            good = fit if ok.all() else int(np.argmin(ok))
+            at[done:done + good] = s[:good]
+            diag[done:done + good] = np.sqrt(g[:good] * 2.0)
             done += good
-            off += good * per
-            if good < count:
-                rng.take_uniforms(base + off - rng.position)
-                out[done] = _fill_one(rng, m, diag_df)
+            if good < fit:
+                jf, sf = int(j[good]), int(s[good])
+                at[done] = sf
+                rng.skip(base + sf + 2 * jf - rng.position)
+                diag[done] = rng.chi(dfs[jf])
+                shift = rng.position - base - int(ends[done])
                 done += 1
-                off = rng.position - base
-        rng.take_uniforms(base + off - rng.position)
-        # All normals of the window's verified fills in one vector pass.
-        at = np.concatenate(starts)
-        z = box_muller(u[(at[:, None] + normal_at).ravel()])
-        out[np.concatenate(slots)[:, None], cols, rows] = z.reshape(len(at), len(rows))
+        rng.skip(base + int(ends[done - 1]) + shift - rng.position)
+        # All normals of the window's columns in one gather and one pass.
+        js, at = js[:done], at[:done]
+        top = (gcol[:done] // m) * (m * m) + js  # flat index of z[0, j] in its fill
+        flat[top + js * m] = diag[:done]
+        total = int(js.sum())
+        if total:
+            row = np.arange(total) - np.repeat(np.cumsum(js) - js, js)
+            src = np.repeat(at, js) + 2 * row
+            flat[np.repeat(top, js) + row * m] = box_muller(u[src[:, None] + (0, 1)].ravel())
+        col += done
     return out
 
 
@@ -273,7 +272,7 @@ def draw_bartlett_wishart_many(rng, m, n, k):
     position after them, of k successive :func:`draw_bartlett_wishart` calls."""
     m = _check_fill_args(m, n)
     k = _positive_int("batch size k", k)
-    return _fill_many(rng, m, lambda j: n + 1 - j, k)
+    return _fill_columns(rng, m, lambda j: n + 1 - j, k)
 
 
 def draw_bartlett_invwishart_many(rng, m, n, k):
@@ -281,7 +280,7 @@ def draw_bartlett_invwishart_many(rng, m, n, k):
     position after them, of k successive :func:`draw_bartlett_invwishart` calls."""
     m = _check_fill_args(m, n)
     k = _positive_int("batch size k", k)
-    return _fill_many(rng, m, lambda j: n - m + j, k)
+    return _fill_columns(rng, m, lambda j: n - m + j, k)
 
 
 def cholesky_upper_param(scale, invert, counter=None):

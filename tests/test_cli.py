@@ -24,6 +24,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triwish import matio
 from triwish.cli import main
@@ -399,6 +401,17 @@ def test_validate_unmatched_filter(capsys):
     assert "matched no checks" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("only", ["errors.df", "opcount"])
+@pytest.mark.parametrize("seed", ["-5", str(2 ** 64)])
+def test_validate_rejects_out_of_range_seed(tmp_path, capsys, only, seed):
+    # errors.df makes no RngStream, so the seed is checked before any check runs.
+    out = tmp_path / "report.ndjson"
+    rc = run_cli(["validate", "--only", only, "--seed", seed, "--out", str(out)])
+    assert rc == 2
+    assert "seed must fit in an unsigned 64-bit integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_smoke(capsys):
     rc = run_cli(["bench", "--m", "24", "--reps", "2", "--seed", "3"])
     out = capsys.readouterr().out
@@ -432,6 +445,58 @@ def test_scale_file_can_hold_factor(tmp_path):
     # initial POTRF but the draws follow the same law, so shapes agree here.
     assert all(mat.shape == (2, 2) for _, mat in outs[0])
     assert all(mat.shape == (2, 2) for _, mat in outs[1])
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Fixed inputs for the argv property: good, bad and missing files."""
+    d = tmp_path_factory.mktemp("cli_argv")
+    (d / "not_utf8.csv").write_bytes(b"# m=2 kind=square\n\xff,\xfe\n")
+    (d / "junk.csv").write_text("1,2\nthree\n")
+    points = d / "points.ndjson"
+    matio.write_matrices(str(points), [SIGMA_2, np.eye(2)], fmt="ndjson")
+    return {
+        "@spd": write_scale(d, SIGMA_2, "spd.csv"),
+        "@factor": write_scale(d, np.array([[1.5, 0.2], [0.0, 0.8]]), "factor.csv",
+                               kind=matio.KIND_CHOLU),
+        "@not_spd": write_scale(d, np.array([[1.0, 2.0], [2.0, 1.0]]), "not_spd.csv"),
+        "@three": write_scale(d, np.eye(3), "three.csv"),
+        "@points": str(points),
+        "@not_utf8": str(d / "not_utf8.csv"),
+        "@junk": str(d / "junk.csv"),
+        "@missing": str(d / "missing.csv"),
+        "@out": str(d / "out.txt"),
+        "@dir": str(d),
+    }
+
+
+_FILE = st.sampled_from(["@spd", "@factor", "@not_spd", "@three", "@points", "@not_utf8",
+                         "@junk", "@missing"])
+_NUMBER = st.sampled_from(["0", "1", "2", "3", "-1", "2.5", "7.5", "nan", "inf", "1e400", "x"])
+_FLAG = st.one_of(
+    st.sampled_from([["--iscov"], ["--ischolu"], ["--retcholu"], ["--square"], ["--bogus"]]),
+    st.tuples(st.sampled_from(["--m", "--n", "--nsamples"]), _NUMBER).map(list),
+    st.tuples(st.just("--scale"), _FILE).map(list),
+    st.tuples(st.just("--seed"), st.sampled_from(["0", "7", "-5", str(2 ** 64), "x"])).map(list),
+    st.tuples(st.just("--algorithm"), st.sampled_from(["indirect", "direct", "auto", "x"])).map(list),
+    st.tuples(st.just("--format"), st.sampled_from(["csv", "ndjson", "xml"])).map(list),
+    st.tuples(st.just("--out"), st.sampled_from(["@out", "@dir", "-"])).map(list),
+)
+_HEAD = st.one_of(
+    st.just(["sample"]),
+    st.just(["opcount"]),
+    st.tuples(st.just("density"), st.sampled_from(["wishart", "invwishart", "cholwishart",
+                                                   "cholinvwishart", "x"]), _FILE).map(list),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(head=_HEAD, flags=st.lists(_FLAG, max_size=8))
+def test_any_argv_exits_with_a_documented_code(cli_files, head, flags):
+    argv = [cli_files.get(token, token) for token in head + sum(flags, [])]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    assert rc in (0, 2, 3, 4), argv
 
 
 def test_console_entry_point_runs():

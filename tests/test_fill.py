@@ -1,5 +1,5 @@
-"""Bartlett fills pinned to stored bytes, on the scalar and the two-pass path,
-and the batched fills checked against k single fills.
+"""Bartlett fills pinned to stored bytes, on the scalar loop and the column
+engine, and the batched fills checked against k single fills.
 
 ``tests/data/golden_fill_v1.json`` was generated once, from the
 column-by-column scalar fill, by running this module as a script (it
@@ -9,7 +9,9 @@ refuses to overwrite the file without ``--force``):
 
 Each record holds the sha256 of one fill's float64 bytes (C order, little
 endian), the stream position after it and the next uniform.  The file is a
-frozen reference: both fill paths must reproduce it unchanged.
+frozen reference: both fill paths must reproduce it unchanged.  Records at
+m = 27 and 28 were added later, generated the same way from the fills of
+that time, to pin the crossover of ``FILL_BATCH_MIN_M``.
 """
 
 import hashlib
@@ -70,8 +72,8 @@ def _golden_records():
     ]
 
 
-# Forces one path: every m at or above the threshold takes the two-pass fill.
-PATHS = {"scalar": 10 ** 9, "two_pass": 1}
+# Forces one path: every m at or above the threshold takes the column engine.
+PATHS = {"scalar": 10 ** 9, "columns": 1}
 
 
 @pytest.fixture(params=sorted(PATHS))
@@ -96,7 +98,7 @@ def _both_paths(monkeypatch, fill, m, n, seed, skip=0):
     for path, threshold in PATHS.items():
         monkeypatch.setattr(samplers, "FILL_BATCH_MIN_M", threshold)
         out[path] = _fill_record(fill, m, n, seed, skip)
-    return out["scalar"], out["two_pass"]
+    return out["scalar"], out["columns"]
 
 
 @pytest.mark.parametrize("fill", sorted(FILLS))
@@ -104,8 +106,8 @@ def test_paths_agree_around_the_crossover(monkeypatch, fill):
     c = samplers.FILL_BATCH_MIN_M
     for m in (1, 4, c - 2, c - 1, c, c + 1, c + 7, 40):
         for n in (m - 0.25, m + 0.5, 2.0 * m + 3.0):
-            scalar, two_pass = _both_paths(monkeypatch, fill, m, n, seed=m)
-            assert scalar == two_pass
+            scalar, columns = _both_paths(monkeypatch, fill, m, n, seed=m)
+            assert scalar == columns
 
 
 @pytest.mark.parametrize("fill", sorted(FILLS))
@@ -115,8 +117,8 @@ def test_paths_agree_across_a_block_boundary(monkeypatch, fill):
     # straddles it.
     m = 20
     for skip in (4096 - 1, 4096 - 7, 4096 - 40, 4096 - 300, 4096):
-        scalar, two_pass = _both_paths(monkeypatch, fill, m, m + 1.5, seed=11, skip=skip)
-        assert scalar == two_pass
+        scalar, columns = _both_paths(monkeypatch, fill, m, m + 1.5, seed=11, skip=skip)
+        assert scalar == columns
         assert scalar["position"] > 4096
 
 
@@ -130,7 +132,7 @@ def _singles_and_many(fill, m, n, k, seed, skip=0):
     for draw in (lambda rng: np.stack([FILLS[fill](rng, m, n) for _ in range(k)]),
                  lambda rng: MANY[fill](rng, m, n, k)):
         rng = RngStream(seed)
-        rng.take_uniforms(skip)
+        rng.skip(skip)
         z = draw(rng)
         assert z.shape == (k, m, m)
         out.append((_digest(z), rng.position, rng.uniform()))
@@ -168,55 +170,70 @@ def test_many_matches_single_fills_across_a_block_boundary(fill):
         assert single[1] > 4096
 
 
-def test_many_runs_a_failing_fill_singly(monkeypatch):
-    # At m=5, n=10 about one fill in twenty holds a chi that misses its
-    # first Marsaglia-Tsang attempt; such a fill must go through the single
-    # fill, and the batch must still match.
-    calls = []
-    one = samplers._fill_one
-
-    def counted(*args):
-        calls.append(args[1])
-        return one(*args)
-
-    monkeypatch.setattr(samplers, "_fill_one", counted)
-    single, many = _singles_and_many("invwishart", 5, 10.0, 300, seed=424242)
+def _batch_scalar_chis(fill, m, n, k, seed):
+    """Scalar chi draws one k-batch makes, once it matches k single fills."""
+    single, many = _singles_and_many(fill, m, n, k, seed)
     assert single == many
-    # The single fills made 300 calls; the batch made a few of its own.
-    assert 300 < len(calls) < 600
+    calls = []
+    chi = RngStream.chi
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RngStream, "chi", lambda self, df: calls.append(df) or chi(self, df))
+        MANY[fill](RngStream(seed), m, n, k)
+    return len(calls)
+
+
+def test_many_runs_a_failing_chi_singly():
+    # At m=5, n=10 about one column in a hundred holds a chi that misses its
+    # first Marsaglia-Tsang attempt: only that chi takes the scalar draw.
+    assert _batch_scalar_chis("invwishart", 5, 10.0, 300, seed=424242) == 15
+    # At n=4.5 two columns of each fill have a gamma shape below 1 (the
+    # boost path), and each of those takes the scalar draw as well.
+    assert _batch_scalar_chis("invwishart", 5, 4.5, 10, seed=3) == 22
 
 
 def test_first_attempt_with_v_not_positive_is_not_accepted():
     # u1 = 0.999 and u2 = 1/2 make x = -3.72; at gamma shape 1
     # (d = 2/3, c = 1/sqrt(6)) that gives v = 1 + c x < 0, which the scalar
-    # gamma redraws, so the batch must not accept it.
-    d = np.array([1.0 - 1.0 / 3.0])
+    # gamma redraws, so the batch must not accept it.  At shape 50 the same
+    # uniforms give v > 0 and pass the log test: the constants are per draw.
+    d = np.array([1.0, 50.0]) - 1.0 / 3.0
     c = 1.0 / np.sqrt(9.0 * d)
-    ok, _ = samplers._first_attempt_gammas(np.array([[[0.999, 0.5, 0.5]]]), d, c)
-    assert not ok.any()
+    t = np.array([[0.999, 0.5, 0.5], [0.999, 0.5, 0.5]])
+    ok, _ = samplers._first_attempt_gammas(t, d, c)
+    assert ok.tolist() == [False, True]
 
 
-def test_many_matches_single_fills_at_large_m(monkeypatch):
-    # At m=40 about one fill in seven holds a chi that misses its first
-    # attempt and goes through the single fill; the rest stay batched.
-    calls = []
-    one = samplers._fill_one
-    monkeypatch.setattr(samplers, "_fill_one", lambda *args: calls.append(1) or one(*args))
-    single, many = _singles_and_many("wishart", 40, 42.0, 8, seed=5)
-    assert single == many
-    assert 8 < len(calls) < 16  # 8 single fills, then the batch's few
+def test_many_matches_single_fills_at_large_m():
+    # At m=40 about one column in three hundred misses its first attempt;
+    # the rest of its fill stays batched.
+    assert _batch_scalar_chis("wishart", 40, 42.0, 8, seed=5) == 1
 
 
-@settings(max_examples=60, deadline=None)
-@given(
+FILL_CASES = dict(
     fill=st.sampled_from(sorted(FILLS)),
     seed=st.integers(0, 2 ** 64 - 1),
     m=st.integers(1, 8),
     extra=st.floats(0.01, 30.0),
     k=st.integers(1, 64),
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(**FILL_CASES)
 def test_many_matches_single_fills_property(fill, seed, m, extra, k):
     single, many = _singles_and_many(fill, m, m - 1 + extra, k, seed)
+    assert single == many
+
+
+@settings(max_examples=60, deadline=None)
+@given(**FILL_CASES)
+def test_many_matches_single_fills_property_in_small_windows(fill, seed, m, extra, k):
+    # 50-uniform windows and 3-column chunks: windows end inside a fill, and
+    # a chi that takes the scalar draw can run past the end of its window.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(samplers, "MANY_READ_AHEAD", 50)
+        mp.setattr(samplers, "MANY_CHUNK", 3)
+        single, many = _singles_and_many(fill, m, m - 1 + extra, k, seed)
     assert single == many
 
 

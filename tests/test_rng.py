@@ -148,15 +148,15 @@ def test_position_counts_uniforms():
     assert rng.position == 5003
 
 
-def test_take_uniforms_matches_scalar_calls():
-    # Batches of every size, across several 4096-uniform block boundaries,
-    # mixed with scalar draws.
+def test_skip_matches_scalar_calls():
+    # Skips of every size, within a block, to its end and across several
+    # 4096-uniform block boundaries, mixed with scalar draws.
     a = RngStream(2718)
     b = RngStream(2718)
-    for k in (0, 1, 5, 4090, 3, 4096, 1, 9000, 0, 7):
-        batch = a.take_uniforms(k)
-        assert batch.dtype == np.float64
-        assert batch.tolist() == [b.uniform() for _ in range(k)]
+    for k in (0, 1, 5, 4090, 3, 4096, 1, 9000, 0, 7, 3 * 4096, 4095, 4097):
+        a.skip(k)
+        for _ in range(k):
+            b.uniform()
         assert a.position == b.position
         assert a.uniform() == b.uniform()
 
@@ -169,17 +169,18 @@ def test_peek_uniforms_reads_ahead_without_consuming():
     for k in (0, 1, 5, 4090, 3, 4096, 1, 9000, 0, 7):
         peeked = a.peek_uniforms(k + 10).tolist()
         assert a.peek_uniforms(k + 10).tolist() == peeked
-        assert a.take_uniforms(k).tolist() == [b.uniform() for _ in range(k)] == peeked[:k]
+        a.skip(k)
+        assert [b.uniform() for _ in range(k)] == peeked[:k]
         assert a.position == b.position
         assert [a.uniform() for _ in range(10)] == peeked[k:]
-        b.take_uniforms(10)
+        b.skip(10)
 
 
 def test_box_muller_matches_standard_normal_bits():
     a = RngStream(31337)
     b = RngStream(31337)
     k = 20_000
-    vector = box_muller(a.take_uniforms(2 * k))
+    vector = box_muller(a.peek_uniforms(2 * k))
     scalar = np.array([b.standard_normal() for _ in range(k)])
     assert vector.tobytes() == scalar.tobytes()
     assert box_muller(np.empty(0)).shape == (0,)

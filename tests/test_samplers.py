@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triwish.errors import (
     DimensionMismatch,
     InvalidDegreesOfFreedom,
     InvalidParameter,
+    TriwishError,
 )
 from triwish.linalg import OpCounter, gram_ut
 from triwish.rng import RngStream
@@ -365,3 +368,36 @@ def test_sampler_spec_validation():
         SamplerSpec(2, 5, scale3)
     with pytest.raises(InvalidParameter):
         SamplerSpec(0, 5, scale3)
+
+
+# Scale entries are 0 or of magnitude 1e-3 to 1e3: near the ends of the
+# double range a draw can overflow to inf without an error (see CHANGES.md).
+_ENTRY = st.floats(-1e3, 1e3).filter(lambda x: x == 0.0 or abs(x) >= 1e-3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    n=st.floats(allow_nan=False, allow_infinity=False),
+    entries=st.lists(_ENTRY, min_size=36, max_size=36),
+    gram=st.booleans(),
+    kind=st.sampled_from(["cov", "cov_chol", "prec", "prec_chol"]),
+    algorithm=st.sampled_from([INDIRECT, DIRECT]),
+    retcholu=st.booleans(),
+    seed=st.integers(0, 2 ** 64 - 1),
+)
+def test_any_draw_raises_or_is_well_formed(m, n, entries, gram, kind, algorithm, retcholu, seed):
+    a = np.array(entries[:m * m]).reshape(m, m)
+    ischolu = kind.endswith("_chol")
+    matrix = np.triu(a) if ischolu else (a @ a.T if gram else a)
+    try:
+        scale = ScaleParam(matrix, iscov=kind.startswith("cov"), ischolu=ischolu)
+        x = sample_invwishart(RngStream(seed), SamplerSpec(m, n, scale, retcholu), algorithm)
+    except TriwishError:
+        return
+    assert np.isfinite(x).all()
+    if retcholu:
+        assert np.array_equal(x, np.triu(x))
+        assert (np.diag(x) > 0).all()
+    else:
+        assert np.array_equal(x, x.T)
