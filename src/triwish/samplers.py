@@ -238,11 +238,9 @@ def _fill_columns(rng, m, diag_df, k):
         js, at = js[:done], at[:done]
         top = (gcol[:done] // m) * (m * m) + js  # flat index of z[0, j] in its fill
         flat[top + js * m] = diag[:done]
-        total = int(js.sum())
-        if total:
-            row = np.arange(total) - np.repeat(np.cumsum(js) - js, js)
-            src = np.repeat(at, js) + 2 * row
-            flat[np.repeat(top, js) + row * m] = box_muller(u[src[:, None] + (0, 1)].ravel())
+        row = np.arange(js.sum()) - np.repeat(np.cumsum(js) - js, js)  # i of each z[i, j]
+        src = np.repeat(at, js) + 2 * row
+        flat[np.repeat(top, js) + row * m] = box_muller(u[src[:, None] + (0, 1)].ravel())
         col += done
     return out
 
