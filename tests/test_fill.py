@@ -127,13 +127,16 @@ def _digest(z):
 
 
 def _singles_and_many(fill, m, n, k, seed, skip=0):
-    """(digest, position, next uniform) after k single fills and after one k-batch."""
+    """(digest, position, next uniform) after k single fills of the scalar
+    loop and after one k-batch."""
     out = []
     for draw in (lambda rng: np.stack([FILLS[fill](rng, m, n) for _ in range(k)]),
                  lambda rng: MANY[fill](rng, m, n, k)):
         rng = RngStream(seed)
         rng.skip(skip)
-        z = draw(rng)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(samplers, "FILL_BATCH_MIN_M", PATHS["scalar"])
+            z = draw(rng)
         assert z.shape == (k, m, m)
         out.append((_digest(z), rng.position, rng.uniform()))
     return out
