@@ -10,8 +10,9 @@ refuses to overwrite the file without ``--force``):
 Each record holds the sha256 of one fill's float64 bytes (C order, little
 endian), the stream position after it and the next uniform.  The file is a
 frozen reference: both fill paths must reproduce it unchanged.  Records at
-m = 27 and 28 were added later, generated the same way from the fills of
-that time, to pin the crossover of ``FILL_BATCH_MIN_M``.
+m = 27 and 28, and later at m = 21 and 22, were added afterwards, generated
+the same way from the fills of that time, to pin the crossovers of the
+column engine.
 """
 
 import hashlib
@@ -36,7 +37,7 @@ from triwish.samplers import (
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_fill_v1.json"
 FILLS = {"wishart": draw_bartlett_wishart, "invwishart": draw_bartlett_invwishart}
 MANY = {"wishart": draw_bartlett_wishart_many, "invwishart": draw_bartlett_invwishart_many}
-GOLDEN_M = (1, 2, 3, 5, 11, 12, 13, 16, 27, 28, 50, 200)
+GOLDEN_M = (1, 2, 3, 5, 11, 12, 13, 16, 21, 22, 27, 28, 50, 200)
 GOLDEN_SEEDS = (0, 7, 424242)
 
 
