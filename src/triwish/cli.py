@@ -44,6 +44,7 @@ from .samplers import (
     SamplerSpec,
     ScaleParam,
     _check_df,
+    check_draw,
     cholesky_upper_param,
     recommend_algorithm,
     sample_invwishart,
@@ -99,7 +100,7 @@ def cmd_sample(args):
         counter = OpCounter()
         draw = sample_invwishart(rng, spec, algorithm, counter=counter)
         if args.square:
-            draw = gram_ut(draw)
+            draw = check_draw(gram_ut(draw), factor=False)
         mats.append(draw)
     factor_out = args.retcholu and not args.square
     kind = matio.KIND_CHOLU if factor_out else matio.KIND_SQUARE

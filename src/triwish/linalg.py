@@ -102,10 +102,10 @@ def chol_upper(x, counter=None):
 def tri_inverse(u, counter=None):
     """Inverse of an upper-triangular matrix.  Counts one TRTRI."""
     u = as_square(u)
-    d = np.diag(u)
-    if np.any(d == 0.0):
-        j = int(np.argmax(d == 0.0)) + 1
-        raise SingularMatrix(f"triangular matrix has zero diagonal entry {j}")
+    # Array methods: np.diag and np.any cost more than the m=1 kernel.
+    zero = u.diagonal() == 0.0
+    if zero.any():
+        raise SingularMatrix(f"triangular matrix has zero diagonal entry {int(zero.argmax()) + 1}")
     if counter is not None:
         counter.trtri += 1
     r, info = lapack.dtrtri(u, lower=0)

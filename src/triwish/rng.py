@@ -20,7 +20,12 @@ Standard normal
     (1 - u1 lies in (0, 1], so the log is always defined.)
     :func:`box_muller` computes the same bits for a batch of uniforms read
     with :meth:`RngStream.peek_uniforms`; :meth:`RngStream.skip` then
-    consumes them.
+    consumes them.  It runs a C loop, ``_boxmuller.c``, that the first
+    call builds with the system C compiler (``cc -O2 -fPIC -shared
+    -ffp-contract=off -lm``) into this package's ``__pycache__`` and loads
+    through ctypes; without a compiler, a writable cache or a loadable
+    library it maps ``math.log`` and ``math.cos`` instead.  Both paths call
+    the libm of the running process, so they give the same bits.
 
 Gamma(shape, scale)
     Marsaglia-Tsang rejection for shape >= 1.  Each attempt consumes one
@@ -38,7 +43,13 @@ stream id is the second Philox key word, so distinct ids give statistically
 independent sequences for the same seed.
 """
 
+import ctypes
+import hashlib
 import math
+import os
+import pathlib
+import subprocess
+import tempfile
 
 import numpy as np
 
@@ -169,15 +180,77 @@ class RngStream:
         return RngStream(self.seed, stream)
 
 
+# The compiled Box-Muller loop: its source, how it is built and where the
+# library is cached.  Flags that may change the bits (-ffast-math,
+# -march=native, a vector math library such as libmvec) are not used.
+_C_SOURCE = pathlib.Path(__file__).with_name("_boxmuller.c")
+_CC = "cc"
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_LDLIBS = ("-lm",)
+_CACHE = _C_SOURCE.with_name("__pycache__")
+_NOT_LOADED = object()
+_loop = _NOT_LOADED
+
+
+def _build_loop():
+    """Build (unless cached) and load the C loop; None if that is not possible."""
+    try:
+        source = _C_SOURCE.read_bytes()
+        tag = hashlib.sha256(source + " ".join(_CFLAGS + _LDLIBS).encode()).hexdigest()[:16]
+        lib = _CACHE / f"_boxmuller-{tag}.so"
+        if not lib.exists():
+            _CACHE.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=_CACHE)
+            os.close(fd)
+            try:
+                subprocess.run([_CC, *_CFLAGS, "-o", tmp, str(_C_SOURCE), *_LDLIBS],
+                               check=True, capture_output=True, timeout=120)
+                os.replace(tmp, lib)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        fn = ctypes.CDLL(str(lib)).triwish_box_muller
+    except (OSError, subprocess.SubprocessError):
+        return None
+    fn.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_double)
+    fn.restype = None
+    return fn
+
+
+def compiled_loop():
+    """The compiled Box-Muller loop, built and loaded on the first call, or
+    None when this process runs :func:`box_muller` on the ``math`` map."""
+    global _loop
+    if _loop is _NOT_LOADED:
+        _loop = _build_loop()
+    return _loop
+
+
 def box_muller(u):
     """Standard normals from interleaved uniforms ``u1, u2, u1, u2, ...``.
 
     Bit-identical to :meth:`RngStream.standard_normal` over the same
-    uniforms: ``log`` and ``cos`` are the same ``math`` (libm) calls, made
-    per element, and the subtraction, products and ``sqrt`` are correctly
-    rounded IEEE operations, so numpy gives the scalar bits.  ``np.log`` is
-    not used because its SIMD kernels do not always round like libm.
+    uniforms.  The work runs in the C loop of ``_boxmuller.c``, which the
+    first call builds with ``cc -O2 -fPIC -shared -ffp-contract=off -lm``
+    into this package's ``__pycache__`` (the file named by a hash of the
+    source and the flags) and loads through ctypes; the loop makes the
+    scalar code's libm calls and IEEE operations in its order.  Where the
+    loop cannot be built or loaded, the fallback maps the same ``math``
+    (libm) ``log`` and ``cos`` per element and does the subtraction,
+    products and ``sqrt`` as correctly rounded numpy operations.
+    ``np.log`` is used by neither: its SIMD kernels do not always round
+    like libm.
     """
+    loop = compiled_loop()
+    if loop is None:
+        return _box_muller_math(u)
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    z = np.empty(len(u) // 2)
+    loop(u.ctypes.data, z.ctypes.data, len(z), _TWO_PI)
+    return z
+
+
+def _box_muller_math(u):
     k = len(u) // 2
     # Iterating a memoryview makes one Python float at a time, where
     # .tolist() would hold them all at once.

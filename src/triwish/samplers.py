@@ -21,7 +21,8 @@ normals z_1j .. z_(j-1)j first and the diagonal chi draw z_jj last.  For
 equal (m, n) both fills consume exactly m(m-1)/2 normal draws and m chi
 draws in the same positions; only the chi degrees of freedom differ
 (n+1-j for the Wishart fill, n-m+j for the inverse-Wishart fill).
-For m >= ``FILL_BATCH_MIN_M``, and for every batch of k fills (the ``_many``
+For m >= ``FILL_BATCH_MIN_M`` (``FILL_BATCH_MIN_M_MATH`` when the compiled
+Box-Muller loop is not loaded), and for every batch of k fills (the ``_many``
 fills, one (k, m, m) array), the fill runs through one column engine: it
 reads the stream ahead, checks each chi draw's first attempt in vector
 passes, runs only a chi that needs more than that through the scalar code,
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDegreesOfFreedom, InvalidParameter
+from .errors import DimensionMismatch, InvalidDegreesOfFreedom, InvalidParameter, NumericalFailure
 from .linalg import (
     OpCounter,
     as_square,
@@ -46,7 +47,7 @@ from .linalg import (
     tri_inverse,
     tri_mul,
 )
-from .rng import box_muller
+from .rng import box_muller, compiled_loop
 
 INDIRECT = "indirect"
 DIRECT = "direct"
@@ -126,11 +127,13 @@ class SamplerSpec:
             )
 
 
-# Smallest m whose single fill runs through the column engine; below it the
-# engine's fixed numpy cost outweighs its per-normal saving.  The engine and
-# the scalar loop broke even at m = 26-28 on a 2-CPU x86-64 host with
-# numpy 2.4 (see CHANGES.md).
-FILL_BATCH_MIN_M = 28
+# Smallest m whose single fill runs through the column engine, with the
+# compiled Box-Muller loop loaded and on the math map (FILL_BATCH_MIN_M is
+# the smaller); below it the engine's fixed numpy cost outweighs its
+# per-normal saving.  The engine and the scalar loop broke even at m = 21-23
+# and at m = 27-28 on a 2-CPU x86-64 host with numpy 2.4 (see CHANGES.md).
+FILL_BATCH_MIN_M = 22
+FILL_BATCH_MIN_M_MATH = 28
 
 
 def _fill_scalar(rng, m, diag_df):
@@ -145,7 +148,8 @@ def _fill_scalar(rng, m, diag_df):
 
 
 def _fill_one(rng, m, diag_df):
-    if m < FILL_BATCH_MIN_M:
+    # Tested first, the smaller bound keeps small fills from building the loop.
+    if m < FILL_BATCH_MIN_M or (m < FILL_BATCH_MIN_M_MATH and compiled_loop() is None):
         return _fill_scalar(rng, m, diag_df)
     return _fill_columns(rng, m, diag_df, 1)[0]
 
@@ -345,15 +349,30 @@ def rinvwishart_direct(rng, spec, counter=None):
     return gram_ut(u_b, counter)
 
 
+def check_draw(x, factor):
+    """The draw x, after one O(m^2) scan for what the kernels can make of a
+    scale near either end of the double range.
+
+    Raises NumericalFailure if an entry overflowed, or if x is a factor
+    (``factor`` true) with a diagonal entry that is not positive.
+    """
+    if not np.isfinite(x).all():
+        raise NumericalFailure("draw is not finite: the scale is too close to the double range's ends")
+    if factor and not x.diagonal().min() > 0.0:
+        raise NumericalFailure("draw is a factor with a diagonal entry that is not positive")
+    return x
+
+
 def rwishart(rng, spec, counter=None):
-    """Wishart draw (full matrix or factor) from a covariance-side scale."""
+    """Wishart draw (full matrix or factor) from a covariance-side scale.
+
+    Raises NumericalFailure when the draw is not finite (see :func:`check_draw`).
+    """
     if not spec.scale.iscov:
         raise InvalidParameter("Wishart sampling expects a covariance-side scale (iscov)")
     u_sigma = cholesky_upper_param(spec.scale, False, counter)
     u_a = rwishart_chol(rng, spec.m, spec.n, u_sigma, counter)
-    if spec.retcholu:
-        return u_a
-    return gram_ut(u_a, counter)
+    return check_draw(u_a if spec.retcholu else gram_ut(u_a, counter), spec.retcholu)
 
 
 def recommend_algorithm(scale):
@@ -366,14 +385,19 @@ def recommend_algorithm(scale):
 
 
 def sample_invwishart(rng, spec, algorithm, counter=None):
-    """Dispatch helper: run the named route, resolving ``'auto'`` first."""
+    """Dispatch helper: run the named route, resolving ``'auto'`` first.
+
+    Raises NumericalFailure when the draw is not finite (see :func:`check_draw`).
+    """
     if algorithm == AUTO:
         algorithm = recommend_algorithm(spec.scale)
     if algorithm == INDIRECT:
-        return rinvwishart_indirect(rng, spec, counter)
-    if algorithm == DIRECT:
-        return rinvwishart_direct(rng, spec, counter)
-    raise InvalidParameter(f"unknown algorithm {algorithm!r}")
+        draw = rinvwishart_indirect(rng, spec, counter)
+    elif algorithm == DIRECT:
+        draw = rinvwishart_direct(rng, spec, counter)
+    else:
+        raise InvalidParameter(f"unknown algorithm {algorithm!r}")
+    return check_draw(draw, spec.retcholu)
 
 
 # (trtri, trmm, potrf) for every parameterization x route x output form.

@@ -1,5 +1,8 @@
 import pytest
 
+from triwish import rng
+
+
 _CRITERION_LINES = []
 
 
@@ -25,3 +28,10 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _CRITERION_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def math_box_muller(monkeypatch):
+    """Run the test with ``box_muller`` on the ``math`` map, the path a
+    process takes when the compiled loop cannot be built or loaded."""
+    monkeypatch.setattr(rng, "_loop", None)

@@ -115,6 +115,10 @@ def test_cli_output_matches_golden(tmp_path):
     assert golden_cli_record(tmp_path) == stored
 
 
+def test_cli_output_matches_golden_on_the_math_map(tmp_path, math_box_muller):
+    assert golden_cli_record(tmp_path) == json.loads(GOLDEN_CLI.read_text())
+
+
 def test_sample_roundtrip_csv(tmp_path, capsys):
     scale = write_scale(tmp_path, np.eye(2))
     out = tmp_path / "draws.csv"
@@ -279,6 +283,20 @@ def test_sample_not_spd_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure:" in err
     assert "pivot" in err
+
+
+def test_sample_overflowing_draw_exit_code(tmp_path, capsys):
+    # The Wishart factor 6.6e-297 * chi inverts to about 1.5e296 / chi, whose
+    # square overflows: the draw is inf, which must not be written.
+    scale = write_scale(tmp_path, [[6.6e-297]], "tiny.csv", kind=matio.KIND_CHOLU)
+    out = tmp_path / "draws.csv"
+    rc = run_cli([
+        "sample", "--n", "1", "--scale", scale, "--iscov", "--ischolu",
+        "--algorithm", "indirect", "--seed", "1", "--out", str(out),
+    ])
+    assert rc == 4
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sample_missing_scale_file(tmp_path, capsys):

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triwish import rng as rng_module
 from triwish import samplers
 from triwish.rng import RngStream
 from triwish.samplers import (
@@ -73,39 +74,95 @@ def _golden_records():
     ]
 
 
-# Forces one path: every m at or above the threshold takes the column engine.
+# Forces one path: every m at or above the thresholds takes the column engine.
 PATHS = {"scalar": 10 ** 9, "columns": 1}
+THRESHOLDS = ("FILL_BATCH_MIN_M", "FILL_BATCH_MIN_M_MATH")
+
+
+def _force_fill_path(mp, path):
+    for name in THRESHOLDS:
+        mp.setattr(samplers, name, PATHS[path])
 
 
 @pytest.fixture(params=sorted(PATHS))
 def fill_path(request, monkeypatch):
-    monkeypatch.setattr(samplers, "FILL_BATCH_MIN_M", PATHS[request.param])
+    _force_fill_path(monkeypatch, request.param)
     return request.param
 
 
-def test_golden_fill_digests(fill_path):
+def _check_golden_fills():
     stored = json.loads(GOLDEN.read_text())
     assert len(stored) == len(FILLS) * len(GOLDEN_M) * 3 * len(GOLDEN_SEEDS)
     for rec in stored:
         assert _fill_record(rec["fill"], rec["m"], rec["n"], rec["seed"]) == rec, rec
 
 
+def test_golden_fill_digests(fill_path):
+    _check_golden_fills()
+
+
+def test_golden_fill_digests_on_the_math_map(monkeypatch, math_box_muller):
+    _force_fill_path(monkeypatch, "columns")
+    _check_golden_fills()
+
+
+@pytest.mark.parametrize("failure", ["no compiler", "cache not writable"])
+def test_golden_fill_digests_when_the_loop_cannot_be_built(tmp_path, monkeypatch, failure):
+    # A regular file where the cache directory should be cannot be written,
+    # even by root.
+    blocker = tmp_path / "not_a_directory"
+    blocker.write_text("")
+    if failure == "no compiler":
+        monkeypatch.setattr(rng_module, "_CC", str(tmp_path / "no-such-cc"))
+        monkeypatch.setattr(rng_module, "_CACHE", tmp_path / "cache")
+    else:
+        monkeypatch.setattr(rng_module, "_CACHE", blocker / "cache")
+    monkeypatch.setattr(rng_module, "_loop", rng_module._NOT_LOADED)
+    _force_fill_path(monkeypatch, "columns")
+    _check_golden_fills()
+    assert rng_module.compiled_loop() is None
+    if failure == "no compiler":
+        assert not any((tmp_path / "cache").iterdir())  # the temporary file is gone
+
+
 def test_golden_covers_the_crossover():
-    assert {samplers.FILL_BATCH_MIN_M - 1, samplers.FILL_BATCH_MIN_M} <= set(GOLDEN_M)
+    for c in (samplers.FILL_BATCH_MIN_M, samplers.FILL_BATCH_MIN_M_MATH):
+        assert {c - 1, c} <= set(GOLDEN_M)
+    assert samplers.FILL_BATCH_MIN_M <= samplers.FILL_BATCH_MIN_M_MATH
+
+
+def test_single_fill_threshold_follows_the_loaded_loop(monkeypatch):
+    engine_ms = []
+    engine = samplers._fill_columns
+    monkeypatch.setattr(samplers, "_fill_columns",
+                        lambda rng, m, diag_df, k: engine_ms.append(m) or engine(rng, m, diag_df, k))
+    # Fills below FILL_BATCH_MIN_M never build or load the loop.
+    monkeypatch.setattr(rng_module, "_loop", rng_module._NOT_LOADED)
+    for m in (1, 4, samplers.FILL_BATCH_MIN_M - 1):
+        draw_bartlett_wishart(RngStream(m), m, m + 2.0)
+    assert rng_module._loop is rng_module._NOT_LOADED and not engine_ms
+    ms = (samplers.FILL_BATCH_MIN_M, samplers.FILL_BATCH_MIN_M_MATH - 1,
+          samplers.FILL_BATCH_MIN_M_MATH)
+    for loop in (rng_module.compiled_loop(), None):
+        monkeypatch.setattr(rng_module, "_loop", loop)
+        engine_ms.clear()
+        for m in ms:
+            draw_bartlett_invwishart(RngStream(m), m, m + 2.0)
+        assert engine_ms == list(ms if loop is not None else ms[2:])
 
 
 def _both_paths(monkeypatch, fill, m, n, seed, skip=0):
     out = {}
-    for path, threshold in PATHS.items():
-        monkeypatch.setattr(samplers, "FILL_BATCH_MIN_M", threshold)
+    for path in PATHS:
+        _force_fill_path(monkeypatch, path)
         out[path] = _fill_record(fill, m, n, seed, skip)
     return out["scalar"], out["columns"]
 
 
 @pytest.mark.parametrize("fill", sorted(FILLS))
 def test_paths_agree_around_the_crossover(monkeypatch, fill):
-    c = samplers.FILL_BATCH_MIN_M
-    for m in (1, 4, c - 2, c - 1, c, c + 1, c + 7, 40):
+    c, cm = samplers.FILL_BATCH_MIN_M, samplers.FILL_BATCH_MIN_M_MATH
+    for m in sorted({1, 4, c - 2, c - 1, c, c + 1, cm - 1, cm, cm + 7, 40}):
         for n in (m - 0.25, m + 0.5, 2.0 * m + 3.0):
             scalar, columns = _both_paths(monkeypatch, fill, m, n, seed=m)
             assert scalar == columns
@@ -136,7 +193,7 @@ def _singles_and_many(fill, m, n, k, seed, skip=0):
         rng = RngStream(seed)
         rng.skip(skip)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(samplers, "FILL_BATCH_MIN_M", PATHS["scalar"])
+            _force_fill_path(mp, "scalar")
             z = draw(rng)
         assert z.shape == (k, m, m)
         out.append((_digest(z), rng.position, rng.uniform()))

@@ -1,11 +1,16 @@
 """Deterministic stream behavior and scalar distribution laws."""
 
 import math
+import re
+import shutil
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from triwish import rng as rng_module
 from triwish.errors import InvalidDegreesOfFreedom, InvalidParameter
 from triwish.rng import RngStream, box_muller
 from triwish.validation import chi_square_cdf, ks_one_sample, normal_cdf
@@ -176,14 +181,64 @@ def test_peek_uniforms_reads_ahead_without_consuming():
         b.skip(10)
 
 
-def test_box_muller_matches_standard_normal_bits():
+_U53 = 2.0 ** -53
+# u = 0 makes 1 - u1 = 1 and log 0 (a -0.0 normal) and cos at 0; 2^-53 and
+# 1 - 2^-53 are the smallest and largest nonzero uniforms the stream makes.
+EDGES = (0.0, _U53, 1.0 - _U53)
+_UNIFORM = st.one_of(st.sampled_from(EDGES), st.integers(0, 2 ** 53 - 1).map(lambda i: i * _U53))
+
+
+class _Feed:
+    """Stands in for a stream and hands out the given uniforms in order."""
+
+    def __init__(self, u):
+        self.uniform = iter(u).__next__
+
+
+def _box_muller_both_paths(u):
+    """box_muller's bytes on the path this process loaded and on the math map."""
+    out = [box_muller(u).tobytes()]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng_module, "_loop", None)
+        out.append(box_muller(u).tobytes())
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=st.lists(_UNIFORM, max_size=64))
+@example(u=[x for a in EDGES for b in EDGES for x in (a, b)])
+def test_box_muller_matches_standard_normal_bits(u):
+    feed = _Feed(u)
+    scalar = np.array([RngStream.standard_normal(feed) for _ in range(len(u) // 2)])
+    assert _box_muller_both_paths(np.array(u, dtype=float)) == [scalar.tobytes()] * 2
+
+
+def test_box_muller_matches_a_stream_of_normals():
     a = RngStream(31337)
     b = RngStream(31337)
     k = 20_000
-    vector = box_muller(a.peek_uniforms(2 * k))
     scalar = np.array([b.standard_normal() for _ in range(k)])
-    assert vector.tobytes() == scalar.tobytes()
+    assert _box_muller_both_paths(a.peek_uniforms(2 * k)) == [scalar.tobytes()] * 2
     assert box_muller(np.empty(0)).shape == (0,)
+
+
+def test_compiled_loop_loads_where_a_compiler_is_present():
+    if shutil.which(rng_module._CC) is None:
+        pytest.skip("no C compiler: box_muller runs on the math map")
+    assert rng_module.compiled_loop() is not None
+
+
+def test_compiled_loop_builds_into_an_empty_cache(tmp_path, monkeypatch):
+    if shutil.which(rng_module._CC) is None:
+        pytest.skip("no C compiler: box_muller runs on the math map")
+    monkeypatch.setattr(rng_module, "_CACHE", tmp_path / "cache")
+    monkeypatch.setattr(rng_module, "_loop", rng_module._NOT_LOADED)
+    assert rng_module.compiled_loop() is not None
+    # Only the finished library is left, named by the hash of source and flags.
+    [lib] = (tmp_path / "cache").iterdir()
+    assert re.fullmatch(r"_boxmuller-[0-9a-f]{16}\.so", lib.name)
+    u = RngStream(5).peek_uniforms(2000)
+    assert _box_muller_both_paths(u) == [box_muller(u).tobytes()] * 2
 
 
 def test_golden_first_draws():

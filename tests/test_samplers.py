@@ -10,6 +10,7 @@ from triwish.errors import (
     DimensionMismatch,
     InvalidDegreesOfFreedom,
     InvalidParameter,
+    NumericalFailure,
     TriwishError,
 )
 from triwish.linalg import OpCounter, gram_ut
@@ -370,16 +371,23 @@ def test_sampler_spec_validation():
         SamplerSpec(0, 5, scale3)
 
 
-# Scale entries are 0 or of magnitude 1e-3 to 1e3: near the ends of the
-# double range a draw can overflow to inf without an error (see CHANGES.md).
-_ENTRY = st.floats(-1e3, 1e3).filter(lambda x: x == 0.0 or abs(x) >= 1e-3)
+def test_draws_past_the_double_range_raise():
+    # The Wishart factor 1e200 * chi squares past the double limit.
+    huge = ScaleParam(np.array([[1e200]]), ischolu=True)
+    with pytest.raises(NumericalFailure, match="not finite"):
+        rwishart(RngStream(1), SamplerSpec(1, 3.0, huge))
+    # The direct factor is the smallest subnormal over a chi near 10, which
+    # rounds to zero.
+    tiny = ScaleParam(np.array([[5e-324]]), iscov=False, ischolu=True)
+    with pytest.raises(NumericalFailure, match="not positive"):
+        sample_invwishart(RngStream(1), SamplerSpec(1, 100.0, tiny, retcholu=True), DIRECT)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     m=st.integers(1, 6),
     n=st.floats(allow_nan=False, allow_infinity=False),
-    entries=st.lists(_ENTRY, min_size=36, max_size=36),
+    entries=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=36, max_size=36),
     gram=st.booleans(),
     kind=st.sampled_from(["cov", "cov_chol", "prec", "prec_chol"]),
     algorithm=st.sampled_from([INDIRECT, DIRECT]),
@@ -389,7 +397,8 @@ _ENTRY = st.floats(-1e3, 1e3).filter(lambda x: x == 0.0 or abs(x) >= 1e-3)
 def test_any_draw_raises_or_is_well_formed(m, n, entries, gram, kind, algorithm, retcholu, seed):
     a = np.array(entries[:m * m]).reshape(m, m)
     ischolu = kind.endswith("_chol")
-    matrix = np.triu(a) if ischolu else (a @ a.T if gram else a)
+    with np.errstate(over="ignore"):
+        matrix = np.triu(a) if ischolu else (a @ a.T if gram else a)
     try:
         scale = ScaleParam(matrix, iscov=kind.startswith("cov"), ischolu=ischolu)
         x = sample_invwishart(RngStream(seed), SamplerSpec(m, n, scale, retcholu), algorithm)
