@@ -350,11 +350,12 @@ def rinvwishart_direct(rng, spec, counter=None):
 
 
 def check_draw(x, factor):
-    """The draw x, after one O(m^2) scan for what the kernels can make of a
-    scale near either end of the double range.
+    """Return the draw x after one O(m^2) scan.
 
-    Raises NumericalFailure if an entry overflowed, or if x is a factor
-    (``factor`` true) with a diagonal entry that is not positive.
+    With a scale near either end of the double range the kernels can
+    overflow or underflow.  Raises NumericalFailure if an entry of x is not
+    finite, or if x is a factor (``factor`` true) with a diagonal entry that
+    is not positive.
     """
     if not np.isfinite(x).all():
         raise NumericalFailure("draw is not finite: the scale is too close to the double range's ends")
@@ -366,7 +367,8 @@ def check_draw(x, factor):
 def rwishart(rng, spec, counter=None):
     """Wishart draw (full matrix or factor) from a covariance-side scale.
 
-    Raises NumericalFailure when the draw is not finite (see :func:`check_draw`).
+    Raises NumericalFailure for a draw that over- or underflowed (see
+    :func:`check_draw`).
     """
     if not spec.scale.iscov:
         raise InvalidParameter("Wishart sampling expects a covariance-side scale (iscov)")
@@ -387,7 +389,8 @@ def recommend_algorithm(scale):
 def sample_invwishart(rng, spec, algorithm, counter=None):
     """Dispatch helper: run the named route, resolving ``'auto'`` first.
 
-    Raises NumericalFailure when the draw is not finite (see :func:`check_draw`).
+    Raises NumericalFailure for a draw that over- or underflowed (see
+    :func:`check_draw`).
     """
     if algorithm == AUTO:
         algorithm = recommend_algorithm(spec.scale)

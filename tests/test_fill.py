@@ -108,21 +108,20 @@ def test_golden_fill_digests_on_the_math_map(monkeypatch, math_box_muller):
 
 @pytest.mark.parametrize("failure", ["no compiler", "cache not writable"])
 def test_golden_fill_digests_when_the_loop_cannot_be_built(tmp_path, monkeypatch, failure):
-    # A regular file where the cache directory should be cannot be written,
-    # even by root.
-    blocker = tmp_path / "not_a_directory"
-    blocker.write_text("")
     if failure == "no compiler":
         monkeypatch.setattr(rng_module, "_CC", str(tmp_path / "no-such-cc"))
-        monkeypatch.setattr(rng_module, "_CACHE", tmp_path / "cache")
+        cache = tmp_path / "cache"
     else:
-        monkeypatch.setattr(rng_module, "_CACHE", blocker / "cache")
+        # Under a regular file no directory can be made, even by root.
+        (tmp_path / "file").write_text("")
+        cache = tmp_path / "file" / "cache"
+    monkeypatch.setattr(rng_module, "_CACHE", cache)
     monkeypatch.setattr(rng_module, "_loop", rng_module._NOT_LOADED)
     _force_fill_path(monkeypatch, "columns")
     _check_golden_fills()
     assert rng_module.compiled_loop() is None
     if failure == "no compiler":
-        assert not any((tmp_path / "cache").iterdir())  # the temporary file is gone
+        assert not any(cache.iterdir())  # the temporary file is gone
 
 
 def test_golden_covers_the_crossover():

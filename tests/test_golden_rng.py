@@ -121,18 +121,18 @@ def test_golden_normals():
     assert [rng.standard_normal().hex() for _ in range(NORMAL_COUNT)] == stored["hex"]
 
 
-def _golden_normals_through_box_muller():
+def _check_golden_normals_through_box_muller():
     stored = json.loads(GOLDEN.read_text())["normals"]
     u = RngStream(stored["seed"]).peek_uniforms(2 * NORMAL_COUNT)
-    return [z.hex() for z in rng_module.box_muller(u).tolist()] == stored["hex"]
+    assert [z.hex() for z in rng_module.box_muller(u).tolist()] == stored["hex"]
 
 
 def test_golden_normals_through_box_muller():
-    assert _golden_normals_through_box_muller()
+    _check_golden_normals_through_box_muller()
 
 
 def test_golden_normals_through_box_muller_on_the_math_map(math_box_muller):
-    assert _golden_normals_through_box_muller()
+    _check_golden_normals_through_box_muller()
 
 
 @pytest.mark.parametrize("shape", SHAPES)

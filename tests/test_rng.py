@@ -182,8 +182,8 @@ def test_peek_uniforms_reads_ahead_without_consuming():
 
 
 _U53 = 2.0 ** -53
-# u = 0 makes 1 - u1 = 1 and log 0 (a -0.0 normal) and cos at 0; 2^-53 and
-# 1 - 2^-53 are the smallest and largest nonzero uniforms the stream makes.
+# u1 = 0 makes log(1) = 0 and a -0.0 normal, u2 = 0 makes cos(0) = 1; 2^-53
+# and 1 - 2^-53 are the smallest and largest nonzero uniforms of the stream.
 EDGES = (0.0, _U53, 1.0 - _U53)
 _UNIFORM = st.one_of(st.sampled_from(EDGES), st.integers(0, 2 ** 53 - 1).map(lambda i: i * _U53))
 
@@ -222,23 +222,25 @@ def test_box_muller_matches_a_stream_of_normals():
     assert box_muller(np.empty(0)).shape == (0,)
 
 
+needs_cc = pytest.mark.skipif(shutil.which(rng_module._CC) is None,
+                              reason="no C compiler: box_muller runs on the math map")
+
+
+@needs_cc
 def test_compiled_loop_loads_where_a_compiler_is_present():
-    if shutil.which(rng_module._CC) is None:
-        pytest.skip("no C compiler: box_muller runs on the math map")
     assert rng_module.compiled_loop() is not None
 
 
+@needs_cc
 def test_compiled_loop_builds_into_an_empty_cache(tmp_path, monkeypatch):
-    if shutil.which(rng_module._CC) is None:
-        pytest.skip("no C compiler: box_muller runs on the math map")
     monkeypatch.setattr(rng_module, "_CACHE", tmp_path / "cache")
     monkeypatch.setattr(rng_module, "_loop", rng_module._NOT_LOADED)
     assert rng_module.compiled_loop() is not None
     # Only the finished library is left, named by the hash of source and flags.
     [lib] = (tmp_path / "cache").iterdir()
     assert re.fullmatch(r"_boxmuller-[0-9a-f]{16}\.so", lib.name)
-    u = RngStream(5).peek_uniforms(2000)
-    assert _box_muller_both_paths(u) == [box_muller(u).tobytes()] * 2
+    compiled, math_map = _box_muller_both_paths(RngStream(5).peek_uniforms(2000))
+    assert compiled == math_map
 
 
 def test_golden_first_draws():
