@@ -10,9 +10,9 @@ refuses to overwrite the file without ``--force``):
 Each record holds the sha256 of one fill's float64 bytes (C order, little
 endian), the stream position after it and the next uniform.  The file is a
 frozen reference: both fill paths must reproduce it unchanged.  Records at
-m = 27 and 28, and later at m = 21 and 22, were added afterwards, generated
-the same way from the fills of that time, to pin the crossovers of the
-column engine.
+m = 27 and 28, later at m = 21 and 22 and then at m = 4 and 6, were added
+afterwards, generated the same way from the scalar fills of that time, to
+pin the crossovers of the batched fill.
 """
 
 import hashlib
@@ -38,7 +38,7 @@ from triwish.samplers import (
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_fill_v1.json"
 FILLS = {"wishart": draw_bartlett_wishart, "invwishart": draw_bartlett_invwishart}
 MANY = {"wishart": draw_bartlett_wishart_many, "invwishart": draw_bartlett_invwishart_many}
-GOLDEN_M = (1, 2, 3, 5, 11, 12, 13, 16, 21, 22, 27, 28, 50, 200)
+GOLDEN_M = (1, 2, 3, 4, 5, 6, 11, 12, 13, 16, 21, 22, 27, 28, 50, 200)
 GOLDEN_SEEDS = (0, 7, 424242)
 
 
