@@ -61,10 +61,9 @@ def check_upper_triangular(u, name="matrix"):
 def check_cholesky_factor(u, name="factor"):
     """An upper-triangular matrix with strictly positive diagonal."""
     u = check_upper_triangular(u, name)
-    d = np.diag(u)
-    if np.any(d <= 0.0):
-        j = int(np.argmax(d <= 0.0)) + 1
-        raise InvalidParameter(f"{name} diagonal entry {j} is not positive")
+    bad = u.diagonal() <= 0.0
+    if bad.any():
+        raise InvalidParameter(f"{name} diagonal entry {int(bad.argmax()) + 1} is not positive")
     return u
 
 
@@ -128,21 +127,21 @@ def tri_mul(c, x, counter=None):
 
 
 @lru_cache(maxsize=32)
-def _below_mask(m, k):
-    # True at and below diagonal k: the entries np.triu(x, k + 1) zeroes.
-    mask = np.tri(m, k=k, dtype=bool)
+def _strictly_lower(m):
+    # True strictly below the diagonal: the entries np.triu(x) zeroes.
+    mask = np.tri(m, k=-1, dtype=bool)
     mask.flags.writeable = False
     return mask
 
 
 def _mirror_upper(raw):
-    """``np.triu(raw) + np.triu(raw, 1).T``, bit for bit, with cached masks.
+    """``np.triu(raw) + np.triu(raw, 1).T``, bit for bit, in one pass.
 
-    ``np.triu`` is ``np.where(mask, 0, x)`` around a freshly built mask;
+    Each entry of that sum adds 0.0 to the kept entry, which turns -0.0
+    into +0.0; the ``+ 0.0`` here does the same.  The mask is cached:
     building it dominated the symmetrizing step at small m.
     """
-    m = raw.shape[0]
-    return np.where(_below_mask(m, -1), 0.0, raw) + np.where(_below_mask(m, 0), 0.0, raw).T
+    return np.where(_strictly_lower(raw.shape[0]), raw.T, raw) + 0.0
 
 
 def gram_ut(u, counter=None):
@@ -177,8 +176,8 @@ def frobenius_norm_sq(x):
 def log_det_tri(u):
     """log |det U| for triangular U: sum of log |u_jj|."""
     u = as_square(u)
-    d = np.diag(u)
-    if np.any(d == 0.0):
-        j = int(np.argmax(d == 0.0)) + 1
-        raise SingularMatrix(f"zero diagonal entry {j}: determinant is zero")
+    d = u.diagonal()
+    zero = d == 0.0
+    if zero.any():
+        raise SingularMatrix(f"zero diagonal entry {int(zero.argmax()) + 1}: determinant is zero")
     return float(np.sum(np.log(np.abs(d))))

@@ -18,14 +18,6 @@ Standard normal
     draw: with uniforms u1 then u2,
     ``z = sqrt(-2 log(1 - u1)) * cos(2 pi u2)``.
     (1 - u1 lies in (0, 1], so the log is always defined.)
-    :func:`box_muller` computes the same bits for a batch of uniforms read
-    with :meth:`RngStream.peek_uniforms`; :meth:`RngStream.skip` then
-    consumes them.  It runs a C loop, ``_boxmuller.c``, that the first
-    call builds with the system C compiler (``cc -O2 -fPIC -shared
-    -ffp-contract=off -lm``) into this package's ``__pycache__`` and loads
-    through ctypes; without a compiler, a writable cache or a loadable
-    library it maps ``math.log`` and ``math.cos`` instead.  Both paths call
-    the libm of the running process, so they give the same bits.
 
 Gamma(shape, scale)
     Marsaglia-Tsang rejection for shape >= 1.  Each attempt consumes one
@@ -41,6 +33,20 @@ Chi(k)
 Parallel work uses independent streams ``RngStream(seed, stream=i)``; the
 stream id is the second Philox key word, so distinct ids give statistically
 independent sequences for the same seed.
+
+Compiled column walk
+    :func:`column_walk` draws the normals and chi draws of Bartlett fill
+    columns (see :mod:`triwish.samplers`) from a window of uniforms read
+    with :meth:`RngStream.peek_uniforms`; :meth:`RngStream.skip` then
+    consumes the ones it used.  It runs a C loop, ``_boxmuller.c``, that
+    the first call of :func:`compiled_loop` builds with the system C
+    compiler (``cc -O2 -fPIC -shared -ffp-contract=off -lm``) into this
+    package's ``__pycache__`` and loads through ctypes.  The loop makes the
+    libm calls and IEEE operations of :meth:`RngStream.standard_normal` and
+    :meth:`RngStream.chi` in their order, so both give the same bits from
+    the libm of the running process.  Without a compiler, a writable cache
+    or a loadable library, :func:`compiled_loop` returns None and the fills
+    run the scalar draws.
 """
 
 import ctypes
@@ -180,7 +186,7 @@ class RngStream:
         return RngStream(self.seed, stream)
 
 
-# The compiled Box-Muller loop: its source, how it is built and where the
+# The compiled column walk: its source, how it is built and where the
 # library is cached.  Flags that may change the bits (-ffast-math,
 # -march=native, a vector math library such as libmvec) are not used.
 _C_SOURCE = pathlib.Path(__file__).with_name("_boxmuller.c")
@@ -209,54 +215,37 @@ def _build_loop():
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        fn = ctypes.CDLL(str(lib)).triwish_box_muller
+        fn = ctypes.CDLL(str(lib)).triwish_bartlett_walk
     except (OSError, subprocess.SubprocessError):
         return None
-    fn.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_double)
-    fn.restype = None
+    size, ptr = ctypes.c_size_t, ctypes.c_void_p
+    fn.argtypes = (ptr, size, ptr, size, size, size, ptr, ctypes.c_double, ptr)
+    fn.restype = size
     return fn
 
 
 def compiled_loop():
-    """The compiled Box-Muller loop, built and loaded on the first call, or
-    None when this process runs :func:`box_muller` on the ``math`` map."""
+    """The compiled column walk, built and loaded on the first call, or None
+    when this process cannot build or load it."""
     global _loop
     if _loop is _NOT_LOADED:
         _loop = _build_loop()
     return _loop
 
 
-def box_muller(u):
-    """Standard normals from interleaved uniforms ``u1, u2, u1, u2, ...``.
+def column_walk(u, z, col, ncol, df):
+    """Draw columns ``col .. ncol-1`` of the stacked fills z from the uniforms u.
 
-    Bit-identical to :meth:`RngStream.standard_normal` over the same
-    uniforms.  The work runs in the C loop of ``_boxmuller.c``, which the
-    first call builds with ``cc -O2 -fPIC -shared -ffp-contract=off -lm``
-    into this package's ``__pycache__`` (the file named by a hash of the
-    source and the flags) and loads through ctypes; the loop makes the
-    scalar code's libm calls and IEEE operations in its order.  Where the
-    loop cannot be built or loaded, the fallback maps the same ``math``
-    (libm) ``log`` and ``cos`` per element and does the subtraction,
-    products and ``sqrt`` as correctly rounded numpy operations.
-    ``np.log`` is used by neither: its SIMD kernels do not always round
-    like libm.
+    z is a C-ordered (k, m, m) float64 array; column c is column ``c % m``
+    of fill ``c // m``, and gets ``c % m`` standard normals above the
+    diagonal, then the diagonal ``chi(df[c % m])`` (every df positive),
+    each drawn as
+    :meth:`RngStream.standard_normal` and :meth:`RngStream.chi` would from
+    the same uniforms.  u (float64, contiguous) is consumed in order.
+    Returns the first column the uniforms did not finish and the number of
+    uniforms the finished columns used.  Needs :func:`compiled_loop`.
     """
-    loop = compiled_loop()
-    if loop is None:
-        return _box_muller_math(u)
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    z = np.empty(len(u) // 2)
-    loop(u.ctypes.data, z.ctypes.data, len(z), _TWO_PI)
-    return z
-
-
-def _box_muller_math(u):
-    k = len(u) // 2
-    # Iterating a memoryview makes one Python float at a time, where
-    # .tolist() would hold them all at once.
-    z = np.fromiter(map(math.log, memoryview(1.0 - u[0::2])), float, k)
-    cos = np.fromiter(map(math.cos, memoryview(_TWO_PI * u[1::2])), float, k)
-    z *= -2.0
-    np.sqrt(z, out=z)
-    z *= cos
-    return z
+    used = ctypes.c_size_t()
+    done = _loop(u.ctypes.data, len(u), z.ctypes.data, z.shape[-1], col, ncol,
+                 df.ctypes.data, _TWO_PI, ctypes.byref(used))
+    return done, used.value

@@ -21,14 +21,13 @@ normals z_1j .. z_(j-1)j first and the diagonal chi draw z_jj last.  For
 equal (m, n) both fills consume exactly m(m-1)/2 normal draws and m chi
 draws in the same positions; only the chi degrees of freedom differ
 (n+1-j for the Wishart fill, n-m+j for the inverse-Wishart fill).
-For m >= ``FILL_BATCH_MIN_M`` (``FILL_BATCH_MIN_M_MATH`` when the compiled
-Box-Muller loop is not loaded), and for every batch of k fills (the ``_many``
-fills, one (k, m, m) array), the fill runs through one column engine: it
-reads the stream ahead, checks each chi draw's first attempt in vector
-passes, runs only a chi that needs more than that through the scalar code,
-and turns all normals into numbers in one vectorized pass.  It consumes the
-stream exactly as the column-by-column loop does: same bytes, same position
-after.
+For m >= ``FILL_BATCH_MIN_M``, and for every batch of k fills (the ``_many``
+fills, one (k, m, m) array), the fill runs through the compiled column walk
+of :func:`triwish.rng.column_walk`: it reads the stream ahead, walks the
+columns in this order in C with the scalar draws' operations, and consumes
+exactly the uniforms the column-by-column loop does: same bytes, same
+position after.  Where the walk cannot be built or loaded, every fill runs
+the scalar loop, which stays the reference.
 """
 
 import math
@@ -47,7 +46,7 @@ from .linalg import (
     tri_inverse,
     tri_mul,
 )
-from .rng import box_muller, compiled_loop
+from .rng import column_walk, compiled_loop
 
 INDIRECT = "indirect"
 DIRECT = "direct"
@@ -127,13 +126,13 @@ class SamplerSpec:
             )
 
 
-# Smallest m whose single fill runs through the column engine, with the
-# compiled Box-Muller loop loaded and on the math map (FILL_BATCH_MIN_M is
-# the smaller); below it the engine's fixed numpy cost outweighs its
-# per-normal saving.  The engine and the scalar loop broke even at m = 21-23
-# and at m = 27-28 on a 2-CPU x86-64 host with numpy 2.4 (see CHANGES.md).
-FILL_BATCH_MIN_M = 22
-FILL_BATCH_MIN_M_MATH = 28
+# Smallest m whose single fill runs through the compiled column walk; below
+# it the walk's fixed cost (read-ahead, ctypes call) outweighs the Python
+# draws it saves.  The two broke even at m = 4 on a 2-CPU x86-64 host with
+# numpy 2.4 (see CHANGES.md); from m = 6 on the walk took 0.6x the time or
+# less.  Below 6 the scalar loop keeps the m = 4 Monte Carlo steps as they
+# were, and a single fill takes any stream with standard_normal and chi.
+FILL_BATCH_MIN_M = 6
 
 
 def _fill_scalar(rng, m, diag_df):
@@ -148,104 +147,42 @@ def _fill_scalar(rng, m, diag_df):
 
 
 def _fill_one(rng, m, diag_df):
-    # Tested first, the smaller bound keeps small fills from building the loop.
-    if m < FILL_BATCH_MIN_M or (m < FILL_BATCH_MIN_M_MATH and compiled_loop() is None):
+    # Tested first, the bound keeps small fills from building the walk.
+    if m < FILL_BATCH_MIN_M or compiled_loop() is None:
         return _fill_scalar(rng, m, diag_df)
-    return _fill_columns(rng, m, diag_df, 1)[0]
+    return _fill_walk(rng, m, diag_df, 1)[0]
 
 
-# The column engine reads at most MANY_READ_AHEAD uniforms ahead at a time
-# (one window) and checks the chi draws of MANY_CHUNK columns per vector pass.
+# The walk reads at most MANY_READ_AHEAD uniforms ahead at a time (one
+# window), unless a single column needs more.
 MANY_READ_AHEAD = 1 << 17
-MANY_CHUNK = 128
 
 
 def fills_per_window(m):
-    """Fills of dimension m that fit in one read-ahead window of the engine."""
+    """Fills of dimension m that fit in one read-ahead window of the walk."""
     return max(1, MANY_READ_AHEAD // (m * (m + 2)))
 
 
-def _first_attempt_gammas(t, d, c):
-    """Marsaglia-Tsang gammas (unit scale) that accept on their first attempt.
-
-    ``t[i]`` holds draw i's attempt uniforms (u1, u2 of the normal, then u);
-    ``d[i]`` and ``c[i]`` are its constants.  Returns which draws accept on
-    that attempt, and d*v.  The operations are the scalar code's, in its
-    order, so every accepted value has the scalar bits.
-    """
-    x = box_muller(t[:, :2].ravel())
-    u = t[:, 2]
-    v = 1.0 + c * x
-    drawn = v > 0.0
-    v = v * v * v
-    x2 = x * x
-    ok = drawn & (u < 1.0 - 0.0331 * x2 * x2)
-    # The few that miss the squeeze take the log test, one at a time.
-    for i in np.flatnonzero(drawn & ~ok):
-        ui, x2i, vi, di = float(u[i]), float(x2[i]), float(v[i]), float(d[i])
-        ok[i] = ui > 0.0 and math.log(ui) < 0.5 * x2i + di * (1.0 - vi + math.log(vi))
-    return ok, d * v
+def _fill_many(rng, m, diag_df, k):
+    if compiled_loop() is None:
+        return np.stack([_fill_scalar(rng, m, diag_df) for _ in range(k)])
+    return _fill_walk(rng, m, diag_df, k)
 
 
-def _fill_columns(rng, m, diag_df, k):
-    # k fills in a row are one stream of k*m columns; column j of a fill is
-    # 2j normal uniforms, then a chi draw.  A window lays the columns out as
-    # if every chi accepted on its first attempt (3 uniforms) and checks
-    # that per chunk; the first column that fails runs the scalar chi at its
-    # stream position, and the layout resumes where that leaves the stream.
-    dfs = [diag_df(j + 1) for j in range(m)]
-    shape = 0.5 * np.array(dfs)
-    # NaN constants fail every check, so a column whose shape is below 1
-    # (the boost path) always takes the scalar chi.
-    d = np.where(shape >= 1.0, shape - 1.0 / 3.0, np.nan)
-    c = 1.0 / np.sqrt(9.0 * d)
-    width = 2 * np.arange(m) + 3
+def _fill_walk(rng, m, diag_df, k):
+    # k fills in a row are one stream of k*m columns.  Column j takes 2j + 3
+    # uniforms when its chi accepts at once, m + 2 per column on average; a
+    # window holds that for every column left plus some slack for rejected
+    # attempts.  A window that finishes no column is doubled.
+    df = np.array([diag_df(j + 1) for j in range(m)], dtype=float)
     out = np.zeros((k, m, m))
-    flat = out.reshape(-1)
-    col = 0
-    while col < k * m:
-        # Every column takes at least 3 uniforms; at least one is laid out.
-        gcol = col + np.arange(min(k * m - col, MANY_READ_AHEAD // 3 + 1))
-        js = gcol % m
-        ends = np.cumsum(width[js])
-        count = max(1, int(np.searchsorted(ends, MANY_READ_AHEAD, "right")))
-        js, ends = js[:count], ends[:count]
-        starts = ends - width[js]
-        base = rng.position
-        u = rng.peek_uniforms(int(ends[-1]))
-        at = np.empty(count, dtype=int)
-        diag = np.empty(count)
-        # A failed chi takes more than 3 uniforms: the layout behind it
-        # moves down the stream by shift, and may run out of the window.
-        shift = done = 0
-        while done < count:
-            s = starts[done:done + MANY_CHUNK] + shift
-            j = js[done:done + MANY_CHUNK]
-            fit = int(np.count_nonzero(s + width[j] <= len(u)))
-            if not fit:
-                break
-            s, j = s[:fit], j[:fit]
-            ok, g = _first_attempt_gammas(u[s[:, None] + 2 * j[:, None] + (0, 1, 2)], d[j], c[j])
-            good = fit if ok.all() else int(np.argmin(ok))
-            at[done:done + good] = s[:good]
-            diag[done:done + good] = np.sqrt(g[:good] * 2.0)
-            done += good
-            if good < fit:
-                jf, sf = int(j[good]), int(s[good])
-                at[done] = sf
-                rng.skip(base + sf + 2 * jf - rng.position)
-                diag[done] = rng.chi(dfs[jf])
-                shift = rng.position - base - int(ends[done])
-                done += 1
-        rng.skip(base + int(ends[done - 1]) + shift - rng.position)
-        # All normals of the window's columns in one gather and one pass.
-        js, at = js[:done], at[:done]
-        top = (gcol[:done] // m) * (m * m) + js  # flat index of z[0, j] in its fill
-        flat[top + js * m] = diag[:done]
-        row = np.arange(js.sum()) - np.repeat(np.cumsum(js) - js, js)  # i of each z[i, j]
-        src = np.repeat(at, js) + 2 * row
-        flat[np.repeat(top, js) + row * m] = box_muller(u[src[:, None] + (0, 1)].ravel())
-        col += done
+    col, ncol, grow = 0, k * m, 1
+    while col < ncol:
+        u = rng.peek_uniforms(grow * min((ncol - col) * (m + 2) + 64, MANY_READ_AHEAD))
+        done, used = column_walk(u, out, col, ncol, df)
+        grow = 1 if done > col else 2 * grow
+        rng.skip(used)
+        col = done
     return out
 
 
@@ -274,7 +211,7 @@ def draw_bartlett_wishart_many(rng, m, n, k):
     position after them, of k successive :func:`draw_bartlett_wishart` calls."""
     m = _check_fill_args(m, n)
     k = _positive_int("batch size k", k)
-    return _fill_columns(rng, m, lambda j: n + 1 - j, k)
+    return _fill_many(rng, m, lambda j: n + 1 - j, k)
 
 
 def draw_bartlett_invwishart_many(rng, m, n, k):
@@ -282,7 +219,7 @@ def draw_bartlett_invwishart_many(rng, m, n, k):
     position after them, of k successive :func:`draw_bartlett_invwishart` calls."""
     m = _check_fill_args(m, n)
     k = _positive_int("batch size k", k)
-    return _fill_columns(rng, m, lambda j: n - m + j, k)
+    return _fill_many(rng, m, lambda j: n - m + j, k)
 
 
 def cholesky_upper_param(scale, invert, counter=None):

@@ -31,7 +31,15 @@ def pytest_terminal_summary(terminalreporter):
 
 
 @pytest.fixture
-def math_box_muller(monkeypatch):
-    """Run the test with ``box_muller`` on the ``math`` map, the path a
-    process takes when the compiled loop cannot be built or loaded."""
+def no_compiled_loop(monkeypatch):
+    """Run the test without the compiled column walk, as a process does
+    when it cannot build or load it: every fill runs the scalar loop."""
     monkeypatch.setattr(rng, "_loop", None)
+
+
+@pytest.fixture
+def compiled_walk():
+    """The compiled column walk; the test is skipped where it cannot be built."""
+    if rng.compiled_loop() is None:
+        pytest.skip("no compiled column walk: every fill runs the scalar loop")
+    return rng.column_walk

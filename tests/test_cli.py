@@ -115,7 +115,7 @@ def test_cli_output_matches_golden(tmp_path):
     assert golden_cli_record(tmp_path) == stored
 
 
-def test_cli_output_matches_golden_on_the_math_map(tmp_path, math_box_muller):
+def test_cli_output_matches_golden_without_the_compiled_loop(tmp_path, no_compiled_loop):
     assert golden_cli_record(tmp_path) == json.loads(GOLDEN_CLI.read_text())
 
 

@@ -1,5 +1,5 @@
-"""Bartlett fills pinned to stored bytes, on the scalar loop and the column
-engine, and the batched fills checked against k single fills.
+"""Bartlett fills pinned to stored bytes, on the scalar loop and the compiled
+column walk, and the batched fills checked against k single fills.
 
 ``tests/data/golden_fill_v1.json`` was generated once, from the
 column-by-column scalar fill, by running this module as a script (it
@@ -17,12 +17,13 @@ pin the crossovers of the batched fill.
 
 import hashlib
 import json
+import math
 import pathlib
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from triwish import rng as rng_module
@@ -74,14 +75,12 @@ def _golden_records():
     ]
 
 
-# Forces one path: every m at or above the thresholds takes the column engine.
+# Forces one path: every m at or above the threshold takes the column walk.
 PATHS = {"scalar": 10 ** 9, "columns": 1}
-THRESHOLDS = ("FILL_BATCH_MIN_M", "FILL_BATCH_MIN_M_MATH")
 
 
 def _force_fill_path(mp, path):
-    for name in THRESHOLDS:
-        mp.setattr(samplers, name, PATHS[path])
+    mp.setattr(samplers, "FILL_BATCH_MIN_M", PATHS[path])
 
 
 @pytest.fixture(params=sorted(PATHS))
@@ -101,7 +100,7 @@ def test_golden_fill_digests(fill_path):
     _check_golden_fills()
 
 
-def test_golden_fill_digests_on_the_math_map(monkeypatch, math_box_muller):
+def test_golden_fill_digests_without_the_compiled_loop(monkeypatch, no_compiled_loop):
     _force_fill_path(monkeypatch, "columns")
     _check_golden_fills()
 
@@ -125,29 +124,28 @@ def test_golden_fill_digests_when_the_loop_cannot_be_built(tmp_path, monkeypatch
 
 
 def test_golden_covers_the_crossover():
-    for c in (samplers.FILL_BATCH_MIN_M, samplers.FILL_BATCH_MIN_M_MATH):
-        assert {c - 1, c} <= set(GOLDEN_M)
-    assert samplers.FILL_BATCH_MIN_M <= samplers.FILL_BATCH_MIN_M_MATH
+    c = samplers.FILL_BATCH_MIN_M
+    assert {c - 1, c} <= set(GOLDEN_M)
 
 
 def test_single_fill_threshold_follows_the_loaded_loop(monkeypatch):
-    engine_ms = []
-    engine = samplers._fill_columns
-    monkeypatch.setattr(samplers, "_fill_columns",
-                        lambda rng, m, diag_df, k: engine_ms.append(m) or engine(rng, m, diag_df, k))
+    walk_ms = []
+    walk = samplers._fill_walk
+    monkeypatch.setattr(samplers, "_fill_walk",
+                        lambda rng, m, diag_df, k: walk_ms.append(m) or walk(rng, m, diag_df, k))
     # Fills below FILL_BATCH_MIN_M never build or load the loop.
     monkeypatch.setattr(rng_module, "_loop", rng_module._NOT_LOADED)
-    for m in (1, 4, samplers.FILL_BATCH_MIN_M - 1):
+    for m in (1, samplers.FILL_BATCH_MIN_M - 1):
         draw_bartlett_wishart(RngStream(m), m, m + 2.0)
-    assert rng_module._loop is rng_module._NOT_LOADED and not engine_ms
-    ms = (samplers.FILL_BATCH_MIN_M, samplers.FILL_BATCH_MIN_M_MATH - 1,
-          samplers.FILL_BATCH_MIN_M_MATH)
+    assert rng_module._loop is rng_module._NOT_LOADED and not walk_ms
+    ms = (samplers.FILL_BATCH_MIN_M, 40)
     for loop in (rng_module.compiled_loop(), None):
         monkeypatch.setattr(rng_module, "_loop", loop)
-        engine_ms.clear()
+        walk_ms.clear()
         for m in ms:
             draw_bartlett_invwishart(RngStream(m), m, m + 2.0)
-        assert engine_ms == list(ms if loop is not None else ms[2:])
+        draw_bartlett_wishart_many(RngStream(1), 2, 3.0, 4)
+        assert walk_ms == (list(ms) + [2] if loop is not None else [])
 
 
 def _both_paths(monkeypatch, fill, m, n, seed, skip=0):
@@ -160,8 +158,8 @@ def _both_paths(monkeypatch, fill, m, n, seed, skip=0):
 
 @pytest.mark.parametrize("fill", sorted(FILLS))
 def test_paths_agree_around_the_crossover(monkeypatch, fill):
-    c, cm = samplers.FILL_BATCH_MIN_M, samplers.FILL_BATCH_MIN_M_MATH
-    for m in sorted({1, 4, c - 2, c - 1, c, c + 1, cm - 1, cm, cm + 7, 40}):
+    c = samplers.FILL_BATCH_MIN_M
+    for m in sorted({1, c - 2, c - 1, c, c + 1, c + 7, 22, 40}):
         for n in (m - 0.25, m + 0.5, 2.0 * m + 3.0):
             scalar, columns = _both_paths(monkeypatch, fill, m, n, seed=m)
             assert scalar == columns
@@ -230,43 +228,62 @@ def test_many_matches_single_fills_across_a_block_boundary(fill):
         assert single[1] > 4096
 
 
-def _batch_scalar_chis(fill, m, n, k, seed):
-    """Scalar chi draws one k-batch makes, once it matches k single fills."""
-    single, many = _singles_and_many(fill, m, n, k, seed)
-    assert single == many
-    calls = []
-    chi = RngStream.chi
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(RngStream, "chi", lambda self, df: calls.append(df) or chi(self, df))
-        MANY[fill](RngStream(seed), m, n, k)
-    return len(calls)
+def _walk_chi(u, df):
+    """One column of a 1x1 fill through the walk: (done, uniforms used, chi)."""
+    z = np.zeros((1, 1, 1))
+    done, used = rng_module.column_walk(np.array(u, dtype=float), z, 0, 1, np.array([df]))
+    return done, used, float(z[0, 0, 0])
 
 
-def test_many_runs_a_failing_chi_singly():
-    # At m=5, n=10 about one column in a hundred holds a chi that misses its
-    # first Marsaglia-Tsang attempt: only that chi takes the scalar draw.
-    assert _batch_scalar_chis("invwishart", 5, 10.0, 300, seed=424242) == 15
-    # At n=4.5 two columns of each fill have a gamma shape below 1 (the
-    # boost path), and each of those takes the scalar draw as well.
-    assert _batch_scalar_chis("invwishart", 5, 4.5, 10, seed=3) == 22
+def _scalar_chi(u, df):
+    """RngStream.chi over the uniforms u: (1, uniforms used, chi).  Raises
+    StopIteration where the uniforms run out."""
+    feed = iter(u)
+    stream = RngStream.__new__(RngStream)
+    stream.uniform = feed.__next__
+    chi = stream.chi(df)
+    return 1, len(u) - len(list(feed)), chi
 
 
-def test_first_attempt_with_v_not_positive_is_not_accepted():
-    # u1 = 0.999 and u2 = 1/2 make x = -3.72; at gamma shape 1
-    # (d = 2/3, c = 1/sqrt(6)) that gives v = 1 + c x < 0, which the scalar
-    # gamma redraws, so the batch must not accept it.  At shape 50 the same
-    # uniforms give v > 0 and pass the log test: the constants are per draw.
-    d = np.array([1.0, 50.0]) - 1.0 / 3.0
-    c = 1.0 / np.sqrt(9.0 * d)
-    t = np.array([[0.999, 0.5, 0.5], [0.999, 0.5, 0.5]])
-    ok, _ = samplers._first_attempt_gammas(t, d, c)
-    assert ok.tolist() == [False, True]
+def test_first_attempt_with_v_not_positive_is_not_accepted(compiled_walk):
+    # u1 = 0.999 and u2 = 1/2 make x = -3.72; at gamma shape 1 (chi df 2,
+    # d = 2/3, c = 1/sqrt(6)) that gives v = 1 + c x < 0, which the scalar
+    # gamma redraws from the next two uniforms (5 used in all).  At shape 50
+    # the same uniforms give v > 0 and miss the squeeze, as 1 - 0.0331 x^4 < 0,
+    # so the log test decides: it accepts u = 1/2 (3 used) and rejects
+    # u = 0.99, which starts a second attempt (6 used).
+    x = math.sqrt(-2.0 * math.log(1.0 - 0.999)) * math.cos(math.pi)
+    assert 1.0 - 0.0331 * x ** 4 < 0.0
+    for df, u, used in ((2.0, [0.999, 0.5, 0.25, 0.125, 0.5], 5),
+                        (100.0, [0.999, 0.5, 0.5], 3),
+                        (100.0, [0.999, 0.5, 0.99, 0.25, 0.125, 0.5], 6)):
+        shape = 0.5 * df
+        stream = RngStream.__new__(RngStream)
+        stream.uniform = iter(u).__next__
+        g = RngStream._gamma_mt(stream, shape)
+        assert _walk_chi(u, df) == _scalar_chi(u, df) == (1, used, math.sqrt(g * 2.0))
+        # One uniform short, the walk finishes no column and uses none.
+        assert _walk_chi(u[:-1], df) == (0, 0, 0.0)
 
 
-def test_many_matches_single_fills_at_large_m():
-    # At m=40 about one column in three hundred misses its first attempt;
-    # the rest of its fill stays batched.
-    assert _batch_scalar_chis("wishart", 40, 42.0, 8, seed=5) == 1
+_U53 = 2.0 ** -53
+_UNIFORM = st.one_of(st.sampled_from((0.0, _U53, 0.5, 1.0 - _U53)),
+                     st.integers(0, 2 ** 53 - 1).map(lambda i: i * _U53))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(u=st.lists(_UNIFORM, max_size=16), df=st.floats(1e-3, 1e4))
+def test_walk_chi_matches_the_scalar_chi(compiled_walk, u, df):
+    # Any uniforms: rejected attempts, the boost below shape 1, and a
+    # window that ends inside the chi, where neither side finishes.
+    try:
+        scalar = _scalar_chi(u, df)
+    except StopIteration:
+        assert _walk_chi(u, df)[:2] == (0, 0)
+    else:
+        walk = _walk_chi(u, df)
+        assert walk[:2] == scalar[:2] and walk[2].hex() == scalar[2].hex()
 
 
 FILL_CASES = dict(
@@ -288,11 +305,10 @@ def test_many_matches_single_fills_property(fill, seed, m, extra, k):
 @settings(max_examples=60, deadline=None)
 @given(**FILL_CASES)
 def test_many_matches_single_fills_property_in_small_windows(fill, seed, m, extra, k):
-    # 50-uniform windows and 3-column chunks: windows end inside a fill, and
-    # a chi that takes the scalar draw can run past the end of its window.
+    # 50-uniform windows: windows end inside a fill and inside a column, and
+    # a chi whose rejections run past its window doubles the next one.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(samplers, "MANY_READ_AHEAD", 50)
-        mp.setattr(samplers, "MANY_CHUNK", 3)
         single, many = _singles_and_many(fill, m, m - 1 + extra, k, seed)
     assert single == many
 

@@ -1,4 +1,5 @@
-"""The scalar random stream pinned to stored bits: normals and gammas.
+"""The scalar random stream pinned to stored bits: normals and gammas, and
+the normals of the compiled column walk.
 
 ``tests/data/golden_rng_v1.json`` was generated once, by running this module
 as a script (it refuses to overwrite the file without ``--force``):
@@ -19,6 +20,7 @@ import pathlib
 import sys
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from triwish import rng as rng_module
@@ -121,18 +123,14 @@ def test_golden_normals():
     assert [rng.standard_normal().hex() for _ in range(NORMAL_COUNT)] == stored["hex"]
 
 
-def _check_golden_normals_through_box_muller():
+def test_golden_normals_through_box_muller(compiled_walk):
+    # Column NORMAL_COUNT of a fill holds NORMAL_COUNT normals above its chi.
     stored = json.loads(GOLDEN.read_text())["normals"]
-    u = RngStream(stored["seed"]).peek_uniforms(2 * NORMAL_COUNT)
-    assert [z.hex() for z in rng_module.box_muller(u).tolist()] == stored["hex"]
-
-
-def test_golden_normals_through_box_muller():
-    _check_golden_normals_through_box_muller()
-
-
-def test_golden_normals_through_box_muller_on_the_math_map(math_box_muller):
-    _check_golden_normals_through_box_muller()
+    m = NORMAL_COUNT + 1
+    z = np.zeros((1, m, m))
+    u = RngStream(stored["seed"]).peek_uniforms(2 * NORMAL_COUNT + 100)
+    assert compiled_walk(u, z, m - 1, m, np.full(m, 100.0))[0] == m
+    assert [x.hex() for x in z[0, :m - 1, m - 1].tolist()] == stored["hex"]
 
 
 @pytest.mark.parametrize("shape", SHAPES)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from triwish import linalg
 from triwish.errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -121,6 +122,23 @@ def test_gram_symmetrization_matches_triu_reference_bits():
             (gram_vt(u), blas.dtrmm(1.0, u, u, side=1, lower=0, trans_a=1)),
         ):
             assert got.tobytes() == (np.triu(raw) + np.triu(raw, 1).T).tobytes()
+
+
+def test_mirror_matches_the_two_pass_expression_bits():
+    # The one-pass mirror against np.triu(raw) + np.triu(raw, 1).T and the
+    # two masked copies it replaced, on signed zeros, a signed NaN and
+    # infinities in both triangles.
+    raw = np.arange(1.0, 26.0).reshape(5, 5)
+    raw[0, 0] = raw[1, 3] = raw[3, 1] = -0.0
+    raw[0, 2], raw[2, 0] = np.nan, -np.nan
+    raw[1, 1], raw[1, 4], raw[4, 1] = -np.inf, np.inf, -np.inf
+    raw[2, 4] = -np.nan
+    got = linalg._mirror_upper(raw).tobytes()
+    assert got == (np.triu(raw) + np.triu(raw, 1).T).tobytes()
+    two_pass = (np.where(np.tri(5, k=-1, dtype=bool), 0.0, raw)
+                + np.where(np.tri(5, k=0, dtype=bool), 0.0, raw).T)
+    assert got == two_pass.tobytes()
+    assert np.signbit(linalg._mirror_upper(raw)[[0, 1, 3], [0, 3, 1]]).tolist() == [False] * 3
 
 
 def test_gram_ut_matches_naive_triple_loop():

@@ -7,12 +7,13 @@ import shutil
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from triwish import rng as rng_module
 from triwish.errors import InvalidDegreesOfFreedom, InvalidParameter
-from triwish.rng import RngStream, box_muller
+from triwish import samplers
+from triwish.rng import RngStream
 from triwish.validation import chi_square_cdf, ks_one_sample, normal_cdf
 
 
@@ -195,40 +196,45 @@ class _Feed:
         self.uniform = iter(u).__next__
 
 
-def _box_muller_both_paths(u):
-    """box_muller's bytes on the path this process loaded and on the math map."""
-    out = [box_muller(u).tobytes()]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rng_module, "_loop", None)
-        out.append(box_muller(u).tobytes())
-    return out
+def _walk_normals(u):
+    """The normals the column walk draws from the uniforms u: column m - 1 of
+    an m x m fill holds m - 1 of them above its chi.  Three more uniforms
+    make that chi accept on its first attempt."""
+    m = len(u) // 2 + 1
+    z = np.zeros((1, m, m))
+    window = np.array(u[:2 * (m - 1)] + [0.5, 0.5, 0.0])
+    assert rng_module.column_walk(window, z, m - 1, m, np.full(m, 100.0)) == (m, len(window))
+    return z[0, :m - 1, m - 1]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(u=st.lists(_UNIFORM, max_size=64))
 @example(u=[x for a in EDGES for b in EDGES for x in (a, b)])
-def test_box_muller_matches_standard_normal_bits(u):
+def test_box_muller_matches_standard_normal_bits(compiled_walk, u):
     feed = _Feed(u)
     scalar = np.array([RngStream.standard_normal(feed) for _ in range(len(u) // 2)])
-    assert _box_muller_both_paths(np.array(u, dtype=float)) == [scalar.tobytes()] * 2
+    assert _walk_normals(u).tobytes() == scalar.tobytes()
 
 
-def test_box_muller_matches_a_stream_of_normals():
+def test_box_muller_matches_a_stream_of_normals(compiled_walk):
+    # A 200 x 200 fill through the walk: 19,900 normals between 200 chis.
     a = RngStream(31337)
     b = RngStream(31337)
-    k = 20_000
-    scalar = np.array([b.standard_normal() for _ in range(k)])
-    assert _box_muller_both_paths(a.peek_uniforms(2 * k)) == [scalar.tobytes()] * 2
-    assert box_muller(np.empty(0)).shape == (0,)
+    z = samplers._fill_walk(a, 200, lambda j: 201.0 - j, 1)[0]
+    for j in range(200):
+        assert z[:j, j].tobytes() == np.array([b.standard_normal() for _ in range(j)]).tobytes()
+        assert z[j, j] == b.chi(201.0 - (j + 1))
+    assert a.position == b.position
 
 
 needs_cc = pytest.mark.skipif(shutil.which(rng_module._CC) is None,
-                              reason="no C compiler: box_muller runs on the math map")
+                              reason="no C compiler: every fill runs the scalar loop")
 
 
 @needs_cc
 def test_compiled_loop_loads_where_a_compiler_is_present():
-    assert rng_module.compiled_loop() is not None
+    assert rng_module.compiled_loop().__name__ == "triwish_bartlett_walk"
 
 
 @needs_cc
@@ -239,8 +245,8 @@ def test_compiled_loop_builds_into_an_empty_cache(tmp_path, monkeypatch):
     # Only the finished library is left, named by the hash of source and flags.
     [lib] = (tmp_path / "cache").iterdir()
     assert re.fullmatch(r"_boxmuller-[0-9a-f]{16}\.so", lib.name)
-    compiled, math_map = _box_muller_both_paths(RngStream(5).peek_uniforms(2000))
-    assert compiled == math_map
+    walk = samplers._fill_walk(RngStream(5), 30, lambda j: 31.5 - j, 1)[0]
+    assert walk.tobytes() == samplers._fill_scalar(RngStream(5), 30, lambda j: 31.5 - j).tobytes()
 
 
 def test_golden_first_draws():
