@@ -35,18 +35,14 @@ stream id is the second Philox key word, so distinct ids give statistically
 independent sequences for the same seed.
 
 Compiled column walk
-    :func:`column_walk` draws the normals and chi draws of Bartlett fill
-    columns (see :mod:`triwish.samplers`) from a window of uniforms read
-    with :meth:`RngStream.peek_uniforms`; :meth:`RngStream.skip` then
-    consumes the ones it used.  It runs a C loop, ``_boxmuller.c``, that
-    the first call of :func:`compiled_loop` builds with the system C
-    compiler (``cc -O2 -fPIC -shared -ffp-contract=off -lm``) into this
-    package's ``__pycache__`` and loads through ctypes.  The loop makes the
-    libm calls and IEEE operations of :meth:`RngStream.standard_normal` and
-    :meth:`RngStream.chi` in their order, so both give the same bits from
-    the libm of the running process.  Without a compiler, a writable cache
-    or a loadable library, :func:`compiled_loop` returns None and the fills
-    run the scalar draws.
+    :func:`column_walk` draws Bartlett fill columns (:mod:`triwish.samplers`)
+    from uniforms read with :meth:`RngStream.peek_uniforms`, making the libm
+    calls and IEEE operations of :meth:`RngStream.standard_normal` and
+    :meth:`RngStream.chi` in their order.  It runs ``_boxmuller.c``, which
+    :func:`compiled_loop` builds on first use with the system C compiler
+    (``cc -O2 -fPIC -shared -ffp-contract=off -lm``) into this package's
+    ``__pycache__`` and loads through ctypes; where that fails, the fills
+    run the scalar draws.  Both give the bits of the running process's libm.
 """
 
 import ctypes
@@ -238,14 +234,24 @@ def column_walk(u, z, col, ncol, df):
 
     z is a C-ordered (k, m, m) float64 array; column c is column ``c % m``
     of fill ``c // m``, and gets ``c % m`` standard normals above the
-    diagonal, then the diagonal ``chi(df[c % m])`` (every df positive),
-    each drawn as
-    :meth:`RngStream.standard_normal` and :meth:`RngStream.chi` would from
-    the same uniforms.  u (float64, contiguous) is consumed in order.
+    diagonal, then the diagonal ``chi(df[c % m])``, each drawn as
+    :meth:`RngStream.standard_normal` and :meth:`RngStream.chi` would draw
+    it from the same uniforms.  The 1-d u is consumed in order.
     Returns the first column the uniforms did not finish and the number of
-    uniforms the finished columns used.  Needs :func:`compiled_loop`.
+    uniforms the finished columns used.  Only where :func:`compiled_loop`
+    loads the walk.
     """
+    m = z.shape[-1]
+    if not (u.dtype == z.dtype == df.dtype == np.float64
+            and u.flags.c_contiguous and z.flags.c_contiguous and df.flags.c_contiguous
+            and u.ndim == 1 and z.ndim == 3 and z.shape[1] == m and df.shape == (m,)
+            and 0 <= col <= ncol <= z.shape[0] * m):
+        raise InvalidParameter("column_walk needs C-contiguous float64 arrays of matching shapes")
+    if not (df > 0.0).all():
+        # As RngStream.chi; a NaN df would also never accept, so the fill
+        # would read ever larger windows.
+        raise InvalidDegreesOfFreedom("chi degrees of freedom must be positive")
     used = ctypes.c_size_t()
-    done = _loop(u.ctypes.data, len(u), z.ctypes.data, z.shape[-1], col, ncol,
-                 df.ctypes.data, _TWO_PI, ctypes.byref(used))
+    done = compiled_loop()(u.ctypes.data, len(u), z.ctypes.data, m, col, ncol,
+                           df.ctypes.data, _TWO_PI, ctypes.byref(used))
     return done, used.value

@@ -127,11 +127,12 @@ class SamplerSpec:
 
 
 # Smallest m whose single fill runs through the compiled column walk; below
-# it the walk's fixed cost (read-ahead, ctypes call) outweighs the Python
-# draws it saves.  The two broke even at m = 4 on a 2-CPU x86-64 host with
-# numpy 2.4 (see CHANGES.md); from m = 6 on the walk took 0.6x the time or
-# less.  Below 6 the scalar loop keeps the m = 4 Monte Carlo steps as they
-# were, and a single fill takes any stream with standard_normal and chi.
+# it the walk's fixed cost (read-ahead, argument checks, ctypes call)
+# outweighs the Python draws it saves.  Against the scalar loop the walk took
+# 1.06-1.12x the time at m = 4, 0.84-0.85x at m = 5 and 0.68-0.69x at m = 6
+# on a 2-CPU x86-64 host with numpy 2.4 (see CHANGES.md).  Starting at 6
+# keeps the m = 4 Monte Carlo steps as they were, and lets a single fill
+# below it take any stream with standard_normal and chi.
 FILL_BATCH_MIN_M = 6
 
 

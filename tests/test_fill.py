@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from triwish import rng as rng_module
 from triwish import samplers
+from triwish.errors import InvalidDegreesOfFreedom, InvalidParameter
 from triwish.rng import RngStream
 from triwish.samplers import (
     draw_bartlett_invwishart,
@@ -264,6 +265,22 @@ def test_first_attempt_with_v_not_positive_is_not_accepted(compiled_walk):
         assert _walk_chi(u, df) == _scalar_chi(u, df) == (1, used, math.sqrt(g * 2.0))
         # One uniform short, the walk finishes no column and uses none.
         assert _walk_chi(u[:-1], df) == (0, 0, 0.0)
+
+
+def test_column_walk_rejects_arrays_it_cannot_walk(compiled_walk):
+    u, z, df = np.full(10, 0.5), np.zeros((1, 2, 2)), np.full(2, 5.0)
+    for args in ((u[::2], z, 0, 2, df),
+                 (u, z.astype(np.float32), 0, 2, df),
+                 (u, np.zeros((2, 2, 1)), 0, 2, df),
+                 (u, z, 0, 2, np.full(3, 5.0)),
+                 (u, z, 0, 3, df),
+                 (u, z, 2, 1, df)):
+        with pytest.raises(InvalidParameter):
+            compiled_walk(*args)
+    for bad in (0.0, -1.0, np.nan):
+        with pytest.raises(InvalidDegreesOfFreedom):
+            compiled_walk(u, z, 0, 2, np.array([5.0, bad]))
+    assert compiled_walk(u, z, 0, 2, df)[0] == 2
 
 
 _U53 = 2.0 ** -53
