@@ -8,7 +8,8 @@ Raw stream
     numpy as ``numpy.random.Philox``), keyed with the two 64-bit words
     ``(seed, stream)`` and counter starting at zero.  Successive 64-bit
     outputs are consumed in order; blocks are prefetched into a buffer,
-    which does not affect the sequence.
+    which does not affect the sequence.  Seed and stream id are integer
+    values in [0, 2**64).
 
 Uniform doubles
     ``u = (raw >> 11) * 2**-53``, i.e. the top 53 bits, giving u in [0, 1).
@@ -35,11 +36,15 @@ stream id is the second Philox key word, so distinct ids give statistically
 independent sequences for the same seed.
 
 Compiled column walk
-    :func:`column_walk` draws Bartlett fill columns (:mod:`triwish.samplers`)
-    from uniforms read with :meth:`RngStream.peek_uniforms`, making the libm
-    calls and IEEE operations of :meth:`RngStream.standard_normal` and
-    :meth:`RngStream.chi` in their order.  It runs ``_boxmuller.c``, which
-    :func:`compiled_loop` builds on first use with the system C compiler
+    :func:`walk_fills` draws Bartlett fill columns (:mod:`triwish.samplers`)
+    in C, making the libm calls and IEEE operations of
+    :meth:`RngStream.standard_normal` and :meth:`RngStream.chi` in their
+    order.  Philox is counter-based, so the walk computes its uniforms
+    itself from ``(seed, stream, position)``: uniform p is lane ``p % 4`` of
+    the block with counter ``p // 4 + 1``; the caller then skips what it
+    used.  :func:`column_walk` runs the same C code over uniforms the caller
+    supplies.  Both run ``_boxmuller.c``, which :func:`compiled_loop` builds
+    on first use with the system C compiler
     (``cc -O2 -fPIC -shared -ffp-contract=off -lm``) into this package's
     ``__pycache__`` and loads through ctypes; where that fails, the fills
     run the scalar draws.  Both give the bits of the running process's libm.
@@ -62,44 +67,57 @@ _U53 = 2.0 ** -53
 _BLOCK = 4096
 
 
+def integer_value(value):
+    """value as an int if it is an integer value other than a bool (3, 3.0,
+    numpy.int64(3)); None for anything else, a string included."""
+    try:
+        if not isinstance(value, bool) and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return None
+
+
+def _uint64(name, value):
+    v = integer_value(value)
+    if v is None or not 0 <= v < 2 ** 64:
+        raise InvalidParameter(f"{name} must fit in an unsigned 64-bit integer, got {value!r}")
+    return v
+
+
 class RngStream:
     """Single-owner deterministic random stream.
 
     Identical ``(seed, stream)`` pairs produce bit-identical draw
     sequences.  Not safe for concurrent use; give each task its own
-    stream.
+    stream.  The seed and the stream id are integer values in [0, 2**64).
     """
 
     def __init__(self, seed, stream=0):
-        if not 0 <= int(seed) < 2 ** 64:
-            raise InvalidParameter("seed must fit in an unsigned 64-bit integer")
-        if not 0 <= int(stream) < 2 ** 64:
-            raise InvalidParameter("stream id must fit in an unsigned 64-bit integer")
-        self.seed = int(seed)
-        self.stream = int(stream)
-        self._key = np.array([self.seed, self.stream], dtype=np.uint64)
-        self._bitgen = np.random.Philox(key=self._key)
-        # The current block both as an array (sliced by peek_uniforms) and
-        # as a reversed list (popped by uniform); only the list's length says
-        # how much of the block is consumed.
-        self._block = None
+        self.seed = _uint64("seed", seed)
+        self.stream = _uint64("stream id", stream)
+        self._bitgen = np.random.Philox(key=np.array([self.seed, self.stream], dtype=np.uint64))
+        # The current block as a reversed list, popped by uniform.  The
+        # generator has passed _blocks blocks, built or skipped; the next
+        # block built drops its first _lag uniforms, which skip passed over
+        # (nonzero only while the list is empty).
         self._buf = []
         self._blocks = 0
+        self._lag = 0
 
     def _refill(self):
-        block = (self._bitgen.random_raw(_BLOCK) >> 11) * _U53
-        block.flags.writeable = False
-        buf = block.tolist()
+        raw = self._bitgen.random_raw(_BLOCK)[self._lag:]
+        buf = ((raw >> 11) * _U53).tolist()
         buf.reverse()
-        self._block = block
         self._buf = buf
         self._blocks += 1
+        self._lag = 0
         return buf
 
     @property
     def position(self):
         """Number of uniforms consumed so far: the exact Philox stream position."""
-        return self._blocks * _BLOCK - len(self._buf)
+        return self._blocks * _BLOCK - len(self._buf) + self._lag
 
     def uniform(self):
         """Next uniform double in [0, 1)."""
@@ -109,31 +127,20 @@ class RngStream:
         return buf.pop()
 
     def skip(self, k):
-        """Consume the next k uniforms, leaving the stream where k calls of
-        :meth:`uniform` would.  Whole blocks are skipped by advancing the
-        Philox counter (four outputs per step), without generating them."""
+        """Consume the next k >= 0 uniforms, leaving the stream where k calls
+        of :meth:`uniform` would.  Past the current block the Philox counter
+        is advanced (four outputs per step) without generating anything; the
+        block the skip lands in is built by the next :meth:`uniform`."""
+        if (n := integer_value(k)) is None or n < 0:
+            raise InvalidParameter(f"skip count must be a non-negative integer, got {k!r}")
         buf = self._buf
-        if k > len(buf):
-            whole, k = divmod(k - len(buf), _BLOCK)
-            self._bitgen.advance(whole * _BLOCK // 4)
-            self._blocks += whole
-            buf = self._buf = self._refill() if k else []
-        del buf[len(buf) - k:]
-
-    def peek_uniforms(self, k):
-        """The next k uniforms as a float64 array, without consuming them.
-
-        Philox is counter-based, so reading ahead costs only the generation:
-        the uniforms past the current block come from a copy of the state.
-        """
-        left = len(self._buf)
-        start = _BLOCK - left
-        head = self._block[start:start + k] if left else np.empty(0)
-        if k <= left:
-            return head
-        ahead = np.random.Philox(key=self._key)
-        ahead.state = self._bitgen.state
-        return np.concatenate((head, (ahead.random_raw(k - left) >> 11) * _U53))
+        if n <= len(buf):
+            del buf[len(buf) - n:]
+            return
+        whole, self._lag = divmod(n - len(buf) + self._lag, _BLOCK)
+        self._bitgen.advance(whole * _BLOCK // 4)
+        self._blocks += whole
+        self._buf = []
 
     def standard_normal(self):
         """One N(0, 1) draw; consumes exactly two raw outputs."""
@@ -215,7 +222,8 @@ def _build_loop():
     except (OSError, subprocess.SubprocessError):
         return None
     size, ptr = ctypes.c_size_t, ctypes.c_void_p
-    fn.argtypes = (ptr, size, ptr, size, size, size, ptr, ctypes.c_double, ptr)
+    fn.argtypes = (ctypes.POINTER(ctypes.c_uint64), size, ptr, size, ptr, size, size, size, ptr,
+                   ctypes.c_double, ptr)
     fn.restype = size
     return fn
 
@@ -229,29 +237,59 @@ def compiled_loop():
     return _loop
 
 
-def column_walk(u, z, col, ncol, df):
-    """Draw columns ``col .. ncol-1`` of the stacked fills z from the uniforms u.
+def _check_walk(z, col, ncol, df):
+    m = z.shape[-1]
+    if not (z.dtype == df.dtype == np.float64 and z.flags.c_contiguous and df.flags.c_contiguous
+            and z.ndim == 3 and z.shape[1] == m and df.shape == (m,)
+            and 0 <= col <= ncol <= z.shape[0] * m):
+        raise InvalidParameter("the column walk needs C-contiguous float64 arrays of matching shapes")
+    if not (df > 0.0).all():
+        # As RngStream.chi; a NaN df would also never accept, so the walk
+        # would never end.
+        raise InvalidDegreesOfFreedom("chi degrees of freedom must be positive")
+    return m
+
+
+_PHILOX_STATE = ctypes.c_uint64 * 6
+_WORD = 2 ** 64 - 1
+
+
+def walk_fills(rng, z, df):
+    """Draw every column of the stacked fills z from the stream rng, starting
+    at its position, and return the number of uniforms that took.
 
     z is a C-ordered (k, m, m) float64 array; column c is column ``c % m``
     of fill ``c // m``, and gets ``c % m`` standard normals above the
     diagonal, then the diagonal ``chi(df[c % m])``, each drawn as
     :meth:`RngStream.standard_normal` and :meth:`RngStream.chi` would draw
-    it from the same uniforms.  The 1-d u is consumed in order.
-    Returns the first column the uniforms did not finish and the number of
-    uniforms the finished columns used.  Only where :func:`compiled_loop`
-    loads the walk.
+    it.  The walk computes its uniforms from (seed, stream, position); it
+    does not move rng, so the caller skips what it used.  Only where
+    :func:`compiled_loop` loads the walk.
     """
-    m = z.shape[-1]
-    if not (u.dtype == z.dtype == df.dtype == np.float64
-            and u.flags.c_contiguous and z.flags.c_contiguous and df.flags.c_contiguous
-            and u.ndim == 1 and z.ndim == 3 and z.shape[1] == m and df.shape == (m,)
-            and 0 <= col <= ncol <= z.shape[0] * m):
-        raise InvalidParameter("column_walk needs C-contiguous float64 arrays of matching shapes")
-    if not (df > 0.0).all():
-        # As RngStream.chi; a NaN df would also never accept, so the fill
-        # would read ever larger windows.
-        raise InvalidDegreesOfFreedom("chi degrees of freedom must be positive")
+    m = _check_walk(z, 0, z.shape[0] * z.shape[-1], df)
+    p = rng.position
+    c = (p >> 2) + 1  # the 256-bit Philox counter of the block holding uniform p
+    state = _PHILOX_STATE(rng.seed, rng.stream, c & _WORD, c >> 64 & _WORD,
+                          c >> 128 & _WORD, c >> 192 & _WORD)
     used = ctypes.c_size_t()
-    done = compiled_loop()(u.ctypes.data, len(u), z.ctypes.data, m, col, ncol,
+    compiled_loop()(state, p & 3, None, 0, z.ctypes.data, m, 0, z.shape[0] * m,
+                    df.ctypes.data, _TWO_PI, ctypes.byref(used))
+    return used.value
+
+
+def column_walk(u, z, col, ncol, df):
+    """Draw columns ``col .. ncol-1`` of the stacked fills z, as
+    :func:`walk_fills` does, from the given 1-d uniforms u in order.
+
+    The same C draw code as :func:`walk_fills`, over uniforms chosen by the
+    caller.  Returns the first column the uniforms did not finish and the
+    number of uniforms the finished columns used.  Only where
+    :func:`compiled_loop` loads the walk.
+    """
+    m = _check_walk(z, col, ncol, df)
+    if not (u.dtype == np.float64 and u.flags.c_contiguous and u.ndim == 1):
+        raise InvalidParameter("the column walk needs C-contiguous float64 arrays of matching shapes")
+    used = ctypes.c_size_t()
+    done = compiled_loop()(None, 0, u.ctypes.data, len(u), z.ctypes.data, m, col, ncol,
                            df.ctypes.data, _TWO_PI, ctypes.byref(used))
     return done, used.value

@@ -23,11 +23,12 @@ draws in the same positions; only the chi degrees of freedom differ
 (n+1-j for the Wishart fill, n-m+j for the inverse-Wishart fill).
 For m >= ``FILL_BATCH_MIN_M``, and for every batch of k fills (the ``_many``
 fills, one (k, m, m) array), the fill runs through the compiled column walk
-of :func:`triwish.rng.column_walk`: it reads the stream ahead, walks the
-columns in this order in C with the scalar draws' operations, and consumes
-exactly the uniforms the column-by-column loop does: same bytes, same
-position after.  Where the walk cannot be built or loaded, every fill runs
-the scalar loop, which stays the reference.
+of :func:`triwish.rng.walk_fills`: in one call it walks the columns in this
+order in C with the scalar draws' operations, computing the Philox uniforms
+from the stream's seed, id and position, and the stream then skips exactly
+the uniforms the column-by-column loop consumes: same bytes, same position
+after.  Where the walk cannot be built or loaded, every fill runs the scalar
+loop, which stays the reference.
 """
 
 import math
@@ -46,7 +47,7 @@ from .linalg import (
     tri_inverse,
     tri_mul,
 )
-from .rng import column_walk, compiled_loop
+from .rng import compiled_loop, integer_value, walk_fills
 
 INDIRECT = "indirect"
 DIRECT = "direct"
@@ -93,13 +94,10 @@ def _check_df(m, n):
 
 
 def _positive_int(name, value):
-    try:
-        ok = not isinstance(value, bool) and int(value) == value and value >= 1
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
+    v = integer_value(value)
+    if v is None or v < 1:
         raise InvalidParameter(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
+    return v
 
 
 def _check_fill_args(m, n):
@@ -127,7 +125,7 @@ class SamplerSpec:
 
 
 # Smallest m whose single fill runs through the compiled column walk; below
-# it the walk's fixed cost (read-ahead, argument checks, ctypes call)
+# it the walk's fixed cost (argument checks, ctypes call, skip)
 # outweighs the Python draws it saves.  Against the scalar loop the walk took
 # 1.06-1.12x the time at m = 4, 0.84-0.85x at m = 5 and 0.68-0.69x at m = 6
 # on a 2-CPU x86-64 host with numpy 2.4 (see CHANGES.md).  Starting at 6
@@ -154,16 +152,6 @@ def _fill_one(rng, m, diag_df):
     return _fill_walk(rng, m, diag_df, 1)[0]
 
 
-# The walk reads at most MANY_READ_AHEAD uniforms ahead at a time (one
-# window), unless a single column needs more.
-MANY_READ_AHEAD = 1 << 17
-
-
-def fills_per_window(m):
-    """Fills of dimension m that fit in one read-ahead window of the walk."""
-    return max(1, MANY_READ_AHEAD // (m * (m + 2)))
-
-
 def _fill_many(rng, m, diag_df, k):
     if compiled_loop() is None:
         return np.stack([_fill_scalar(rng, m, diag_df) for _ in range(k)])
@@ -171,19 +159,10 @@ def _fill_many(rng, m, diag_df, k):
 
 
 def _fill_walk(rng, m, diag_df, k):
-    # k fills in a row are one stream of k*m columns.  Column j takes 2j + 3
-    # uniforms when its chi accepts at once, m + 2 per column on average; a
-    # window holds that for every column left plus some slack for rejected
-    # attempts.  A window that finishes no column is doubled.
+    # k fills in a row are one stream of k*m columns.
     df = np.array([diag_df(j + 1) for j in range(m)], dtype=float)
     out = np.zeros((k, m, m))
-    col, ncol, grow = 0, k * m, 1
-    while col < ncol:
-        u = rng.peek_uniforms(grow * min((ncol - col) * (m + 2) + 64, MANY_READ_AHEAD))
-        done, used = column_walk(u, out, col, ncol, df)
-        grow = 1 if done > col else 2 * grow
-        rng.skip(used)
-        col = done
+    rng.skip(walk_fills(rng, out, df))
     return out
 
 

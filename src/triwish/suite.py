@@ -39,7 +39,6 @@ from .samplers import (
     cholesky_upper_param,
     draw_bartlett_invwishart_many,
     draw_bartlett_wishart_many,
-    fills_per_window,
     rinvwishart_chol,
     rwishart,
     rwishart_chol,
@@ -146,14 +145,17 @@ def check_opcount(seed):
 # triangular-fill marginals and the outer-product oracle
 
 
+FILL_BATCH_ENTRIES = 1 << 17
+
+
 def _fill_marginals(check_prefix, seed, stream, draw_many, diag_df, m, n, nsamples):
     rng = RngStream(seed, stream)
     diags = np.empty((nsamples, m))
     offdiags = np.empty((nsamples, m * (m - 1) // 2))
     iu = np.triu_indices(m, k=1)
-    # One batch per read-ahead window: all nsamples fills as one (k, m, m)
-    # array would add about 10 MB to the peak RSS at m=5, k=50,000.
-    block = fills_per_window(m)
+    # Batches of about FILL_BATCH_ENTRIES entries: all nsamples fills as one
+    # (k, m, m) array would add about 10 MB to the peak RSS at m=5, k=50,000.
+    block = max(1, FILL_BATCH_ENTRIES // (m * (m + 2)))
     for start in range(0, nsamples, block):
         z = draw_many(rng, m, n, min(block, nsamples - start))
         diags[start:start + len(z)] = np.diagonal(z, axis1=1, axis2=2)

@@ -37,6 +37,8 @@ from triwish.samplers import (
     draw_bartlett_wishart_many,
 )
 
+from test_golden_rng import GammaPath, _CountingMath
+
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_fill_v1.json"
 FILLS = {"wishart": draw_bartlett_wishart, "invwishart": draw_bartlett_invwishart}
 MANY = {"wishart": draw_bartlett_wishart_many, "invwishart": draw_bartlett_invwishart_many}
@@ -213,8 +215,9 @@ def test_many_matches_single_fills(fill, m):
 @pytest.mark.parametrize("fill", sorted(FILLS))
 @pytest.mark.parametrize("m", MANY_M)
 def test_many_matches_single_fills_past_a_window(fill, m):
-    k = samplers.fills_per_window(m) + 1
-    assert k > 37
+    # The walk generates its uniforms 256 at a time; a batch of about 8,200
+    # uniforms runs past many of those windows and two 4096-uniform blocks.
+    k = 2 * 4096 // (m * (m + 2)) + 1
     single, many = _singles_and_many(fill, m, m + 2.0, k, seed=m)
     assert single == many
 
@@ -319,15 +322,71 @@ def test_many_matches_single_fills_property(fill, seed, m, extra, k):
     assert single == many
 
 
-@settings(max_examples=60, deadline=None)
+DIAG_DF = {"wishart": lambda m, n: lambda j: n + 1 - j,
+           "invwishart": lambda m, n: lambda j: n - m + j}
+
+
+def _fill_in_windows(fill, m, n, k, seed, width):
+    """k fills through the walk's window entry, over windows of numpy's
+    Philox stream: each starts where the finished columns ended, holds
+    ``width`` uniforms, and is doubled when it finishes no column.
+    (digest, uniforms used, next uniform), as :func:`_singles_and_many`."""
+    raw = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)).random_raw(4 * k * m * (m + 2) + 1000)
+    u = (raw >> 11) * 2.0 ** -53
+    df = np.array([DIAG_DF[fill](m, n)(j + 1) for j in range(m)])
+    z = np.zeros((k, m, m))
+    col, at, grow = 0, 0, 1
+    while col < k * m:
+        assert at + grow * width < len(u)
+        done, used = rng_module.column_walk(u[at:at + grow * width], z, col, k * m, df)
+        grow = 1 if done > col else 2 * grow
+        col, at = done, at + used
+    return _digest(z), at, float(u[at])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(**FILL_CASES)
-def test_many_matches_single_fills_property_in_small_windows(fill, seed, m, extra, k):
+def test_many_matches_single_fills_property_in_small_windows(compiled_walk, fill, seed, m, extra, k):
     # 50-uniform windows: windows end inside a fill and inside a column, and
     # a chi whose rejections run past its window doubles the next one.
+    single, _ = _singles_and_many(fill, m, m - 1 + extra, k, seed)
+    assert _fill_in_windows(fill, m, m - 1 + extra, k, seed, 50) == single
+
+
+def test_walk_fills_take_every_chi_path(compiled_walk):
+    # 100 inverse-Wishart fills at m = 5, n = 4.5 (chi df 0.5 .. 4.5) from
+    # seed 0, found by search: counted on the scalar fills with a counting
+    # math, their chis take the v <= 0 redraw, the squeeze, the log test's
+    # accept and reject, and the shape < 1 boost.  The walk's batch draws
+    # the same bytes and ends at the same position.
+    m, n, k, seed = 5, 4.5, 100, 0
+    spy, paths = _CountingMath(), []
+
+    class Recording(RngStream):
+        def chi(self, df):
+            start, spy.logs, spy.cos_calls = self.position, 0, 0
+            value = RngStream.chi(self, df)
+            boost = 1 if df < 2.0 else 0
+            normals = spy.cos_calls
+            attempts = self.position - start - boost - 2 * normals
+            paths.append((GammaPath(normals, attempts, (spy.logs - normals) // 2), boost))
+            return value
+
+    rng = Recording(seed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(samplers, "MANY_READ_AHEAD", 50)
-        single, many = _singles_and_many(fill, m, m - 1 + extra, k, seed)
-    assert single == many
+        _force_fill_path(mp, "scalar")
+        mp.setattr(rng_module, "math", spy)
+        singles = np.stack([draw_bartlett_invwishart(rng, m, n) for _ in range(k)])
+    assert any(p.normals > p.attempts for p, _ in paths)
+    assert any(not p.log_accepted for p, _ in paths)
+    assert any(p.log_accepted for p, _ in paths)
+    assert any(p.rejected for p, _ in paths)
+    assert any(boost for _, boost in paths)
+    walk = RngStream(seed)
+    many = draw_bartlett_invwishart_many(walk, m, n, k)
+    assert many.tobytes() == singles.tobytes()
+    assert walk.position == rng.position
 
 
 if __name__ == "__main__":

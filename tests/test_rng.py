@@ -53,6 +53,26 @@ def test_seed_validation():
         RngStream(2**64)
 
 
+@pytest.mark.parametrize("bad", [1.5, True, False, "7", b"7", None, math.nan, math.inf, -1, 2**64])
+def test_seed_and_stream_id_must_be_unsigned_64_bit_integers(bad):
+    # A float, bool or string used to be truncated or parsed by int():
+    # RngStream(1.5) and RngStream(True) drew seed 1's stream.
+    with pytest.raises(InvalidParameter):
+        RngStream(bad)
+    with pytest.raises(InvalidParameter):
+        RngStream(1, bad)
+    with pytest.raises(InvalidParameter):
+        RngStream(1).spawn(bad)
+
+
+def test_integer_valued_seeds_are_accepted():
+    ref = RngStream(7, 3).uniform()
+    for seed, stream in ((7.0, 3), (np.int64(7), np.uint64(3)), (7, 3.0)):
+        rng = RngStream(seed, stream)
+        assert (rng.seed, rng.stream) == (7, 3) and type(rng.seed) is int
+        assert rng.uniform() == ref
+
+
 def test_uniform_range_and_moments():
     rng = RngStream(2024)
     draws = np.array([rng.uniform() for _ in range(200_000)])
@@ -167,19 +187,51 @@ def test_skip_matches_scalar_calls():
         assert a.uniform() == b.uniform()
 
 
-def test_peek_uniforms_reads_ahead_without_consuming():
-    # Peeks inside the current block, across 4096-uniform block boundaries
-    # and before the first block is drawn; none of them moves the stream.
-    a = RngStream(1618)
-    b = RngStream(1618)
-    for k in (0, 1, 5, 4090, 3, 4096, 1, 9000, 0, 7):
-        peeked = a.peek_uniforms(k + 10).tolist()
-        assert a.peek_uniforms(k + 10).tolist() == peeked
-        a.skip(k)
-        assert [b.uniform() for _ in range(k)] == peeked[:k]
-        assert a.position == b.position
-        assert [a.uniform() for _ in range(10)] == peeked[k:]
-        b.skip(10)
+@pytest.mark.parametrize("bad", [-1, -4097, 1.5, True, "3", None])
+def test_skip_rejects_a_count_that_is_not_a_non_negative_integer(bad):
+    rng = RngStream(3)
+    rng.uniform()
+    with pytest.raises(InvalidParameter):
+        rng.skip(bad)
+    assert rng.position == 1
+
+
+def _numpy_uniforms(seed, stream, count):
+    raw = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)).random_raw(count)
+    return ((raw >> 11) * 2.0 ** -53).tolist()
+
+
+def test_skip_builds_no_block():
+    # A skip past the current block only moves the counter; the block it
+    # lands in is built by the next uniform.
+    rng = RngStream(17)
+    calls = []
+    refill = rng._refill
+    rng._refill = lambda: calls.append(rng.position) or refill()
+    rng.skip(3 * 4096 + 5)
+    rng.skip(100)
+    assert calls == [] and rng.position == 3 * 4096 + 105
+    assert rng.uniform() == _numpy_uniforms(17, 0, 3 * 4096 + 106)[-1]
+    assert calls == [3 * 4096 + 105] and rng.position == 3 * 4096 + 106
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=st.lists(st.tuples(st.booleans(), st.integers(0, 3 * 4096)), max_size=8))
+def test_any_mix_of_uniform_and_skip_follows_the_stream(steps):
+    # A skip jumps k uniforms, a draw reads the next few: both against the
+    # raw numpy stream, with the position checked after each step.
+    want = _numpy_uniforms(8, 2, sum(k + 3 for _, k in steps) + 1)
+    rng = RngStream(8, 2)
+    at = 0
+    for draw, k in steps:
+        if draw:
+            assert [rng.uniform() for _ in range(k % 7)] == want[at:at + k % 7]
+            at += k % 7
+        else:
+            rng.skip(k)
+            at += k
+        assert rng.position == at
+    assert rng.uniform() == want[at]
 
 
 _U53 = 2.0 ** -53
@@ -226,6 +278,39 @@ def test_box_muller_matches_a_stream_of_normals(compiled_walk):
         assert z[:j, j].tobytes() == np.array([b.standard_normal() for _ in range(j)]).tobytes()
         assert z[j, j] == b.chi(201.0 - (j + 1))
     assert a.position == b.position
+
+
+# Start positions: every lane 0-3 of the blocks at the stream's start, at
+# the walk's first 256-uniform chunk edges and at 4096-uniform block edges.
+WALK_STARTS = sorted({e + d for e in (0, 256, 512, 4096, 2 * 4096) for d in range(-4, 5) if e + d >= 0})
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("stream", [0, 1, 2 ** 64 - 1])
+def test_walk_philox_matches_numpy_philox(compiled_walk, seed, stream):
+    # The walk computes its own Philox uniforms from (seed, stream, position).
+    # Six 9 x 9 fills (about 600 uniforms, past two chunk edges) from each
+    # start must equal the scalar fills over numpy's raw stream, converted
+    # as (raw >> 11) * 2**-53, and use exactly the uniforms those do.  The
+    # stream reaches its start by skip or by scalar uniform() calls.
+    m, k, df = 9, 6, lambda j: 10.5 - j
+    want = _numpy_uniforms(seed, stream, WALK_STARTS[-1] + 2000)
+    for start in WALK_STARTS:
+        for by_skip in (True, False):
+            rng = RngStream(seed, stream)
+            if by_skip:
+                rng.skip(start)
+            else:
+                for _ in range(start):
+                    rng.uniform()
+            z = samplers._fill_walk(rng, m, df, k)
+            rest = iter(want[start:])
+            feed = RngStream.__new__(RngStream)
+            feed.uniform = rest.__next__
+            ref = np.stack([samplers._fill_scalar(feed, m, df) for _ in range(k)])
+            assert z.tobytes() == ref.tobytes(), start
+            assert rng.position == len(want) - len(list(rest)), start
+            assert rng.uniform() == want[rng.position - 1]
 
 
 needs_cc = pytest.mark.skipif(shutil.which(rng_module._CC) is None,
