@@ -29,20 +29,13 @@ struct source {
     double chunk[CHUNK];
 };
 
-/* The high and low words of a * b. */
+/* The high and low words of a * b.  Compilers without a 128-bit integer
+ * type fail here, and the fills then run the scalar loop. */
 static uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi)
 {
-#ifdef __SIZEOF_INT128__
     unsigned __int128 p = (unsigned __int128)a * b;
     *hi = (uint64_t)(p >> 64);
     return (uint64_t)p;
-#else
-    uint64_t al = a & 0xffffffffu, ah = a >> 32, bl = b & 0xffffffffu, bh = b >> 32;
-    uint64_t ll = al * bl, lh = al * bh, hl = ah * bl, hh = ah * bh;
-    uint64_t mid = (ll >> 32) + (lh & 0xffffffffu) + (hl & 0xffffffffu);
-    *hi = hh + (lh >> 32) + (hl >> 32) + (mid >> 32);
-    return (mid << 32) | (ll & 0xffffffffu);
-#endif
 }
 
 /* Philox 4x64 with 10 rounds (Salmon et al., SC'11): the block of counter
@@ -154,9 +147,9 @@ static int chi(struct source *s, double k, double two_pi, double *out)
  * c being column c % m of fill c / m: j = c % m normals above the diagonal,
  * then the diagonal chi_df[j].
  *
- * With philox = {seed, stream, counter (4 words, low first)} the uniforms
- * are the Philox stream from uniform lane of that counter's block on, and
- * every column is finished.  With philox = NULL they are u[0 .. nu-1]; a
+ * With philox_state = {seed, stream, counter (4 words, low first)} the
+ * uniforms are the Philox stream from uniform lane of that counter's block
+ * on, and every column is finished.  With NULL they are u[0 .. nu-1]; a
  * column they do not finish is left unfinished, with its normals possibly
  * written.  Returns the first column not finished; *used is the number of
  * uniforms the finished columns consumed. */

@@ -138,8 +138,9 @@ class RngStream:
             del buf[len(buf) - n:]
             return
         whole, self._lag = divmod(n - len(buf) + self._lag, _BLOCK)
-        self._bitgen.advance(whole * _BLOCK // 4)
-        self._blocks += whole
+        if whole:
+            self._bitgen.advance(whole * _BLOCK // 4)
+            self._blocks += whole
         self._buf = []
 
     def standard_normal(self):
@@ -237,9 +238,10 @@ def compiled_loop():
     return _loop
 
 
-def _check_walk(z, col, ncol, df):
+def _check_walk(z, col, ncol, df, u_ok=True):
     m = z.shape[-1]
-    if not (z.dtype == df.dtype == np.float64 and z.flags.c_contiguous and df.flags.c_contiguous
+    if not (u_ok and z.dtype == df.dtype == np.float64
+            and z.flags.c_contiguous and df.flags.c_contiguous
             and z.ndim == 3 and z.shape[1] == m and df.shape == (m,)
             and 0 <= col <= ncol <= z.shape[0] * m):
         raise InvalidParameter("the column walk needs C-contiguous float64 arrays of matching shapes")
@@ -286,9 +288,8 @@ def column_walk(u, z, col, ncol, df):
     number of uniforms the finished columns used.  Only where
     :func:`compiled_loop` loads the walk.
     """
-    m = _check_walk(z, col, ncol, df)
-    if not (u.dtype == np.float64 and u.flags.c_contiguous and u.ndim == 1):
-        raise InvalidParameter("the column walk needs C-contiguous float64 arrays of matching shapes")
+    m = _check_walk(z, col, ncol, df,
+                    u.dtype == np.float64 and u.flags.c_contiguous and u.ndim == 1)
     used = ctypes.c_size_t()
     done = compiled_loop()(None, 0, u.ctypes.data, len(u), z.ctypes.data, m, col, ncol,
                            df.ctypes.data, _TWO_PI, ctypes.byref(used))

@@ -331,8 +331,8 @@ def _fill_in_windows(fill, m, n, k, seed, width):
     Philox stream: each starts where the finished columns ended, holds
     ``width`` uniforms, and is doubled when it finishes no column.
     (digest, uniforms used, next uniform), as :func:`_singles_and_many`."""
-    raw = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)).random_raw(4 * k * m * (m + 2) + 1000)
-    u = (raw >> 11) * 2.0 ** -53
+    philox = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    u = (philox.random_raw(4 * k * m * (m + 2) + 1000) >> 11) * 2.0 ** -53
     df = np.array([DIAG_DF[fill](m, n)(j + 1) for j in range(m)])
     z = np.zeros((k, m, m))
     col, at, grow = 0, 0, 1
@@ -347,7 +347,8 @@ def _fill_in_windows(fill, m, n, k, seed, width):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(**FILL_CASES)
-def test_many_matches_single_fills_property_in_small_windows(compiled_walk, fill, seed, m, extra, k):
+def test_many_matches_single_fills_property_in_small_windows(compiled_walk, fill, seed, m, extra,
+                                                              k):
     # 50-uniform windows: windows end inside a fill and inside a column, and
     # a chi whose rejections run past its window doubles the next one.
     single, _ = _singles_and_many(fill, m, m - 1 + extra, k, seed)

@@ -128,8 +128,8 @@ def test_golden_normals_through_box_muller(compiled_walk):
     stored = json.loads(GOLDEN.read_text())["normals"]
     m = NORMAL_COUNT + 1
     z = np.zeros((1, m, m))
-    raw = np.random.Philox(key=np.array([stored["seed"], 0], dtype=np.uint64)).random_raw(2 * NORMAL_COUNT + 100)
-    u = (raw >> 11) * 2.0 ** -53
+    philox = np.random.Philox(key=np.array([stored["seed"], 0], dtype=np.uint64))
+    u = (philox.random_raw(2 * NORMAL_COUNT + 100) >> 11) * 2.0 ** -53
     assert compiled_walk(u, z, m - 1, m, np.full(m, 100.0))[0] == m
     assert [x.hex() for x in z[0, :m - 1, m - 1].tolist()] == stored["hex"]
 
