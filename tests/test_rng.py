@@ -280,18 +280,21 @@ def test_box_muller_matches_a_stream_of_normals(compiled_walk):
     assert a.position == b.position
 
 
-# Start positions: every lane 0-3 of the blocks at the stream's start, at
-# the walk's first 256-uniform chunk edges and at 4096-uniform block edges.
-WALK_STARTS = sorted({e + d for e in (0, 256, 512, 4096, 2 * 4096) for d in range(-4, 5) if e + d >= 0})
+# Start positions: every lane 0-3 of the Philox blocks around the stream's
+# start, one and two 256-uniform chunks in, and around the 4096-uniform
+# blocks of RngStream's scalar buffer.
+WALK_STARTS = sorted({e + d for e in (0, 256, 512, 4096, 2 * 4096) for d in range(-4, 5)
+                      if e + d >= 0})
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
 @pytest.mark.parametrize("stream", [0, 1, 2 ** 64 - 1])
 def test_walk_philox_matches_numpy_philox(compiled_walk, seed, stream):
-    # The walk computes its own Philox uniforms from (seed, stream, position).
-    # Six 9 x 9 fills (about 600 uniforms, past two chunk edges) from each
-    # start must equal the scalar fills over numpy's raw stream, converted
-    # as (raw >> 11) * 2**-53, and use exactly the uniforms those do.  The
+    # The walk computes its own Philox uniforms from (seed, stream, position),
+    # 256 at a time from the block holding the start.  Six 9 x 9 fills (about
+    # 600 uniforms, so two chunk edges fall inside them) from each start must
+    # equal the scalar fills over numpy's raw stream, converted as
+    # (raw >> 11) * 2**-53, and use exactly the uniforms those do.  The
     # stream reaches its start by skip or by scalar uniform() calls.
     m, k, df = 9, 6, lambda j: 10.5 - j
     want = _numpy_uniforms(seed, stream, WALK_STARTS[-1] + 2000)
