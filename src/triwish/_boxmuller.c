@@ -1,5 +1,7 @@
 /* The Bartlett column walk: columns of stacked m x m fills, drawn in the
- * documented order from the Philox stream or from a window of uniforms.
+ * documented order from the Philox stream or from a window of uniforms, and
+ * written in C order or in Fortran order (each column contiguous, the
+ * layout LAPACK and BLAS take without a copy).
  *
  * The same operations, in the same order, as the scalar fill of
  * triwish.samplers over RngStream.standard_normal and RngStream.chi: log,
@@ -143,9 +145,11 @@ static int chi(struct source *s, double k, double two_pi, double *out)
     return 1;
 }
 
-/* Columns col .. ncol-1 of the fills z (k stacked m x m, C order), column
- * c being column c % m of fill c / m: j = c % m normals above the diagonal,
- * then the diagonal chi_df[j].
+/* Columns col .. ncol-1 of the fills z (k stacked m x m, entry (r, j) of
+ * fill f at z[f * m * m + r * rs + j * cs]: rs = m, cs = 1 in C order,
+ * rs = 1, cs = m in Fortran order), column c being column c % m of fill
+ * c / m: j = c % m normals above the diagonal, then the diagonal
+ * chi_df[j].
  *
  * With philox_state = {seed, stream, counter (4 words, low first)} the
  * uniforms are the Philox stream from uniform lane of that counter's block
@@ -155,6 +159,7 @@ static int chi(struct source *s, double k, double two_pi, double *out)
  * uniforms the finished columns consumed. */
 size_t triwish_bartlett_walk(const uint64_t *philox_state, size_t lane,
                              const double *u, size_t nu, double *z, size_t m,
+                             size_t rs, size_t cs,
                              size_t col, size_t ncol, const double *df,
                              double two_pi, size_t *used)
 {
@@ -171,10 +176,10 @@ size_t triwish_bartlett_walk(const uint64_t *philox_state, size_t lane,
     }
     for (; col < ncol; col++) {
         size_t j = col % m, r;
-        double *top = z + col / m * m * m + j;
-        for (r = 0; r < j && normal(&s, two_pi, top + r * m); r++)
+        double *top = z + col / m * m * m + j * cs;
+        for (r = 0; r < j && normal(&s, two_pi, top + r * rs); r++)
             ;
-        if (r < j || !chi(&s, df[j], two_pi, top + j * m))
+        if (r < j || !chi(&s, df[j], two_pi, top + j * rs))
             break;
         done = taken(&s);
     }

@@ -100,7 +100,7 @@ def cmd_sample(args):
         counter = OpCounter()
         draw = sample_invwishart(rng, spec, algorithm, counter=counter)
         if args.square:
-            draw = check_draw(gram_ut(draw), factor=False)
+            draw = check_draw(gram_ut(draw))
         mats.append(draw)
     factor_out = args.retcholu and not args.square
     kind = matio.KIND_CHOLU if factor_out else matio.KIND_SQUARE
@@ -223,11 +223,14 @@ def cmd_validate(args):
 
 
 def cmd_bench(args):
-    reps = max(args.reps, 1)
+    reps = args.reps
     sizes = args.m or [200]
+    # Checked before anything is timed, so no table is printed for a bad run.
+    if reps < 1:
+        raise InvalidParameter(f"--reps must be a positive integer, got {reps}")
+    if min(sizes) < 1:
+        raise InvalidParameter(f"--m must be a positive integer, got {min(sizes)}")
     for m in sizes:
-        if m < 1:
-            raise InvalidParameter("--m must be a positive integer")
         n = float(m + 2)
         values = np.linspace(0.5, 2.0, m)
         matrix = np.diag(np.sqrt(values)) if args.ischolu else np.diag(values)

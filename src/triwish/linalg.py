@@ -1,11 +1,20 @@
 """Dense square/upper-triangular matrix kernels with operation counting.
 
-Matrices are plain float64 numpy arrays of shape (m, m), row-major, with
-upper-triangular matrices storing explicit zeros below the diagonal.  The
-three O(m^3) kernels (Cholesky factorization, triangular inversion,
-triangular multiplication) are thin instrumented wrappers over LAPACK's
-POTRF/TRTRI and BLAS's TRMM; every call increments exactly one field of
-the supplied :class:`OpCounter`.
+Matrices are float64 numpy arrays of shape (m, m), with upper-triangular
+matrices storing explicit zeros below the diagonal.  The three O(m^3)
+kernels (Cholesky factorization, triangular inversion, triangular
+multiplication) are thin instrumented wrappers over LAPACK's POTRF/TRTRI
+and BLAS's TRMM; every call increments exactly one field of the supplied
+:class:`OpCounter`.  They accept any memory layout and return arrays in
+Fortran (column-major) order, the layout LAPACK and BLAS work in; a
+C-ordered operand costs a transposing copy before the call.
+
+Ownership: by default the wrappers check their inputs (shape, finite
+entries, symmetry for the Cholesky input) and leave them untouched.  With
+``owned=True`` the caller declares that it built the operand itself in
+Fortran order and has no further use for it: the input checks are skipped
+and LAPACK/BLAS overwrite it in place.  The samplers pass the flag only
+for matrices made within the same draw, never for a caller's scale.
 
 Counting convention: forming the symmetric products U^T U and V V^T each
 counts as one TRMM call (an actual LAPACK build might use LAUUM or SYRK
@@ -67,30 +76,32 @@ def check_cholesky_factor(u, name="factor"):
     return u
 
 
-def chol_upper(x, counter=None):
+def chol_upper(x, counter=None, *, owned=False):
     """Upper Cholesky factor U of a positive definite X, with X = U^T U.
 
     X must be symmetric to within SYMMETRY_RTOL (the upper triangle is the
     authority; only it is read by the factorization).  Counts one POTRF.
+    With ``owned`` (see the module docstring) U overwrites X.
 
     Raises NotPositiveDefinite if a pivot is non-positive or non-finite;
     the 1-based index of the failing pivot is attached to the exception.
     """
-    x = as_square(x)
-    if not np.isfinite(x).all():
-        raise NotPositiveDefinite("matrix has non-finite entries")
-    # An exactly symmetric matrix (every one the package builds) passes
-    # without the tolerance test's temporaries.
-    if not np.array_equal(x, x.T):
-        asym = np.abs(x - x.T).max()
-        if asym > SYMMETRY_RTOL * max(np.abs(x).max(), 1e-300):
-            raise InvalidParameter(
-                f"matrix is not symmetric: max |x_ij - x_ji| = {asym:g} "
-                f"exceeds {SYMMETRY_RTOL:g} * max|x_ij|"
-            )
+    if not owned:
+        x = as_square(x)
+        if not np.isfinite(x).all():
+            raise NotPositiveDefinite("matrix has non-finite entries")
+        # An exactly symmetric matrix passes without the tolerance test's
+        # temporaries.
+        if not np.array_equal(x, x.T):
+            asym = np.abs(x - x.T).max()
+            if asym > SYMMETRY_RTOL * max(np.abs(x).max(), 1e-300):
+                raise InvalidParameter(
+                    f"matrix is not symmetric: max |x_ij - x_ji| = {asym:g} "
+                    f"exceeds {SYMMETRY_RTOL:g} * max|x_ij|"
+                )
     if counter is not None:
         counter.potrf += 1
-    u, info = lapack.dpotrf(x, lower=0)
+    u, info = lapack.dpotrf(x, lower=0, overwrite_a=owned)
     if info > 0:
         raise NotPositiveDefinite(
             f"matrix is not positive definite (pivot {info} failed)", pivot=info
@@ -100,16 +111,23 @@ def chol_upper(x, counter=None):
     return u
 
 
-def tri_inverse(u, counter=None):
-    """Inverse of an upper-triangular matrix.  Counts one TRTRI."""
-    u = as_square(u)
-    # Array methods: np.diag and np.any cost more than the m=1 kernel.
-    zero = u.diagonal() == 0.0
-    if zero.any():
-        raise SingularMatrix(f"triangular matrix has zero diagonal entry {int(zero.argmax()) + 1}")
+def tri_inverse(u, counter=None, *, owned=False):
+    """Inverse of an upper-triangular matrix.  Counts one TRTRI.
+
+    With ``owned`` (see the module docstring) the inverse overwrites u.  A
+    zero diagonal entry raises SingularMatrix, and so does an inverse that
+    overflows, with or without ``owned``.
+    """
+    if not owned:
+        u = as_square(u)
+        # Array methods: np.diag and np.any cost more than the m=1 kernel.
+        zero = u.diagonal() == 0.0
+        if zero.any():
+            raise SingularMatrix(
+                f"triangular matrix has zero diagonal entry {int(zero.argmax()) + 1}")
     if counter is not None:
         counter.trtri += 1
-    r, info = lapack.dtrtri(u, lower=0)
+    r, info = lapack.dtrtri(u, lower=0, overwrite_c=owned)
     if info > 0:
         raise SingularMatrix(f"triangular matrix is singular at diagonal entry {info}")
     if not np.isfinite(r).all():
@@ -117,15 +135,20 @@ def tri_inverse(u, counter=None):
     return r
 
 
-def tri_mul(c, x, counter=None):
-    """Product C @ X of two upper-triangular matrices.  Counts one TRMM."""
-    c = as_square(c)
-    x = as_square(x)
-    if c.shape != x.shape:
-        raise DimensionMismatch(f"cannot multiply shapes {c.shape} and {x.shape}")
+def tri_mul(c, x, counter=None, *, owned=False):
+    """Product C @ X of two upper-triangular matrices.  Counts one TRMM.
+
+    With ``owned`` (see the module docstring) the product overwrites x;
+    c is only read.
+    """
+    if not owned:
+        c = as_square(c)
+        x = as_square(x)
+        if c.shape != x.shape:
+            raise DimensionMismatch(f"cannot multiply shapes {c.shape} and {x.shape}")
     if counter is not None:
         counter.trmm += 1
-    return blas.dtrmm(1.0, c, x, side=0, lower=0, trans_a=0)
+    return blas.dtrmm(1.0, c, x, side=0, lower=0, trans_a=0, overwrite_b=owned)
 
 
 @lru_cache(maxsize=32)
@@ -136,36 +159,54 @@ def _strictly_lower(m):
     return mask
 
 
+# Columns per panel of the in-place mirror.
+_PANEL = 64
+
+
 def _mirror_upper(raw):
-    """``np.triu(raw) + np.triu(raw, 1).T``, bit for bit, in one pass.
+    """Overwrite raw with ``np.triu(raw) + np.triu(raw, 1).T``, bit for bit.
 
     Each entry of that sum adds 0.0 to the kept entry, which turns -0.0
-    into +0.0; adding 0.0 in place here does the same.  The mask is cached:
-    building it dominated the symmetrizing step at small m.
+    into +0.0; adding 0.0 in place here does the same.  The lower triangle
+    is written one panel of _PANEL columns at a time, so no temporary
+    exceeds a panel: a whole-matrix temporary (320 KB at m = 200) kept
+    landing on freshly mapped pages.  The masks are cached: building them
+    dominated the symmetrizing step at small m.
     """
-    out = np.where(_strictly_lower(raw.shape[0]), raw.T, raw)
-    out += 0.0
-    return out
+    m = raw.shape[0]
+    for j in range(0, m, _PANEL):
+        e = min(j + _PANEL, m)
+        if e < m:
+            raw[e:, j:e] = raw[j:e, e:].T
+        block = raw[j:e, j:e]
+        np.copyto(block, block.T, where=_strictly_lower(e - j))
+    raw += 0.0
+    return raw
 
 
-def gram_ut(u, counter=None):
+def gram_ut(u, counter=None, *, owned=False):
     """Symmetric product U^T U, exactly symmetric by construction.
 
     The upper triangle of the BLAS result is mirrored onto the lower so the
     output is bitwise symmetric.  Counts one TRMM (see module docstring).
+    U is both operands of the TRMM, so the product never overwrites it;
+    ``owned`` only skips the input check.
     """
-    u = as_square(u)
+    if not owned:
+        u = as_square(u)
     if counter is not None:
         counter.trmm += 1
     return _mirror_upper(blas.dtrmm(1.0, u, u, side=0, lower=0, trans_a=1))
 
 
-def gram_vt(v, counter=None):
+def gram_vt(v, counter=None, *, owned=False):
     """Symmetric product V V^T, exactly symmetric by construction.
 
-    Counts one TRMM, matching the cost model of :func:`gram_ut`.
+    Counts one TRMM, matching the cost model of :func:`gram_ut`; ``owned``
+    as there.
     """
-    v = as_square(v)
+    if not owned:
+        v = as_square(v)
     if counter is not None:
         counter.trmm += 1
     return _mirror_upper(blas.dtrmm(1.0, v, v, side=1, lower=0, trans_a=1))

@@ -28,7 +28,9 @@ order in C with the scalar draws' operations, computing the Philox uniforms
 from the stream's seed, id and position, and the stream then skips exactly
 the uniforms the column-by-column loop consumes: same bytes, same position
 after.  Where the walk cannot be built or loaded, every fill runs the scalar
-loop, which stays the reference.
+loop, which stays the reference.  On either path a single fill is an (m, m)
+array in Fortran order, which the kernels take without a copy, and a batch
+is a C-ordered (k, m, m) array.
 """
 
 import math
@@ -137,7 +139,7 @@ FILL_BATCH_MIN_M = 6
 def _fill_scalar(rng, m, diag_df):
     normal = rng.standard_normal
     chi = rng.chi
-    z = np.zeros((m, m))
+    z = np.zeros((m, m), order="F")
     for j in range(m):
         if j:
             z[:j, j] = [normal() for _ in range(j)]
@@ -149,20 +151,23 @@ def _fill_one(rng, m, diag_df):
     # Tested first, the bound keeps small fills from building the walk.
     if m < FILL_BATCH_MIN_M or compiled_loop() is None:
         return _fill_scalar(rng, m, diag_df)
-    return _fill_walk(rng, m, diag_df, 1)[0]
+    return _fill_walk(rng, m, diag_df, 1, fortran=True)[0]
 
 
 def _fill_many(rng, m, diag_df, k):
     if compiled_loop() is None:
-        return np.stack([_fill_scalar(rng, m, diag_df) for _ in range(k)])
+        return np.array([_fill_scalar(rng, m, diag_df) for _ in range(k)])
     return _fill_walk(rng, m, diag_df, k)
 
 
-def _fill_walk(rng, m, diag_df, k):
-    # k fills in a row are one stream of k*m columns.
-    df = np.array([diag_df(j + 1) for j in range(m)], dtype=float)
+def _fill_walk(rng, m, diag_df, k, fortran=False):
+    # k fills in a row are one stream of k*m columns, each fill in Fortran
+    # order or the whole (k, m, m) array in C order.  For a float n, diag_df
+    # on the floats 1..m makes the IEEE operations it makes on each int j.
     out = np.zeros((k, m, m))
-    rng.skip(walk_fills(rng, out, df))
+    if fortran:
+        out = out.transpose(0, 2, 1)
+    rng.skip(walk_fills(rng, out, diag_df(np.arange(1.0, m + 1.0))))
     return out
 
 
@@ -208,20 +213,23 @@ def cholesky_upper_param(scale, invert, counter=None):
     With ``invert`` the factor U of S is inverted (TRTRI), squared into
     S^-1 = (U^-1)(U^-1)^T (TRMM), and re-factorized (POTRF); without it the
     factor is computed directly, or passed through untouched when the scale
-    is already a factor.
+    is already a factor.  Only the scale is checked: the matrices built from
+    it here are factored and inverted in place.  The result is a new array
+    in Fortran order, or ``scale.matrix`` itself when it is passed through.
     """
     if invert:
         u = scale.matrix if scale.ischolu else chol_upper(scale.matrix, counter)
-        c = tri_inverse(u, counter)
-        p = gram_vt(c, counter)
-        return chol_upper(p, counter)
+        c = tri_inverse(u, counter, owned=u is not scale.matrix)
+        p = gram_vt(c, counter, owned=True)
+        return chol_upper(p, counter, owned=True)
     if scale.ischolu:
         return scale.matrix
     return chol_upper(scale.matrix, counter)
 
 
 def rwishart_chol(rng, m, n, u_sigma, counter=None):
-    """Cholesky-Wishart draw: Bartlett factor times the scale factor (one TRMM)."""
+    """Cholesky-Wishart draw: Bartlett factor times the scale factor (one
+    TRMM), which is left untouched."""
     z = draw_bartlett_wishart(rng, m, n)
     return tri_mul(z, u_sigma, counter)
 
@@ -230,12 +238,22 @@ def rinvwishart_chol(rng, m, n, u_omega, counter=None):
     """Cholesky-inverse-Wishart draw without any factorization.
 
     Inverts the Bartlett-type factor (one TRTRI) and multiplies by the
-    precision-side factor (one TRMM).  The chi diagonal is strictly
-    positive, so the inversion cannot fail.
+    precision-side factor (one TRMM), which is left untouched.  The chi
+    diagonal is strictly positive, so the inversion cannot fail.
     """
     z = draw_bartlett_invwishart(rng, m, n)
-    c = tri_inverse(z, counter)
+    c = tri_inverse(z, counter, owned=True)
     return tri_mul(c, u_omega, counter)
+
+
+# The routes pass owned=True for each matrix the draw builds itself: the
+# fill, every product, and the setup factor unless it is the caller's scale
+# matrix.  Those are checked once, as the returned draw (check_draw), and
+# LAPACK/BLAS overwrite them in place.
+def _setup_factor(scale, invert, counter):
+    """:func:`cholesky_upper_param`, and whether the draw owns the factor."""
+    u = cholesky_upper_param(scale, invert, counter)
+    return u, u is not scale.matrix
 
 
 def rinvwishart_indirect(rng, spec, counter=None):
@@ -244,12 +262,11 @@ def rinvwishart_indirect(rng, spec, counter=None):
     Returns the matrix, or its upper Cholesky factor if ``spec.retcholu``
     (which costs one extra POTRF on this route).
     """
-    u_sigma = cholesky_upper_param(spec.scale, not spec.scale.iscov, counter)
-    u_a = rwishart_chol(rng, spec.m, spec.n, u_sigma, counter)
-    v = tri_inverse(u_a, counter)
-    b = gram_vt(v, counter)
+    u_sigma, owned = _setup_factor(spec.scale, not spec.scale.iscov, counter)
+    u_a = tri_mul(draw_bartlett_wishart(rng, spec.m, spec.n), u_sigma, counter, owned=owned)
+    b = gram_vt(tri_inverse(u_a, counter, owned=True), counter, owned=True)
     if spec.retcholu:
-        return chol_upper(b, counter)
+        return chol_upper(b, counter, owned=True)
     return b
 
 
@@ -259,25 +276,26 @@ def rinvwishart_direct(rng, spec, counter=None):
     With ``spec.retcholu`` the factor is returned as-is (no extra work);
     otherwise one TRMM squares it up into the full matrix.
     """
-    u_omega = cholesky_upper_param(spec.scale, spec.scale.iscov, counter)
-    u_b = rinvwishart_chol(rng, spec.m, spec.n, u_omega, counter)
+    u_omega, owned = _setup_factor(spec.scale, spec.scale.iscov, counter)
+    c = tri_inverse(draw_bartlett_invwishart(rng, spec.m, spec.n), counter, owned=True)
+    u_b = tri_mul(c, u_omega, counter, owned=owned)
     if spec.retcholu:
         return u_b
-    return gram_ut(u_b, counter)
+    return gram_ut(u_b, counter, owned=True)
 
 
-def check_draw(x, factor):
+def check_draw(x):
     """Return the draw x after one O(m^2) scan.
 
     With a scale near either end of the double range the kernels can
     overflow or underflow.  Raises NumericalFailure if an entry of x is not
-    finite, or if x is a factor (``factor`` true) with a diagonal entry that
-    is not positive.
+    finite, or if a diagonal entry is not positive: a factor and a positive
+    definite matrix both have a positive diagonal.
     """
     if not np.isfinite(x).all():
         raise NumericalFailure("draw is not finite: the scale is too close to the double range's ends")
-    if factor and not x.diagonal().min() > 0.0:
-        raise NumericalFailure("draw is a factor with a diagonal entry that is not positive")
+    if not x.diagonal().min() > 0.0:
+        raise NumericalFailure("draw has a diagonal entry that is not positive")
     return x
 
 
@@ -289,9 +307,9 @@ def rwishart(rng, spec, counter=None):
     """
     if not spec.scale.iscov:
         raise InvalidParameter("Wishart sampling expects a covariance-side scale (iscov)")
-    u_sigma = cholesky_upper_param(spec.scale, False, counter)
-    u_a = rwishart_chol(rng, spec.m, spec.n, u_sigma, counter)
-    return check_draw(u_a if spec.retcholu else gram_ut(u_a, counter), spec.retcholu)
+    u_sigma, owned = _setup_factor(spec.scale, False, counter)
+    u_a = tri_mul(draw_bartlett_wishart(rng, spec.m, spec.n), u_sigma, counter, owned=owned)
+    return check_draw(u_a if spec.retcholu else gram_ut(u_a, counter, owned=True))
 
 
 def recommend_algorithm(scale):
@@ -317,7 +335,7 @@ def sample_invwishart(rng, spec, algorithm, counter=None):
         draw = rinvwishart_direct(rng, spec, counter)
     else:
         raise InvalidParameter(f"unknown algorithm {algorithm!r}")
-    return check_draw(draw, spec.retcholu)
+    return check_draw(draw)
 
 
 # (trtri, trmm, potrf) for every parameterization x route x output form.

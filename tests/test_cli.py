@@ -445,6 +445,21 @@ def test_bench_rejects_bad_m(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--reps", "0"],
+    ["--reps", "-1"],
+    ["--m", "4", "--reps", "0"],
+    ["--m", "4", "--m", "0", "--reps", "2"],
+    ["--m", "-3", "--m", "4"],
+])
+def test_bench_rejects_bad_sizes_before_timing(capsys, argv):
+    rc = run_cli(["bench", *argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "must be a positive integer" in captured.err
+
+
 def test_scale_file_can_hold_factor(tmp_path):
     u_sigma = cholesky_upper_param(ScaleParam(SIGMA_2), invert=False)
     chol_path = write_scale(tmp_path, u_sigma, "factor.csv", kind=matio.KIND_CHOLU)
@@ -500,11 +515,17 @@ _FLAG = st.one_of(
     st.tuples(st.just("--format"), st.sampled_from(["csv", "ndjson", "xml"])).map(list),
     st.tuples(st.just("--out"), st.sampled_from(["@out", "@dir", "-"])).map(list),
 )
+_SMALL = st.sampled_from(["-1", "0", "1", "2", "3", "x"])
+# validate and bench always get a small workload: an --only set of fast
+# checks (or none that match), and --m and --reps of at most 3.
 _HEAD = st.one_of(
     st.just(["sample"]),
     st.just(["opcount"]),
     st.tuples(st.just("density"), st.sampled_from(["wishart", "invwishart", "cholwishart",
                                                    "cholinvwishart", "x"]), _FILE).map(list),
+    st.tuples(st.just("validate"), st.just("--only"),
+              st.sampled_from(["errors", "jacobian.chol", "opcount", "cli", "zzz"])).map(list),
+    st.tuples(st.just("bench"), st.just("--m"), _SMALL, st.just("--reps"), _SMALL).map(list),
 )
 
 

@@ -126,6 +126,18 @@ def test_golden_fill_digests_when_the_loop_cannot_be_built(tmp_path, monkeypatch
         assert not any(cache.iterdir())  # the temporary file is gone
 
 
+@pytest.mark.parametrize("loop", ["as built", "none"])
+def test_single_fills_are_fortran_ordered_and_batches_c_ordered(monkeypatch, loop):
+    # The kernels take a Fortran-ordered fill without a copy; batches keep
+    # C order, which the validation checks' sums over them depend on.
+    if loop == "none":
+        monkeypatch.setattr(rng_module, "_loop", None)
+    for m in (2, samplers.FILL_BATCH_MIN_M - 1, samplers.FILL_BATCH_MIN_M, 30):
+        for name in FILLS:
+            assert FILLS[name](RngStream(m), m, m + 2.0).flags.f_contiguous
+            assert MANY[name](RngStream(m), m, m + 2.0, 3).flags.c_contiguous
+
+
 def test_golden_covers_the_crossover():
     c = samplers.FILL_BATCH_MIN_M
     assert {c - 1, c} <= set(GOLDEN_M)
@@ -135,7 +147,8 @@ def test_single_fill_threshold_follows_the_loaded_loop(monkeypatch):
     walk_ms = []
     walk = samplers._fill_walk
     monkeypatch.setattr(samplers, "_fill_walk",
-                        lambda rng, m, diag_df, k: walk_ms.append(m) or walk(rng, m, diag_df, k))
+                        lambda rng, m, diag_df, k, **kw: walk_ms.append(m)
+                        or walk(rng, m, diag_df, k, **kw))
     # Fills below FILL_BATCH_MIN_M never build or load the loop.
     monkeypatch.setattr(rng_module, "_loop", rng_module._NOT_LOADED)
     for m in (1, samplers.FILL_BATCH_MIN_M - 1):
@@ -272,8 +285,13 @@ def test_first_attempt_with_v_not_positive_is_not_accepted(compiled_walk):
 
 def test_column_walk_rejects_arrays_it_cannot_walk(compiled_walk):
     u, z, df = np.full(10, 0.5), np.zeros((1, 2, 2)), np.full(2, 5.0)
+    # Fills are walked in C order or in Fortran order; fills whose rows or
+    # columns are spaced out are refused.
     for args in ((u[::2], z, 0, 2, df),
                  (u, z.astype(np.float32), 0, 2, df),
+                 (u, np.zeros((1, 2, 4))[:, :, :2], 0, 2, df),
+                 (u, np.zeros((1, 2, 4)).transpose(0, 2, 1)[:, :2, :], 0, 2, df),
+                 (u, np.zeros((4, 2, 2))[::2], 0, 2, df),
                  (u, np.zeros((2, 2, 1)), 0, 2, df),
                  (u, z, 0, 2, np.full(3, 5.0)),
                  (u, z, 0, 3, df),
@@ -283,7 +301,13 @@ def test_column_walk_rejects_arrays_it_cannot_walk(compiled_walk):
     for bad in (0.0, -1.0, np.nan):
         with pytest.raises(InvalidDegreesOfFreedom):
             compiled_walk(u, z, 0, 2, np.array([5.0, bad]))
-    assert compiled_walk(u, z, 0, 2, df)[0] == 2
+    walked = []
+    for fills in (z, np.zeros((3, 2, 2)).transpose(0, 2, 1), np.zeros((2, 2), order="F")[None]):
+        assert compiled_walk(u, fills, 0, 2, df)[0] == 2
+        walked.append(fills[0].tobytes())
+        # Column 1's normal lands above the diagonal, in either order.
+        assert fills[0, 0, 1] < 0.0 and fills[0, 1, 0] == 0.0
+    assert walked[0] == walked[1] == walked[2]
 
 
 _U53 = 2.0 ** -53

@@ -114,7 +114,7 @@ def test_gram_symmetrization_matches_triu_reference_bits():
     from scipy.linalg import blas
 
     rng = np.random.default_rng(17)
-    for m in (1, 2, 4, 7, 33):
+    for m in (1, 2, 4, 7, 33, 64, 65, 130):
         u = np.triu(rng.standard_normal((m, m)))
         u[0, 0] = -0.0
         for got, raw in (
@@ -133,12 +133,28 @@ def test_mirror_matches_the_two_pass_expression_bits():
     raw[0, 2], raw[2, 0] = np.nan, -np.nan
     raw[1, 1], raw[1, 4], raw[4, 1] = -np.inf, np.inf, -np.inf
     raw[2, 4] = -np.nan
-    got = linalg._mirror_upper(raw).tobytes()
+    got = linalg._mirror_upper(raw.copy()).tobytes()
     assert got == (np.triu(raw) + np.triu(raw, 1).T).tobytes()
     two_pass = (np.where(np.tri(5, k=-1, dtype=bool), 0.0, raw)
                 + np.where(np.tri(5, k=0, dtype=bool), 0.0, raw).T)
     assert got == two_pass.tobytes()
     assert np.signbit(linalg._mirror_upper(raw)[[0, 1, 3], [0, 3, 1]]).tolist() == [False] * 3
+    assert raw.tobytes() == got  # in place
+
+
+def test_mirror_matches_the_two_pass_expression_bits_across_panels():
+    # Three panels of columns, each order, with special values in every
+    # panel pair.
+    rng = np.random.default_rng(3)
+    m = 2 * linalg._PANEL + 7
+    raw = rng.standard_normal((m, m))
+    at = rng.integers(0, m, size=(60, 2))
+    raw[at[:20, 0], at[:20, 1]] = -0.0
+    raw[at[20:40, 0], at[20:40, 1]] = -np.nan
+    raw[at[40:, 0], at[40:, 1]] = -np.inf
+    want = (np.triu(raw) + np.triu(raw, 1).T).tobytes()
+    for order in "CF":
+        assert linalg._mirror_upper(np.array(raw, order=order)).tobytes() == want
 
 
 def test_gram_ut_matches_naive_triple_loop():
@@ -223,6 +239,77 @@ def test_counter_optional():
     tri_mul(u, u)
     gram_ut(u)
     gram_vt(u)
+
+
+def _operands(order):
+    spd = np.array([[4.0, 2.0, 0.4], [2.0, 5.0, 1.0], [0.4, 1.0, 3.0]], order=order)
+    tri = np.array(np.triu(spd), order=order)
+    return spd, tri
+
+
+PUBLIC_CALLS = {
+    "chol_upper": lambda spd, tri: chol_upper(spd),
+    "tri_inverse": lambda spd, tri: tri_inverse(tri),
+    "tri_mul": lambda spd, tri: tri_mul(tri, tri),
+    "gram_ut": lambda spd, tri: gram_ut(tri),
+    "gram_vt": lambda spd, tri: gram_vt(tri),
+}
+
+
+@pytest.mark.parametrize("order", "CF")
+@pytest.mark.parametrize("name", sorted(PUBLIC_CALLS))
+def test_public_calls_leave_inputs_untouched(name, order):
+    spd, tri = _operands(order)
+    before = spd.tobytes(), tri.tobytes()
+    out = PUBLIC_CALLS[name](spd, tri)
+    assert (spd.tobytes(), tri.tobytes()) == before
+    assert not np.shares_memory(out, spd) and not np.shares_memory(out, tri)
+    # Each order gives the same bits.
+    assert out.tobytes() == PUBLIC_CALLS[name](*_operands("C" if order == "F" else "F")).tobytes()
+
+
+@pytest.mark.parametrize("order", "CF")
+def test_public_calls_keep_their_input_checks(order):
+    spd, tri = _operands(order)
+    with pytest.raises(DimensionMismatch):
+        chol_upper(np.ones((2, 3), order=order))
+    with pytest.raises(DimensionMismatch):
+        tri_inverse(np.ones((2, 3), order=order))
+    with pytest.raises(DimensionMismatch):
+        tri_mul(tri, np.eye(2, order=order))
+    for gram in (gram_ut, gram_vt):
+        with pytest.raises(DimensionMismatch):
+            gram(np.ones(3))
+    bad = spd.copy(order="K")
+    bad[1, 1] = np.inf
+    with pytest.raises(NotPositiveDefinite, match="non-finite"):
+        chol_upper(bad)
+    asym = spd.copy(order="K")
+    asym[0, 2] += 1e-3
+    with pytest.raises(InvalidParameter, match="not symmetric"):
+        chol_upper(asym)
+    singular = tri.copy(order="K")
+    singular[1, 1] = 0.0
+    with pytest.raises(SingularMatrix, match="zero diagonal entry 2"):
+        tri_inverse(singular)
+
+
+def test_owned_calls_work_in_place_and_match_public_bits():
+    spd, tri = _operands("F")
+    for name, owned_call, operand in (
+        ("chol_upper", lambda x: chol_upper(x, owned=True), spd),
+        ("tri_inverse", lambda x: tri_inverse(x, owned=True), tri),
+        ("tri_mul", lambda x: tri_mul(tri, x, owned=True), tri),
+    ):
+        want = PUBLIC_CALLS[name](spd, tri).tobytes()
+        x = operand.copy(order="F")
+        out = owned_call(x)
+        assert np.shares_memory(out, x), name
+        assert out.tobytes() == want, name
+    for gram in (gram_ut, gram_vt):
+        x = tri.copy(order="F")
+        assert gram(x, owned=True).tobytes() == gram(tri).tobytes()
+        assert x.tobytes() == tri.tobytes()  # TRMM reads u twice; it stays
 
 
 def test_opcounter_helpers():

@@ -274,6 +274,42 @@ def test_counter_all_sixteen_combinations():
         assert counter == expected, (kind, algorithm, retcholu)
 
 
+def _spd(m, seed):
+    g = np.random.default_rng(seed).standard_normal((m, m))
+    a = g @ g.T / m + np.eye(m)
+    return (a + a.T) / 2.0
+
+
+@pytest.mark.parametrize("m", [4, 9])
+def test_draws_leave_the_callers_scale_untouched(m):
+    # The routes overwrite the matrices each draw builds, never the scale:
+    # C- and F-ordered scales (F-ordered upper factors for the _chol
+    # parameterizations) keep their bytes, and give the same draws.
+    a = _spd(m, m)
+    factor = np.triu(np.linalg.cholesky(a).T)
+    draws = {}
+    for order in "CF":
+        matrices = {"cov": np.array(a, order=order), "prec": np.array(a, order=order),
+                    "cov_chol": np.array(factor, order=order),
+                    "prec_chol": np.array(factor, order=order)}
+        before = {kind: x.copy(order="K") for kind, x in matrices.items()}
+        scales = {kind: ScaleParam(x, iscov=kind.startswith("cov"), ischolu=kind.endswith("_chol"))
+                  for kind, x in matrices.items()}
+        rng = RngStream(4)
+        out = []
+        for kind, algorithm, retcholu in EXPECTED_OP_COUNTS:
+            spec = SamplerSpec(m, m + 1.5, scales[kind], retcholu=retcholu)
+            out.append(sample_invwishart(rng, spec, algorithm))
+            if kind.startswith("cov"):
+                out.append(rwishart(rng, spec))
+        for kind, x in matrices.items():
+            assert scales[kind].matrix is x
+            assert x.tobytes(order="A") == before[kind].tobytes(order="A")
+            assert x.flags.f_contiguous == (order == "F")
+        draws[order] = [x.tobytes() for x in out]
+    assert draws["C"] == draws["F"]
+
+
 def test_recommend_algorithm():
     assert recommend_algorithm(ScaleParam(np.eye(2), iscov=True)) == INDIRECT
     assert recommend_algorithm(ScaleParam(np.eye(2), iscov=True, ischolu=True)) == INDIRECT
@@ -381,6 +417,11 @@ def test_draws_past_the_double_range_raise():
     tiny = ScaleParam(np.array([[5e-324]]), iscov=False, ischolu=True)
     with pytest.raises(NumericalFailure, match="not positive"):
         sample_invwishart(RngStream(1), SamplerSpec(1, 100.0, tiny, retcholu=True), DIRECT)
+    # The Wishart factor 1e308 * chi overflows, and its inverse rounds to a
+    # zero draw, which no inverse-Wishart matrix is.
+    big = ScaleParam(np.array([[1e308]]), ischolu=True)
+    with pytest.raises(NumericalFailure, match="not positive"):
+        sample_invwishart(RngStream(1), SamplerSpec(1, 30.0, big), INDIRECT)
 
 
 @settings(max_examples=100, deadline=None)
@@ -405,8 +446,8 @@ def test_any_draw_raises_or_is_well_formed(m, n, entries, gram, kind, algorithm,
     except TriwishError:
         return
     assert np.isfinite(x).all()
+    assert (np.diag(x) > 0).all()
     if retcholu:
         assert np.array_equal(x, np.triu(x))
-        assert (np.diag(x) > 0).all()
     else:
         assert np.array_equal(x, x.T)
