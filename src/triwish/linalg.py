@@ -159,7 +159,6 @@ def _strictly_lower(m):
     return mask
 
 
-# Columns per panel of the in-place mirror.
 _PANEL = 64
 
 
