@@ -24,8 +24,8 @@ from triwish import (
     SamplerSpec,
     ScaleParam,
     ks_two_sample,
+    prepare,
     recommend_algorithm,
-    sample_invwishart,
 )
 
 m, n = 3, 8.0
@@ -33,15 +33,11 @@ sigma = np.array([[2.0, 0.5, 0.2], [0.5, 1.5, 0.3], [0.2, 0.3, 1.0]])
 scale = ScaleParam(sigma, iscov=True)
 spec = SamplerSpec(m, n, scale)
 
-# Draw 20,000 matrices through each route from independent streams.
+# Draw 20,000 matrices through each route from independent streams.  Each
+# route is set up once (prepare) and then drawn from in one batch.
 nsamples = 20_000
-rng_a = RngStream(7, stream=0)
-rng_b = RngStream(7, stream=1)
-via_indirect = np.empty((nsamples, m, m))
-via_direct = np.empty((nsamples, m, m))
-for i in range(nsamples):
-    via_indirect[i] = sample_invwishart(rng_a, spec, INDIRECT)
-    via_direct[i] = sample_invwishart(rng_b, spec, DIRECT)
+via_indirect = prepare(spec, INDIRECT).draw_many(RngStream(7, stream=0), nsamples)
+via_direct = prepare(spec, DIRECT).draw_many(RngStream(7, stream=1), nsamples)
 
 # Entry-by-entry two-sample KS tests cannot tell the routes apart.
 print(f"two-sample KS per entry, {nsamples} draws per route:")

@@ -14,6 +14,7 @@ precision, draw after draw.
 import numpy as np
 
 from triwish import (
+    WISHART,
     RngStream,
     SamplerSpec,
     ScaleParam,
@@ -24,18 +25,22 @@ from triwish import (
     logkernel_invwishart,
     logkernel_cholinvwishart,
     logkernel_wishart,
-    rwishart_chol,
-    sample_invwishart,
+    prepare,
 )
 
 m, n = 3, 7.5
 sigma = np.array([[2.0, 0.5, 0.2], [0.5, 1.5, 0.3], [0.2, 0.3, 1.0]])
 u_sigma = chol_upper(sigma)
 rng = RngStream(99)
+# Wishart factor draws U_A = Z @ U_Sigma from the factor itself: with an
+# ischolu scale the plan's setup is free and each draw is one TRMM.
+wishart = prepare(
+    SamplerSpec(m, n, ScaleParam(u_sigma, iscov=True, ischolu=True), retcholu=True), WISHART
+)
 
 # Wishart: factor kernel minus (matrix kernel + Jacobian) is constant.
 for _ in range(5):
-    u_a = rwishart_chol(rng, m, n, u_sigma)
+    u_a = wishart.draw(rng)
     a = gram_ut(u_a)
     off = logkernel_cholwishart(u_a, n, u_sigma) - (
         logkernel_wishart(a, n, u_sigma) + logjac_chol(u_a)
@@ -47,10 +52,10 @@ print(f"expected constant -m*log(2):      {-m * np.log(2.0):.15f}")
 n_iw = 6.5
 omega = np.linalg.inv(sigma)
 u_omega = chol_upper(omega)
-spec_iw = SamplerSpec(m, n_iw, ScaleParam(sigma, iscov=True), retcholu=True)
+invwishart = prepare(SamplerSpec(m, n_iw, ScaleParam(sigma, iscov=True), retcholu=True), "direct")
 print()
 for _ in range(5):
-    u_b = sample_invwishart(rng, spec_iw, "direct")
+    u_b = invwishart.draw(rng)
     b = gram_ut(u_b)
     off = logkernel_cholinvwishart(u_b, n_iw, u_omega) - (
         logkernel_invwishart(b, n_iw, u_omega) + logjac_chol(u_b)
@@ -60,8 +65,8 @@ print(f"expected constant -m*log(2):      {-m * np.log(2.0):.15f}")
 
 # The kernels are exactly what an MCMC sampler needs: ratios of densities at
 # two points are exact because the dropped constants cancel.
-u1 = rwishart_chol(rng, m, n, u_sigma)
-u2 = rwishart_chol(rng, m, n, u_sigma)
+u1 = wishart.draw(rng)
+u2 = wishart.draw(rng)
 ratio_factor = logkernel_cholwishart(u1, n, u_sigma) - logkernel_cholwishart(u2, n, u_sigma)
 ratio_matrix = (
     logkernel_wishart(gram_ut(u1), n, u_sigma)

@@ -20,7 +20,7 @@ from triwish import (
     ks_one_sample,
     logjac_tri_inverse,
     mc_mean_invwishart,
-    sample_invwishart,
+    prepare,
     tri_inverse,
 )
 
@@ -42,7 +42,7 @@ for j in range(1, m + 1):
 #    beyond the chi-square CDF.
 omega = 3.0
 spec1 = SamplerSpec(1, 6.0, ScaleParam(np.array([[omega]]), iscov=False))
-draws = np.array([sample_invwishart(rng, spec1, "direct")[0, 0] for _ in range(20_000)])
+draws = prepare(spec1, "direct").draw_many(rng, 20_000)[:, 0, 0]
 res = ks_one_sample(draws, lambda x: 1.0 - chi_square_cdf(omega / np.maximum(x, 1e-300), 6.0))
 print(f"\nm=1 inverse-gamma KS: D = {res.statistic:.4f}, p = {res.pvalue:.3f}")
 

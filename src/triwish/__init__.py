@@ -6,7 +6,8 @@ diagonals and standard-normal off-diagonals.  Two routes to an
 inverse-Wishart draw are provided — invert a Wishart factor, or build the
 inverse-Wishart factor directly — and every draw can report exactly which
 POTRF/TRTRI/TRMM kernels it spent, so the two routes can be compared both
-statistically and by operation count.
+statistically and by operation count.  ``prepare`` factors a scale once and
+returns a ``Plan`` to draw from repeatedly.
 """
 
 from .densities import (
@@ -35,17 +36,16 @@ from .samplers import (
     DIRECT,
     EXPECTED_OP_COUNTS,
     INDIRECT,
+    WISHART,
+    Plan,
     SamplerSpec,
     ScaleParam,
     cholesky_upper_param,
     draw_bartlett_invwishart,
     draw_bartlett_wishart,
+    prepare,
     recommend_algorithm,
-    rinvwishart_chol,
-    rinvwishart_direct,
-    rinvwishart_indirect,
     rwishart,
-    rwishart_chol,
     sample_invwishart,
 )
 from .validation import (
@@ -78,12 +78,14 @@ __all__ = [
     "NotPositiveDefinite",
     "NumericalFailure",
     "OpCounter",
+    "Plan",
     "RngStream",
     "SamplerSpec",
     "ScaleParam",
     "SingularMatrix",
     "TooFewSamples",
     "TriwishError",
+    "WISHART",
     "chi_square_cdf",
     "chol_upper",
     "cholesky_upper_param",
@@ -103,12 +105,9 @@ __all__ = [
     "mc_mean_invwishart",
     "mc_mean_wishart",
     "normal_cdf",
+    "prepare",
     "recommend_algorithm",
-    "rinvwishart_chol",
-    "rinvwishart_direct",
-    "rinvwishart_indirect",
     "rwishart",
-    "rwishart_chol",
     "rwishart_outer_oracle",
     "sample_invwishart",
     "tri_inverse",

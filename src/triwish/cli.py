@@ -38,7 +38,6 @@ from .errors import (
 from .linalg import OpCounter, gram_ut
 from .rng import RngStream
 from .samplers import (
-    AUTO,
     DIRECT,
     INDIRECT,
     SamplerSpec,
@@ -46,8 +45,7 @@ from .samplers import (
     _check_df,
     check_draw,
     cholesky_upper_param,
-    recommend_algorithm,
-    sample_invwishart,
+    prepare,
 )
 
 _FLAG = {False: "0", True: "1"}
@@ -90,18 +88,14 @@ def cmd_sample(args):
     spec = SamplerSpec(scale.dim, args.n, scale, retcholu=args.retcholu)
     if args.square and not args.retcholu:
         raise InvalidParameter("--square only applies with --retcholu")
-    algorithm = args.algorithm
-    if algorithm == AUTO:
-        algorithm = recommend_algorithm(scale)
     rng = RngStream(args.seed)
-    mats = []
-    counter = None
-    for _ in range(args.nsamples):
-        counter = OpCounter()
-        draw = sample_invwishart(rng, spec, algorithm, counter=counter)
-        if args.square:
-            draw = check_draw(gram_ut(draw))
-        mats.append(draw)
+    # The header's opcount books setup plus one draw.
+    counter = OpCounter()
+    plan = prepare(spec, args.algorithm, counter)
+    mats = [plan.draw(rng, counter)]
+    mats += [plan.draw(rng) for _ in range(args.nsamples - 1)]
+    if args.square:
+        mats = [check_draw(gram_ut(draw)) for draw in mats]
     factor_out = args.retcholu and not args.square
     kind = matio.KIND_CHOLU if factor_out else matio.KIND_SQUARE
     header = [
@@ -114,13 +108,13 @@ def cmd_sample(args):
             _FLAG[spec.retcholu],
             _FLAG[args.square],
         ),
-        f"algorithm={algorithm} requested={args.algorithm}",
+        f"algorithm={plan.algorithm} requested={args.algorithm}",
         f"seed={args.seed} nsamples={args.nsamples} format={args.format}",
         "opcount potrf={} trtri={} trmm={}".format(counter.potrf, counter.trtri, counter.trmm),
     ]
     matio.write_matrices(args.out, mats, kinds=kind, header=header, fmt=args.format)
     if args.out != "-":
-        print(f"wrote {args.nsamples} draw(s) to {args.out} [algorithm={algorithm}]")
+        print(f"wrote {args.nsamples} draw(s) to {args.out} [algorithm={plan.algorithm}]")
     return 0
 
 

@@ -1,19 +1,20 @@
 """Wishart and inverse-Wishart samplers built on triangular factors.
 
-Two routes produce an inverse-Wishart draw:
-
-* ``rinvwishart_indirect`` - the standard route: sample a Cholesky-Wishart
-  factor by the Bartlett construction, invert it, and square up.
-* ``rinvwishart_direct`` - the direct route: sample the Cholesky factor of
-  the inverse-Wishart matrix itself (inverse Bartlett factor times the
-  upper factor of the precision scale), so no factorization of the output
-  is ever needed.
-
-Both accept any of the four scale parameterizations (covariance, precision,
-or either one's upper Cholesky factor) via :class:`ScaleParam`, and both
-tally their POTRF/TRTRI/TRMM usage in an :class:`OpCounter`;
-``EXPECTED_OP_COUNTS`` records the exact tally for each combination.
-``recommend_algorithm`` picks the route with the cheaper tally.
+Every draw is a setup step and a per-draw step, as in Smith and Hocking's
+Bartlett generator (Algorithm AS 53).  Setup, :func:`prepare`, factors the
+scale once and returns a :class:`Plan`; its kernels depend only on the
+parameterization.  The per-draw step, :meth:`Plan.draw`, runs the fill and
+the route's TRTRI/TRMM kernels; its kernels depend only on the route and the
+output form.  Routes: ``'wishart'`` is the Bartlett factor times the factor
+of the covariance scale Sigma; the inverse-Wishart ``'indirect'`` route
+inverts that Wishart factor and squares up, and ``'direct'`` builds the
+inverse-Wishart factor itself, a flipped fill's inverse times the factor of
+the precision scale Omega, with no factorization of the output.  A scale
+comes in one of four parameterizations (:class:`ScaleParam`).
+``sample_invwishart`` and ``rwishart`` are setup plus one draw, as in a
+Gibbs sampler whose scale changes every step; ``EXPECTED_OP_COUNTS`` holds
+their exact POTRF/TRTRI/TRMM tally (:class:`OpCounter`) for each
+combination, and ``recommend_algorithm`` picks the cheaper route.
 
 Draw-order contract (seed reproducibility): the Bartlett-type fills consume
 randomness column by column, for j = 1..m drawing the j-1 off-diagonal
@@ -54,6 +55,7 @@ from .rng import compiled_loop, integer_value, walk_fills
 INDIRECT = "indirect"
 DIRECT = "direct"
 AUTO = "auto"
+WISHART = "wishart"
 
 
 @dataclass
@@ -227,63 +229,6 @@ def cholesky_upper_param(scale, invert, counter=None):
     return chol_upper(scale.matrix, counter)
 
 
-def rwishart_chol(rng, m, n, u_sigma, counter=None):
-    """Cholesky-Wishart draw: Bartlett factor times the scale factor (one
-    TRMM), which is left untouched."""
-    z = draw_bartlett_wishart(rng, m, n)
-    return tri_mul(z, u_sigma, counter)
-
-
-def rinvwishart_chol(rng, m, n, u_omega, counter=None):
-    """Cholesky-inverse-Wishart draw without any factorization.
-
-    Inverts the Bartlett-type factor (one TRTRI) and multiplies by the
-    precision-side factor (one TRMM), which is left untouched.  The chi
-    diagonal is strictly positive, so the inversion cannot fail.
-    """
-    z = draw_bartlett_invwishart(rng, m, n)
-    c = tri_inverse(z, counter, owned=True)
-    return tri_mul(c, u_omega, counter)
-
-
-# The routes pass owned=True for each matrix the draw builds itself: the
-# fill, every product, and the setup factor unless it is the caller's scale
-# matrix.  Those are checked once, as the returned draw (check_draw), and
-# LAPACK/BLAS overwrite them in place.
-def _setup_factor(scale, invert, counter):
-    """:func:`cholesky_upper_param`, and whether the draw owns the factor."""
-    u = cholesky_upper_param(scale, invert, counter)
-    return u, u is not scale.matrix
-
-
-def rinvwishart_indirect(rng, spec, counter=None):
-    """Inverse-Wishart draw via a Wishart draw and inversion (standard route).
-
-    Returns the matrix, or its upper Cholesky factor if ``spec.retcholu``
-    (which costs one extra POTRF on this route).
-    """
-    u_sigma, owned = _setup_factor(spec.scale, not spec.scale.iscov, counter)
-    u_a = tri_mul(draw_bartlett_wishart(rng, spec.m, spec.n), u_sigma, counter, owned=owned)
-    b = gram_vt(tri_inverse(u_a, counter, owned=True), counter, owned=True)
-    if spec.retcholu:
-        return chol_upper(b, counter, owned=True)
-    return b
-
-
-def rinvwishart_direct(rng, spec, counter=None):
-    """Inverse-Wishart draw with the Cholesky factor generated directly.
-
-    With ``spec.retcholu`` the factor is returned as-is (no extra work);
-    otherwise one TRMM squares it up into the full matrix.
-    """
-    u_omega, owned = _setup_factor(spec.scale, spec.scale.iscov, counter)
-    c = tri_inverse(draw_bartlett_invwishart(rng, spec.m, spec.n), counter, owned=True)
-    u_b = tri_mul(c, u_omega, counter, owned=owned)
-    if spec.retcholu:
-        return u_b
-    return gram_ut(u_b, counter, owned=True)
-
-
 def check_draw(x):
     """Return the draw x after one O(m^2) scan.
 
@@ -299,19 +244,6 @@ def check_draw(x):
     return x
 
 
-def rwishart(rng, spec, counter=None):
-    """Wishart draw (full matrix or factor) from a covariance-side scale.
-
-    Raises NumericalFailure for a draw that over- or underflowed (see
-    :func:`check_draw`).
-    """
-    if not spec.scale.iscov:
-        raise InvalidParameter("Wishart sampling expects a covariance-side scale (iscov)")
-    u_sigma, owned = _setup_factor(spec.scale, False, counter)
-    u_a = tri_mul(draw_bartlett_wishart(rng, spec.m, spec.n), u_sigma, counter, owned=owned)
-    return check_draw(u_a if spec.retcholu else gram_ut(u_a, counter, owned=True))
-
-
 def recommend_algorithm(scale):
     """Cheaper inverse-Wishart route for this parameterization.
 
@@ -321,21 +253,98 @@ def recommend_algorithm(scale):
     return INDIRECT if scale.iscov else DIRECT
 
 
-def sample_invwishart(rng, spec, algorithm, counter=None):
-    """Dispatch helper: run the named route, resolving ``'auto'`` first.
+@dataclass(eq=False)
+class Plan:
+    """One spec and route, set up: what every draw of them shares.
 
-    Raises NumericalFailure for a draw that over- or underflowed (see
-    :func:`check_draw`).
+    ``factor`` is the upper Cholesky factor, in Fortran order, of the side
+    of the scale the route multiplies by: Sigma for ``'wishart'`` and
+    ``'indirect'``, Omega for ``'direct'``.  Draws only read it, so a plan
+    can be drawn from any number of times.  Make plans with :func:`prepare`.
     """
+
+    spec: SamplerSpec
+    algorithm: str
+    factor: np.ndarray
+
+    def draw(self, rng, counter=None):
+        """One draw: the fill, the route's kernels, then :func:`check_draw`.
+
+        Raises NumericalFailure for a draw that over- or underflowed.
+        """
+        fill = draw_bartlett_invwishart if self.algorithm == DIRECT else draw_bartlett_wishart
+        return self._kernels(fill(rng, self.spec.m, self.spec.n), counter)
+
+    def draw_many(self, rng, k):
+        """k draws as a (k, m, m) array, from one batch of k fills: the
+        bytes, and the stream position after them, of k calls of :meth:`draw`."""
+        fill = draw_bartlett_invwishart_many if self.algorithm == DIRECT else draw_bartlett_wishart_many
+        fills = fill(rng, self.spec.m, self.spec.n, k)
+        out = np.empty_like(fills)
+        for i, z in enumerate(fills):
+            out[i] = self._kernels(z, None)
+        return out
+
+    def _kernels(self, z, counter):
+        # Every route multiplies a triangular factor by the plan's: the fill
+        # (Wishart, indirect) or its inverse (direct).  The indirect route
+        # then inverts that Wishart factor and squares up.  owned=True for
+        # the fill and each product, which the draw built itself; never for
+        # the plan's factor, which TRMM would overwrite.
+        if self.algorithm == DIRECT:
+            z = tri_inverse(z, counter, owned=True)
+        u = tri_mul(z, self.factor, counter)
+        if self.algorithm == INDIRECT:
+            u = tri_inverse(u, counter, owned=True)
+            b = gram_vt(u, counter, owned=True)
+            x = chol_upper(b, counter, owned=True) if self.spec.retcholu else b
+        else:
+            x = u if self.spec.retcholu else gram_ut(u, counter, owned=True)
+        return check_draw(x)
+
+
+def prepare(spec, algorithm, counter=None):
+    """Set up draws for ``spec`` by one route; setup's kernels go to ``counter``.
+
+    ``algorithm`` is ``'indirect'``, ``'direct'`` or ``'auto'``
+    (:func:`recommend_algorithm`) for inverse-Wishart draws, or
+    ``'wishart'`` for Wishart draws, which need a covariance-side scale.
+    """
+    scale = spec.scale
     if algorithm == AUTO:
-        algorithm = recommend_algorithm(spec.scale)
-    if algorithm == INDIRECT:
-        draw = rinvwishart_indirect(rng, spec, counter)
-    elif algorithm == DIRECT:
-        draw = rinvwishart_direct(rng, spec, counter)
-    else:
+        algorithm = recommend_algorithm(scale)
+    if algorithm not in (INDIRECT, DIRECT, WISHART):
         raise InvalidParameter(f"unknown algorithm {algorithm!r}")
-    return check_draw(draw)
+    if algorithm == WISHART and not scale.iscov:
+        raise InvalidParameter("Wishart sampling expects a covariance-side scale (iscov)")
+    # The direct route multiplies by the factor of Omega, the others by
+    # that of Sigma.  A factor passed through from a C-ordered scale is
+    # transposed here, once, instead of by every TRMM.
+    factor = cholesky_upper_param(scale, scale.iscov == (algorithm == DIRECT), counter)
+    return Plan(spec, algorithm, np.asfortranarray(factor))
+
+
+def _invwishart_route(algorithm):
+    # prepare rejects unknown names; the inverse-Wishart calls reject its
+    # Wishart route too.
+    if algorithm == WISHART:
+        raise InvalidParameter(f"unknown algorithm {algorithm!r}")
+    return algorithm
+
+
+def sample_invwishart(rng, spec, algorithm, counter=None):
+    """One inverse-Wishart draw by the named route: setup plus one draw.
+
+    Raises InvalidParameter for a route other than 'indirect', 'direct' or
+    'auto', and NumericalFailure for a draw that over- or underflowed.
+    """
+    return prepare(spec, _invwishart_route(algorithm), counter).draw(rng, counter)
+
+
+def rwishart(rng, spec, counter=None):
+    """One Wishart draw (full matrix or factor) from a covariance-side
+    scale: setup plus one draw."""
+    return prepare(spec, WISHART, counter).draw(rng, counter)
 
 
 # (trtri, trmm, potrf) for every parameterization x route x output form.

@@ -34,17 +34,17 @@ from .samplers import (
     DIRECT,
     EXPECTED_OP_COUNTS,
     INDIRECT,
+    WISHART,
     SamplerSpec,
     ScaleParam,
     cholesky_upper_param,
     draw_bartlett_invwishart_many,
     draw_bartlett_wishart_many,
-    rinvwishart_chol,
-    rwishart,
-    rwishart_chol,
+    prepare,
     sample_invwishart,
 )
 from .validation import (
+    BATCH_ENTRIES,
     chi_square_cdf,
     fd_logdet_jacobian,
     ks_one_sample,
@@ -145,17 +145,14 @@ def check_opcount(seed):
 # triangular-fill marginals and the outer-product oracle
 
 
-FILL_BATCH_ENTRIES = 1 << 17
-
-
 def _fill_marginals(check_prefix, seed, stream, draw_many, diag_df, m, n, nsamples):
     rng = RngStream(seed, stream)
     diags = np.empty((nsamples, m))
     offdiags = np.empty((nsamples, m * (m - 1) // 2))
     iu = np.triu_indices(m, k=1)
-    # Batches of about FILL_BATCH_ENTRIES entries: all nsamples fills as one
+    # Batches of about BATCH_ENTRIES uniforms: all nsamples fills as one
     # (k, m, m) array would add about 10 MB to the peak RSS at m=5, k=50,000.
-    block = max(1, FILL_BATCH_ENTRIES // (m * (m + 2)))
+    block = max(1, BATCH_ENTRIES // (m * (m + 2)))
     for start in range(0, nsamples, block):
         z = draw_many(rng, m, n, min(block, nsamples - start))
         diags[start:start + len(z)] = np.diagonal(z, axis1=1, axis2=2)
@@ -204,21 +201,13 @@ def check_bartlett_invwishart(seed):
     )
 
 
-def _entrywise_ks(check, seed, streams, spec, draw_a, draw_b):
-    # Two-sample KS per distinct entry: draw_a and draw_b, each on its own stream.
-    nsamples = 50_000
-    rng_a = RngStream(seed, streams[0])
-    rng_b = RngStream(seed, streams[1])
-    a = np.empty((nsamples, spec.m, spec.m))
-    b = np.empty((nsamples, spec.m, spec.m))
-    for i in range(nsamples):
-        a[i] = draw_a(rng_a)
-        b[i] = draw_b(rng_b)
+def _entrywise_ks(check, seed, spec, a, b):
+    # Two-sample KS per distinct entry of two samples of (m, m) draws.
     entries = triangular_coords(spec.m)
     return [
         _ks_record(
             check,
-            {"entry": [i + 1, j + 1], "m": spec.m, "n": spec.n, "nsamples": nsamples},
+            {"entry": [i + 1, j + 1], "m": spec.m, "n": spec.n, "nsamples": len(a)},
             seed,
             ks_two_sample(a[:, i, j], b[:, i, j]),
             ALPHA / len(entries),
@@ -229,24 +218,24 @@ def _entrywise_ks(check, seed, streams, spec, draw_a, draw_b):
 
 def check_wishart_outer(seed):
     """Triangular-fill Wishart draws match the n-column outer-product construction."""
-    m, n = 2, 5
-    scale = ScaleParam(SIGMA_2, iscov=True)
-    spec = SamplerSpec(m, n, scale)
-    u_sigma = cholesky_upper_param(scale, invert=False)
+    m, n, nsamples = 2, 5, 50_000
+    spec = SamplerSpec(m, n, ScaleParam(SIGMA_2, iscov=True))
+    plan = prepare(spec, WISHART)
+    oracle = RngStream(seed, 4)
     return _entrywise_ks(
-        "bartlett.wishart.outer", seed, (3, 4), spec,
-        lambda rng: rwishart(rng, spec),
-        lambda rng: rwishart_outer_oracle(rng, m, n, u_sigma),
+        "bartlett.wishart.outer", seed, spec,
+        plan.draw_many(RngStream(seed, 3), nsamples),
+        np.array([rwishart_outer_oracle(oracle, m, n, plan.factor) for _ in range(nsamples)]),
     )
 
 
 def check_agreement(seed):
     """Both inverse-Wishart algorithms draw from the same law (two-sample KS)."""
-    spec = SamplerSpec(3, 8, ScaleParam(SIGMA_3, iscov=True))
+    spec, nsamples = SamplerSpec(3, 8, ScaleParam(SIGMA_3, iscov=True)), 50_000
     return _entrywise_ks(
-        "agreement.invwishart", seed, (6, 7), spec,
-        lambda rng: sample_invwishart(rng, spec, INDIRECT),
-        lambda rng: sample_invwishart(rng, spec, DIRECT),
+        "agreement.invwishart", seed, spec,
+        prepare(spec, INDIRECT).draw_many(RngStream(seed, 6), nsamples),
+        prepare(spec, DIRECT).draw_many(RngStream(seed, 7), nsamples),
     )
 
 
@@ -347,15 +336,17 @@ def _offset_record(check, seed, params, offsets):
     return CheckRecord(check, params, spread, threshold, spread < threshold, seed)
 
 
-def _factor_offsets(check, seed, stream, n, iscov, draw_chol, factor_kernel, matrix_kernel):
+def _factor_offsets(check, seed, stream, n, algorithm, factor_kernel, matrix_kernel):
+    # Factor draws of the Wishart route on Sigma = SIGMA_3, or of the direct
+    # route on Omega = SIGMA_3.
     m, ndraws = 3, 100
-    u_scale = cholesky_upper_param(ScaleParam(SIGMA_3, iscov=iscov), invert=False)
-    rng = RngStream(seed, stream)
+    scale = ScaleParam(SIGMA_3, iscov=algorithm == WISHART)
+    plan = prepare(SamplerSpec(m, n, scale, retcholu=True), algorithm)
     offsets = np.empty(ndraws)
-    for i in range(ndraws):
-        u = draw_chol(rng, m, n, u_scale)
+    for i, u in enumerate(plan.draw_many(RngStream(seed, stream), ndraws)):
         offsets[i] = (
-            factor_kernel(u, n, u_scale) - matrix_kernel(gram_ut(u), n, u_scale) - logjac_chol(u)
+            factor_kernel(u, n, plan.factor) - matrix_kernel(gram_ut(u), n, plan.factor)
+            - logjac_chol(u)
         )
     return [_offset_record(check, seed, {"m": m, "n": n, "draws": ndraws}, offsets)]
 
@@ -363,15 +354,13 @@ def _factor_offsets(check, seed, stream, n, iscov, draw_chol, factor_kernel, mat
 def check_density_wishart(seed):
     """Factor kernel = squared-matrix kernel + Cholesky Jacobian, up to a constant."""
     return _factor_offsets(
-        "density.wishart", seed, 13, 7.5, True,
-        rwishart_chol, logkernel_cholwishart, logkernel_wishart,
+        "density.wishart", seed, 13, 7.5, WISHART, logkernel_cholwishart, logkernel_wishart,
     )
 
 
 def check_density_invwishart(seed):
     return _factor_offsets(
-        "density.invwishart", seed, 14, 6.5, False,
-        rinvwishart_chol, logkernel_cholinvwishart, logkernel_invwishart,
+        "density.invwishart", seed, 14, 6.5, DIRECT, logkernel_cholinvwishart, logkernel_invwishart,
     )
 
 
@@ -402,10 +391,9 @@ def check_density_chain(seed):
 # univariate reductions
 
 
-def _scalar_record(check, params, seed, stream, draw, cdf):
+def _scalar_record(check, params, seed, stream, plan, cdf):
     # One-sample KS of params["nsamples"] m=1 draws against a closed-form CDF.
-    rng = RngStream(seed, stream)
-    draws = np.array([draw(rng)[0, 0] for _ in range(params["nsamples"])])
+    draws = plan.draw_many(RngStream(seed, stream), params["nsamples"])[:, 0, 0]
     return _ks_record(check, params, seed, ks_one_sample(draws, cdf), ALPHA)
 
 
@@ -416,7 +404,7 @@ def check_scalar_wishart(seed):
     return [
         _scalar_record(
             "scalar.wishart", {"n": n, "sigma_sq": sigma_sq, "nsamples": 50_000}, seed, 16,
-            lambda rng: rwishart(rng, spec),
+            prepare(spec, WISHART),
             lambda x: chi_square_cdf(x / sigma_sq, n),
         )
     ]
@@ -431,7 +419,7 @@ def _scalar_invwishart(seed, stream, algorithm):
         {"n": n, "omega": omega, "nsamples": 50_000, "algorithm": algorithm},
         seed,
         stream,
-        lambda rng: sample_invwishart(rng, spec, algorithm),
+        prepare(spec, algorithm),
         lambda x: 1.0 - chi_square_cdf(omega / x, n),
     )
 

@@ -9,14 +9,13 @@ for the Bartlett-type samplers.
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy import special
 
 from .errors import InvalidParameter, MeanUndefined, NumericalFailure, TooFewSamples
 from .linalg import as_square, check_cholesky_factor, gram_ut
-from .samplers import SamplerSpec, rwishart, sample_invwishart
+from .samplers import WISHART, SamplerSpec, _invwishart_route, prepare
 
 MIN_KS_SAMPLES = 10
 CONFIDENT_SAMPLES = 1000
@@ -54,23 +53,15 @@ def _ks_pvalue(d, en):
     return float(special.kolmogorov((en + 0.12 + 0.11 / en) * d))
 
 
-def _eval_cdf(cdf, xs):
-    try:
-        vals = np.asarray(cdf(xs), dtype=float)
-        if vals.shape == xs.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([cdf(float(v)) for v in xs])
-
-
 def ks_one_sample(draws, cdf):
-    """One-sample KS test of draws against a continuous CDF."""
+    """One-sample KS test of draws against a vectorized continuous CDF."""
     xs = np.sort(np.asarray(draws, dtype=float))
     n = xs.size
     if n < MIN_KS_SAMPLES:
         raise TooFewSamples(f"need at least {MIN_KS_SAMPLES} draws, got {n}")
-    f = _eval_cdf(cdf, xs)
+    f = np.asarray(cdf(xs), dtype=float)
+    if f.shape != xs.shape:
+        raise InvalidParameter(f"cdf returned shape {f.shape} for {n} draws; it must be vectorized")
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - f)
     d_minus = np.max(f - (i - 1) / n)
@@ -113,14 +104,21 @@ def _scale_matrix(scale, iscov):
     return full if scale.iscov == iscov else np.linalg.inv(full)
 
 
-def _mc_mean(draw, spec, nsamples):
-    # Mean of nsamples full-matrix draws, draw(full_spec) each.
+# Batches of about this many entries keep the Monte Carlo and fill checks'
+# arrays small next to the peak RSS.
+BATCH_ENTRIES = 1 << 17
+
+
+def _mc_mean(rng, spec, algorithm, nsamples):
+    # Mean of nsamples full-matrix draws from one plan, summed in draw order.
     if nsamples < 1:
         raise TooFewSamples("need at least one draw")
-    full = SamplerSpec(spec.m, spec.n, spec.scale, retcholu=False)
+    plan = prepare(SamplerSpec(spec.m, spec.n, spec.scale), algorithm)
+    block = max(1, BATCH_ENTRIES // (spec.m * spec.m))
     acc = np.zeros((spec.m, spec.m))
-    for _ in range(nsamples):
-        acc += draw(full)
+    for start in range(0, nsamples, block):
+        for x in plan.draw_many(rng, min(block, nsamples - start)):
+            acc += x
     return acc / nsamples
 
 
@@ -136,7 +134,7 @@ def _moment_report(mean, target, nsamples):
 
 def mc_mean_wishart(rng, spec, nsamples):
     """Monte Carlo mean of Wishart draws against the analytic mean n * Sigma."""
-    mean = _mc_mean(partial(rwishart, rng), spec, nsamples)
+    mean = _mc_mean(rng, spec, WISHART, nsamples)
     return _moment_report(mean, spec.n * _scale_matrix(spec.scale, iscov=True), nsamples)
 
 
@@ -149,7 +147,7 @@ def mc_mean_invwishart(rng, spec, algorithm, nsamples):
         raise MeanUndefined(
             f"inverse-Wishart mean needs n > m + 1, got n={spec.n}, m={spec.m}"
         )
-    mean = _mc_mean(partial(sample_invwishart, rng, algorithm=algorithm), spec, nsamples)
+    mean = _mc_mean(rng, spec, _invwishart_route(algorithm), nsamples)
     target = _scale_matrix(spec.scale, iscov=False) / (spec.n - spec.m - 1)
     return _moment_report(mean, target, nsamples)
 

@@ -17,11 +17,13 @@ from triwish.errors import NotPositiveDefinite, SingularMatrix
 from triwish.linalg import gram_ut, log_det_tri, tri_inverse, tri_mul
 from triwish.rng import RngStream
 from triwish.samplers import (
+    DIRECT,
+    WISHART,
+    SamplerSpec,
     ScaleParam,
     cholesky_upper_param,
     draw_bartlett_invwishart,
-    rinvwishart_chol,
-    rwishart_chol,
+    prepare,
 )
 
 SIGMA_3 = np.array([[2.0, 0.5, 0.2], [0.5, 1.5, 0.3], [0.2, 0.3, 1.0]])
@@ -29,6 +31,13 @@ SIGMA_3 = np.array([[2.0, 0.5, 0.2], [0.5, 1.5, 0.3], [0.2, 0.3, 1.0]])
 
 def _factor(matrix, iscov=True):
     return cholesky_upper_param(ScaleParam(matrix, iscov=iscov), invert=False)
+
+
+def _factor_plan(factor, m, n, algorithm):
+    # Factor draws multiplying by ``factor`` itself: Cholesky-Wishart draws
+    # (WISHART) or Cholesky-inverse-Wishart draws (DIRECT).
+    scale = ScaleParam(factor, iscov=algorithm == WISHART, ischolu=True)
+    return prepare(SamplerSpec(m, n, scale, retcholu=True), algorithm)
 
 
 def test_wishart_kernel_scalar_value():
@@ -145,8 +154,9 @@ def test_wishart_scale_covariance():
 def test_kernels_finite_on_support_raise_off_support():
     u_sigma = _factor(SIGMA_3)
     rng = RngStream(15)
+    plan = _factor_plan(u_sigma, 3, 6, WISHART)
     for _ in range(20):
-        u = rwishart_chol(rng, 3, 6, u_sigma)
+        u = plan.draw(rng)
         vals = [
             logkernel_wishart(gram_ut(u), 6, u_sigma),
             logkernel_invwishart(gram_ut(u), 6, u_sigma),
@@ -164,9 +174,10 @@ def test_cholwishart_consistency_offset_constant():
     n, m = 7.0, 3
     u_sigma = _factor(SIGMA_3)
     rng = RngStream(100)
+    plan = _factor_plan(u_sigma, m, n, WISHART)
     offsets = []
     for _ in range(100):
-        u = rwishart_chol(rng, m, n, u_sigma)
+        u = plan.draw(rng)
         offsets.append(
             logkernel_cholwishart(u, n, u_sigma)
             - logkernel_wishart(gram_ut(u), n, u_sigma)
@@ -181,9 +192,10 @@ def test_cholinvwishart_consistency_offset_constant():
     n, m = 6.0, 3
     u_omega = _factor(SIGMA_3, iscov=False)
     rng = RngStream(101)
+    plan = _factor_plan(u_omega, m, n, DIRECT)
     offsets = []
     for _ in range(100):
-        u = rinvwishart_chol(rng, m, n, u_omega)
+        u = plan.draw(rng)
         offsets.append(
             logkernel_cholinvwishart(u, n, u_omega)
             - logkernel_invwishart(gram_ut(u), n, u_omega)

@@ -1,4 +1,4 @@
-"""The five sampling algorithms: draw order, op counts, and distributions."""
+"""The samplers: draw order, setup and per-draw plans, op counts, and distributions."""
 
 import numpy as np
 import pytest
@@ -13,13 +13,14 @@ from triwish.errors import (
     NumericalFailure,
     TriwishError,
 )
-from triwish.linalg import OpCounter, gram_ut
+from triwish.linalg import OpCounter
 from triwish.rng import RngStream
 from triwish.samplers import (
     AUTO,
     DIRECT,
     EXPECTED_OP_COUNTS,
     INDIRECT,
+    WISHART,
     SamplerSpec,
     ScaleParam,
     cholesky_upper_param,
@@ -27,12 +28,9 @@ from triwish.samplers import (
     draw_bartlett_invwishart_many,
     draw_bartlett_wishart,
     draw_bartlett_wishart_many,
+    prepare,
     recommend_algorithm,
-    rinvwishart_chol,
-    rinvwishart_direct,
-    rinvwishart_indirect,
     rwishart,
-    rwishart_chol,
     sample_invwishart,
 )
 
@@ -177,16 +175,24 @@ def test_cholesky_upper_param_passthrough_counts_nothing():
     assert counter.total() == 0
 
 
+def _factor_plan(factor, m, n, algorithm):
+    # A factor-output plan on the very factor its route multiplies by: the
+    # Cholesky-Wishart draw (WISHART: one TRMM) or the Cholesky-inverse-
+    # Wishart draw (DIRECT: one TRTRI and one TRMM), with no setup kernel.
+    scale = ScaleParam(factor, iscov=algorithm == WISHART, ischolu=True)
+    return prepare(SamplerSpec(m, n, scale, retcholu=True), algorithm)
+
+
 def test_rwishart_chol_identity_scale_returns_fill():
     stub = StubRng(normals=[0.3], chis=[1.5, 0.8])
-    u_a = rwishart_chol(stub, 2, 3, np.eye(2))
+    u_a = _factor_plan(np.eye(2), 2, 3, WISHART).draw(stub)
     np.testing.assert_allclose(u_a, [[1.5, 0.3], [0.0, 0.8]], atol=1e-15)
 
 
 def test_rwishart_chol_stub_product():
     stub = StubRng(normals=[0.3], chis=[1.5, 0.8])
     u_sigma = np.array([[1.0, 1.0], [0.0, 1.0]])
-    u_a = rwishart_chol(stub, 2, 3, u_sigma)
+    u_a = _factor_plan(u_sigma, 2, 3, WISHART).draw(stub)
     # Z @ U_Sigma by hand for Z = [[1.5, 0.3], [0, 0.8]].
     np.testing.assert_allclose(u_a, [[1.5, 1.8], [0.0, 0.8]], atol=1e-15)
 
@@ -194,20 +200,16 @@ def test_rwishart_chol_stub_product():
 def test_rwishart_chol_mean():
     sigma = np.array([[2.0, 0.6], [0.6, 1.0]])
     u_sigma = cholesky_upper_param(ScaleParam(sigma), invert=False)
-    rng = RngStream(314)
     n, nsamples = 5, 200_000
-    acc = np.zeros((2, 2))
-    for _ in range(nsamples):
-        u_a = rwishart_chol(rng, 2, n, u_sigma)
-        acc += gram_ut(u_a)
-    mean = acc / nsamples
+    u_a = _factor_plan(u_sigma, 2, n, WISHART).draw_many(RngStream(314), nsamples)
+    mean = np.einsum("kij,kil->jl", u_a, u_a) / nsamples
     err = np.linalg.norm(mean - n * sigma) / np.linalg.norm(n * sigma)
     assert err < 0.02
 
 
 def test_rinvwishart_chol_identity_scale():
     stub = StubRng(chis=[2.0, 4.0], normals=[0.0])
-    u_b = rinvwishart_chol(stub, 2, 5, np.eye(2))
+    u_b = _factor_plan(np.eye(2), 2, 5, DIRECT).draw(stub)
     np.testing.assert_allclose(u_b, [[0.5, 0.0], [0.0, 0.25]], atol=1e-15)
 
 
@@ -215,18 +217,16 @@ def test_rinvwishart_chol_mean_m1():
     # E[U_B^2] = omega / (n - m - 1) = 3/4.
     omega = np.array([[3.0]])
     u_omega = cholesky_upper_param(ScaleParam(omega, iscov=False), invert=False)
-    rng = RngStream(2718)
-    acc = 0.0
     nsamples = 200_000
-    for _ in range(nsamples):
-        acc += rinvwishart_chol(rng, 1, 6, u_omega)[0, 0] ** 2
-    assert abs(acc / nsamples - 0.75) / 0.75 < 0.02
+    u_b = _factor_plan(u_omega, 1, 6, DIRECT).draw_many(RngStream(2718), nsamples)
+    assert abs(np.sum(u_b[:, 0, 0] ** 2) / nsamples - 0.75) / 0.75 < 0.02
 
 
 def test_rinvwishart_chol_factor_valid_many_seeds():
     u_omega = cholesky_upper_param(ScaleParam(np.eye(3), iscov=False), invert=False)
+    plan = _factor_plan(u_omega, 3, 5.5, DIRECT)
     for seed in range(200):
-        u_b = rinvwishart_chol(RngStream(seed), 3, 5.5, u_omega)
+        u_b = plan.draw(RngStream(seed))
         assert np.all(np.diag(u_b) > 0)
         assert np.array_equal(u_b, np.triu(u_b))
 
@@ -239,22 +239,14 @@ def test_counter_examples_from_table():
         ischolu=True,
     )
     cases = [
-        (rinvwishart_indirect, SamplerSpec(2, 5, sigma), {"trtri": 1, "trmm": 2, "potrf": 1}),
-        (
-            rinvwishart_indirect,
-            SamplerSpec(2, 5, u_omega, retcholu=True),
-            {"trtri": 2, "trmm": 3, "potrf": 2},
-        ),
-        (
-            rinvwishart_direct,
-            SamplerSpec(2, 5, u_omega, retcholu=True),
-            {"trtri": 1, "trmm": 1, "potrf": 0},
-        ),
-        (rinvwishart_direct, SamplerSpec(2, 5, sigma), {"trtri": 2, "trmm": 3, "potrf": 2}),
+        (INDIRECT, SamplerSpec(2, 5, sigma), {"trtri": 1, "trmm": 2, "potrf": 1}),
+        (INDIRECT, SamplerSpec(2, 5, u_omega, retcholu=True), {"trtri": 2, "trmm": 3, "potrf": 2}),
+        (DIRECT, SamplerSpec(2, 5, u_omega, retcholu=True), {"trtri": 1, "trmm": 1, "potrf": 0}),
+        (DIRECT, SamplerSpec(2, 5, sigma), {"trtri": 2, "trmm": 3, "potrf": 2}),
     ]
-    for fn, spec, expected in cases:
+    for algorithm, spec, expected in cases:
         counter = OpCounter()
-        fn(RngStream(1), spec, counter)
+        sample_invwishart(RngStream(1), spec, algorithm, counter)
         assert counter.as_dict() == expected
 
 
@@ -310,6 +302,67 @@ def test_draws_leave_the_callers_scale_untouched(m):
     assert draws["C"] == draws["F"]
 
 
+ROUTES = [
+    *EXPECTED_OP_COUNTS,
+    *((kind, WISHART, retcholu) for kind in ("cov", "cov_chol") for retcholu in (False, True)),
+]
+
+
+def _one_shot(rng, spec, algorithm, counter):
+    if algorithm == WISHART:
+        return rwishart(rng, spec, counter)
+    return sample_invwishart(rng, spec, algorithm, counter)
+
+
+@pytest.mark.parametrize("m", [1, 4, 9])
+@pytest.mark.parametrize("key", ROUTES, ids=lambda k: f"{k[0]}-{k[1]}-{int(k[2])}")
+def test_plan_draws_match_one_shot_calls(key, m):
+    # m = 1 and 4 fill by the scalar loop, m = 9 by the walk; n = m - 0.5
+    # puts a chi shape below 1.  The scales are C-ordered.
+    kind, algorithm, retcholu = key
+    a = _spd(m, m)
+    matrix = np.triu(np.linalg.cholesky(a).T) if kind.endswith("_chol") else a
+    scale = ScaleParam(matrix, iscov=kind.startswith("cov"), ischolu=kind.endswith("_chol"))
+    before = matrix.tobytes()
+    for n in (m + 1.5, m - 0.5):
+        spec = SamplerSpec(m, n, scale, retcholu=retcholu)
+        setup = OpCounter()
+        plan = prepare(spec, algorithm, setup)
+        assert plan.factor.flags.f_contiguous
+        factor = plan.factor.tobytes()
+        rng, ref = RngStream(7), RngStream(7)
+        draws = []
+        for i in range(3):
+            per_draw, one_shot = OpCounter(), OpCounter()
+            draws.append(plan.draw(rng, per_draw))
+            expect = _one_shot(ref, spec, algorithm, one_shot)
+            assert draws[-1].tobytes() == expect.tobytes()
+            assert rng.position == ref.position
+            total = {op: setup.as_dict()[op] + c for op, c in per_draw.as_dict().items()}
+            assert total == one_shot.as_dict()
+            if algorithm != WISHART:
+                assert one_shot == EXPECTED_OP_COUNTS[key]
+        batch = RngStream(7)
+        many = plan.draw_many(batch, 3)
+        assert many.shape == (3, m, m)
+        assert [x.tobytes() for x in many] == [x.tobytes() for x in draws]
+        assert batch.position == rng.position
+        assert plan.factor.tobytes() == factor
+        assert scale.matrix is matrix and matrix.tobytes() == before
+
+
+def test_one_plan_serves_many_draws():
+    # A plan built once gives the same draws as a stream of one-shot calls,
+    # and draw_many continues the stream where the draws left it.
+    spec = SamplerSpec(5, 9.0, ScaleParam(_spd(5, 3), iscov=False))
+    plan = prepare(spec, INDIRECT)
+    rng, ref = RngStream(11), RngStream(11)
+    got = [plan.draw(rng) for _ in range(4)] + list(plan.draw_many(rng, 5))
+    want = [sample_invwishart(ref, spec, INDIRECT) for _ in range(9)]
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    assert rng.position == ref.position
+
+
 def test_recommend_algorithm():
     assert recommend_algorithm(ScaleParam(np.eye(2), iscov=True)) == INDIRECT
     assert recommend_algorithm(ScaleParam(np.eye(2), iscov=True, ischolu=True)) == INDIRECT
@@ -321,10 +374,15 @@ def test_sample_invwishart_dispatch():
     scale = ScaleParam(np.eye(2), iscov=False)
     spec = SamplerSpec(2, 5, scale)
     a = sample_invwishart(RngStream(3), spec, AUTO)
-    b = rinvwishart_direct(RngStream(3), spec)
+    b = prepare(spec, DIRECT).draw(RngStream(3))
     np.testing.assert_array_equal(a, b)
+    assert prepare(spec, AUTO).algorithm == DIRECT
+    # prepare also takes the Wishart route; sample_invwishart does not.
+    for name in ("fastest", WISHART):
+        with pytest.raises(InvalidParameter):
+            sample_invwishart(RngStream(3), spec, name)
     with pytest.raises(InvalidParameter):
-        sample_invwishart(RngStream(3), spec, "fastest")
+        prepare(spec, "fastest")
 
 
 def test_rwishart_retcholu_passthrough():
@@ -332,7 +390,7 @@ def test_rwishart_retcholu_passthrough():
     spec = SamplerSpec(2, 5, scale, retcholu=True)
     u_sigma = cholesky_upper_param(scale, invert=False)
     got = rwishart(RngStream(77), spec)
-    expect = rwishart_chol(RngStream(77), 2, 5, u_sigma)
+    expect = _factor_plan(u_sigma, 2, 5, WISHART).draw(RngStream(77))
     np.testing.assert_array_equal(got, expect)
 
 
@@ -345,8 +403,9 @@ def test_rwishart_counter_factor_param():
 
 def test_rwishart_requires_covariance_side():
     spec = SamplerSpec(2, 5, ScaleParam(np.eye(2), iscov=False))
-    with pytest.raises(InvalidParameter):
-        rwishart(RngStream(1), spec)
+    for call in (lambda: rwishart(RngStream(1), spec), lambda: prepare(spec, WISHART)):
+        with pytest.raises(InvalidParameter):
+            call()
 
 
 def test_rwishart_m1_chi_square_law():
@@ -360,8 +419,7 @@ def test_rwishart_m1_chi_square_law():
 def test_rinvwishart_indirect_m1_inverse_gamma_law():
     # m=1, n=6, Sigma=[[2]]: B is inverse-gamma with shape 3, scale 1/4.
     spec = SamplerSpec(1, 6, ScaleParam(np.array([[2.0]])))
-    rng = RngStream(13)
-    draws = np.array([rinvwishart_indirect(rng, spec)[0, 0] for _ in range(50_000)])
+    draws = prepare(spec, INDIRECT).draw_many(RngStream(13), 50_000)[:, 0, 0]
     stat, pvalue = scipy.stats.kstest(draws, scipy.stats.invgamma(a=3.0, scale=0.25).cdf)
     assert pvalue > 0.001
 
@@ -370,10 +428,9 @@ def test_direct_equals_indirect_in_law():
     # Medium-size smoke version of the acceptance check.
     sigma = np.array([[2.0, 0.5], [0.5, 1.5]])
     spec = SamplerSpec(2, 6, ScaleParam(sigma, iscov=True))
-    rng_a, rng_b = RngStream(21, 0), RngStream(21, 1)
     n = 20_000
-    a = np.array([rinvwishart_indirect(rng_a, spec) for _ in range(n)])
-    b = np.array([rinvwishart_direct(rng_b, spec) for _ in range(n)])
+    a = prepare(spec, INDIRECT).draw_many(RngStream(21, 0), n)
+    b = prepare(spec, DIRECT).draw_many(RngStream(21, 1), n)
     for i, j in ((0, 0), (0, 1), (1, 1)):
         stat, pvalue = scipy.stats.ks_2samp(a[:, i, j], b[:, i, j])
         assert pvalue > 0.001 / 3, (i, j)

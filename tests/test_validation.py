@@ -16,7 +16,17 @@ from triwish.errors import (
 )
 from triwish.linalg import tri_inverse
 from triwish.rng import RngStream
-from triwish.samplers import DIRECT, INDIRECT, SamplerSpec, ScaleParam, cholesky_upper_param
+from triwish import validation
+from triwish.samplers import (
+    DIRECT,
+    INDIRECT,
+    WISHART,
+    SamplerSpec,
+    ScaleParam,
+    cholesky_upper_param,
+    rwishart,
+    sample_invwishart,
+)
 from triwish.validation import (
     chi_square_cdf,
     fd_logdet_jacobian,
@@ -54,6 +64,30 @@ def test_ks_one_sample_degenerate():
 def test_ks_one_sample_too_few():
     with pytest.raises(TooFewSamples):
         ks_one_sample(np.arange(5) / 5.0, lambda x: x)
+
+
+def test_ks_one_sample_calls_the_cdf_once_on_the_sorted_draws():
+    draws = np.random.default_rng(3).standard_normal(200)
+    calls = []
+
+    def cdf(x):
+        calls.append(x.copy())
+        return normal_cdf(x)
+
+    assert ks_one_sample(draws, cdf) == ks_one_sample(draws, normal_cdf)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], np.sort(draws))
+
+
+def test_ks_one_sample_rejects_a_scalar_only_cdf():
+    # No per-element fallback: a CDF written for one float at a time fails
+    # on the array of draws, and one that returns a single value for it is
+    # refused.
+    draws = np.random.default_rng(4).standard_normal(200)
+    with pytest.raises(TypeError):
+        ks_one_sample(draws, lambda x: 0.5 * (1.0 + math.erf(x / math.sqrt(2.0))))
+    with pytest.raises(InvalidParameter, match="vectorized"):
+        ks_one_sample(draws, lambda x: 0.5 * (1.0 + math.erf(float(np.mean(x)) / math.sqrt(2.0))))
 
 
 def test_ks_one_sample_matches_scipy():
@@ -177,6 +211,31 @@ def test_mc_mean_invwishart_m1():
     report = mc_mean_invwishart(RngStream(58), spec, DIRECT, 200_000)
     np.testing.assert_allclose(report.target, [[0.75]])
     assert report.relative_error < 0.02
+
+
+@pytest.mark.parametrize("algorithm", [None, INDIRECT, DIRECT])
+def test_mc_means_sum_the_draws_in_draw_order(monkeypatch, algorithm):
+    # Blocks of Plan.draw_many (3 draws each here, so the last is partial)
+    # give the bits of a loop of one-shot draws summed in draw order.
+    monkeypatch.setattr(validation, "BATCH_ENTRIES", 3 * 4)
+    spec = SamplerSpec(2, 6.5, ScaleParam(np.array([[2.0, 0.6], [0.6, 1.0]])), retcholu=True)
+    full = SamplerSpec(2, 6.5, spec.scale)
+    rng, ref = RngStream(61), RngStream(61)
+    acc = np.zeros((2, 2))
+    for _ in range(10):
+        acc += rwishart(ref, full) if algorithm is None else sample_invwishart(ref, full, algorithm)
+    if algorithm is None:
+        report = mc_mean_wishart(rng, spec, 10)
+    else:
+        report = mc_mean_invwishart(rng, spec, algorithm, 10)
+    assert report.sample_mean.tobytes() == (acc / 10).tobytes()
+    assert rng.position == ref.position
+
+
+def test_mc_mean_invwishart_rejects_the_wishart_route():
+    spec = SamplerSpec(2, 6, ScaleParam(np.eye(2)))
+    with pytest.raises(InvalidParameter):
+        mc_mean_invwishart(RngStream(1), spec, WISHART, 10)
 
 
 def test_mc_mean_invwishart_boundary():
