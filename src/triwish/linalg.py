@@ -14,7 +14,8 @@ entries, symmetry for the Cholesky input) and leave them untouched.  With
 ``owned=True`` the caller declares that it built the operand itself in
 Fortran order and has no further use for it: the input checks are skipped
 and LAPACK/BLAS overwrite it in place.  The samplers pass the flag only
-for matrices made within the same draw, never for a caller's scale.
+for matrices made within one setup or one draw, never for a caller's scale
+or a plan's factor.
 
 Counting convention: forming the symmetric products U^T U and V V^T each
 counts as one TRMM call (an actual LAPACK build might use LAUUM or SYRK

@@ -278,8 +278,11 @@ class Plan:
     def draw_many(self, rng, k):
         """k draws as a (k, m, m) array, from one batch of k fills: the
         bytes, and the stream position after them, of k calls of :meth:`draw`."""
-        fill = draw_bartlett_invwishart_many if self.algorithm == DIRECT else draw_bartlett_wishart_many
-        fills = fill(rng, self.spec.m, self.spec.n, k)
+        m, n = self.spec.m, self.spec.n
+        if self.algorithm == DIRECT:
+            fills = draw_bartlett_invwishart_many(rng, m, n, k)
+        else:
+            fills = draw_bartlett_wishart_many(rng, m, n, k)
         out = np.empty_like(fills)
         for i, z in enumerate(fills):
             out[i] = self._kernels(z, None)

@@ -231,7 +231,8 @@ def check_wishart_outer(seed):
 
 def check_agreement(seed):
     """Both inverse-Wishart algorithms draw from the same law (two-sample KS)."""
-    spec, nsamples = SamplerSpec(3, 8, ScaleParam(SIGMA_3, iscov=True)), 50_000
+    nsamples = 50_000
+    spec = SamplerSpec(3, 8, ScaleParam(SIGMA_3, iscov=True))
     return _entrywise_ks(
         "agreement.invwishart", seed, spec,
         prepare(spec, INDIRECT).draw_many(RngStream(seed, 6), nsamples),
@@ -360,7 +361,8 @@ def check_density_wishart(seed):
 
 def check_density_invwishart(seed):
     return _factor_offsets(
-        "density.invwishart", seed, 14, 6.5, DIRECT, logkernel_cholinvwishart, logkernel_invwishart,
+        "density.invwishart", seed, 14, 6.5, DIRECT,
+        logkernel_cholinvwishart, logkernel_invwishart,
     )
 
 
