@@ -1,7 +1,8 @@
-/* The Bartlett column walk: columns of stacked m x m fills, drawn in the
- * documented order from the Philox stream or from a window of uniforms, and
- * written in C order or in Fortran order (each column contiguous, the
- * layout LAPACK and BLAS take without a copy).
+/* The Bartlett column walk: every column of k stacked m x m fills, drawn in
+ * the documented order from the Philox stream, and written in C order or in
+ * Fortran order (each column contiguous, the layout LAPACK and BLAS take
+ * without a copy).  Where triwish.rng can build and load this file, it runs
+ * every fill, single or batched, at every m.
  *
  * The same operations, in the same order, as the scalar fill of
  * triwish.samplers over RngStream.standard_normal and RngStream.chi: log,
@@ -19,15 +20,16 @@
 
 /* Uniforms generated per refill: 64 Philox blocks. */
 #define CHUNK 256
+/* Python's 2.0 * math.pi: the same double. */
+#define TWO_PI 6.283185307179586
 
-/* Where the uniforms come from: u[at .. n-1], then, with a Philox key, the
- * next chunk from the counter ctr; without one, u is all there is. */
+/* The Philox stream from one position on: chunk[at .. CHUNK-1], then the
+ * next chunk from the counter ctr. */
 struct source {
-    const double *u;
-    size_t n, at;
-    size_t before;              /* uniforms taken before u[0] */
-    const uint64_t *key;        /* 2 words, or NULL */
+    const uint64_t *key;        /* 2 words */
     uint64_t ctr[4];            /* counter of the next block, low word first */
+    size_t at;
+    size_t refills;
     double chunk[CHUNK];
 };
 
@@ -73,116 +75,83 @@ static void refill(struct source *s)
         for (int i = 0; i < 4 && ++s->ctr[i] == 0; i++)
             ;
     }
-    s->before += s->n;
-    s->u = s->chunk;
-    s->n = CHUNK;
     s->at = 0;
+    s->refills++;
 }
 
-/* Sets *x to the next uniform; 0 where a window has run out. */
-static int next(struct source *s, double *x)
+static double next(struct source *s)
 {
-    if (s->at == s->n) {
-        if (!s->key)
-            return 0;
+    if (s->at == CHUNK)
         refill(s);
-    }
-    *x = s->u[s->at++];
-    return 1;
-}
-
-static size_t taken(const struct source *s)
-{
-    return s->before + s->at;
+    return s->chunk[s->at++];
 }
 
 /* Box-Muller, cosine branch, from the next two uniforms. */
-static int normal(struct source *s, double two_pi, double *z)
+static double normal(struct source *s)
 {
-    double u1, u2;
-    if (!next(s, &u1) || !next(s, &u2))
-        return 0;
-    *z = sqrt(-2.0 * log(1.0 - u1)) * cos(two_pi * u2);
-    return 1;
+    double u1 = next(s);
+    double u2 = next(s);
+    return sqrt(-2.0 * log(1.0 - u1)) * cos(TWO_PI * u2);
 }
 
-/* Marsaglia-Tsang gamma (shape >= 1, unit scale): sets *g. */
-static int gamma_mt(struct source *s, double shape, double two_pi, double *g)
+/* Marsaglia-Tsang gamma, shape >= 1, unit scale. */
+static double gamma_mt(struct source *s, double shape)
 {
     double d = shape - 1.0 / 3.0;
     double c = 1.0 / sqrt(9.0 * d);
     for (;;) {
         double x, v, w, x2;
         do {
-            if (!normal(s, two_pi, &x))
-                return 0;
+            x = normal(s);
             v = 1.0 + c * x;
         } while (v <= 0.0);
         v = v * v * v;
-        if (!next(s, &w))
-            return 0;
+        w = next(s);
         x2 = x * x;
         if (w < 1.0 - 0.0331 * x2 * x2
-            || (w > 0.0 && log(w) < 0.5 * x2 + d * (1.0 - v + log(v)))) {
-            *g = d * v;
-            return 1;
-        }
+            || (w > 0.0 && log(w) < 0.5 * x2 + d * (1.0 - v + log(v))))
+            return d * v;
     }
 }
 
 /* chi_k = sqrt(gamma(k / 2, 2)), with the pow boost for a shape below 1. */
-static int chi(struct source *s, double k, double two_pi, double *out)
+static double chi(struct source *s, double k)
 {
-    double shape = 0.5 * k, g, w;
+    double shape = 0.5 * k, g;
     if (shape < 1.0) {
-        if (!gamma_mt(s, shape + 1.0, two_pi, &g) || !next(s, &w))
-            return 0;
-        g = g * pow(1.0 - w, 1.0 / shape);
-    } else if (!gamma_mt(s, shape, two_pi, &g)) {
-        return 0;
+        g = gamma_mt(s, shape + 1.0);
+        g = g * pow(1.0 - next(s), 1.0 / shape);
+    } else {
+        g = gamma_mt(s, shape);
     }
-    *out = sqrt(g * 2.0);
-    return 1;
+    return sqrt(g * 2.0);
 }
 
-/* Columns col .. ncol-1 of the fills z (k stacked m x m, entry (r, j) of
- * fill f at z[f * m * m + r * rs + j * cs]: rs = m, cs = 1 in C order,
- * rs = 1, cs = m in Fortran order), column c being column c % m of fill
- * c / m: j = c % m normals above the diagonal, then the diagonal
- * chi_df[j].
- *
- * With philox_state = {seed, stream, counter (4 words, low first)} the
- * uniforms are the Philox stream from uniform lane of that counter's block
- * on, and every column is finished.  With NULL they are u[0 .. nu-1]; a
- * column they do not finish is left unfinished, with its normals possibly
- * written.  Returns the first column not finished; *used is the number of
- * uniforms the finished columns consumed. */
-size_t triwish_bartlett_walk(const uint64_t *philox_state, size_t lane,
-                             const double *u, size_t nu, double *z, size_t m,
-                             size_t rs, size_t cs,
-                             size_t col, size_t ncol, const double *df,
-                             double two_pi, size_t *used)
+/* All k * m columns of the k stacked m x m fills z, in C order or, with
+ * fortran, each fill in Fortran order.  Column c is column j = c % m of fill
+ * c / m: j normals above the diagonal, then the diagonal chi with
+ * a + s * (j + 1) degrees of freedom, which the caller has checked to be
+ * positive.  The uniforms are the Philox stream of key philox_state[0..1]
+ * from uniform lane of the block with counter philox_state[2..5] (low word
+ * first) on.  Returns the number of uniforms used. */
+size_t triwish_bartlett_walk(const uint64_t *philox_state, size_t lane, double *z,
+                             size_t m, size_t k, int fortran, double a, double s)
 {
-    struct source s = {u, nu, 0, 0, NULL, {0, 0, 0, 0}, {0}};
-    size_t done = 0;
-    if (philox_state) {
-        s.key = philox_state;
-        for (int i = 0; i < 4; i++)
-            s.ctr[i] = philox_state[2 + i];
-        s.n = 0;
-        refill(&s);
-        s.at = lane;
-        s.before = -lane;
+    size_t rs = fortran ? 1 : m, cs = fortran ? m : 1;
+    struct source src;
+    src.key = philox_state;
+    for (int i = 0; i < 4; i++)
+        src.ctr[i] = philox_state[2 + i];
+    src.refills = 0;
+    refill(&src);
+    src.at = lane;
+    for (size_t f = 0; f < k; f++) {
+        for (size_t j = 0; j < m; j++) {
+            double *top = z + f * m * m + j * cs;
+            for (size_t r = 0; r < j; r++)
+                top[r * rs] = normal(&src);
+            top[j * rs] = chi(&src, a + s * (double)(j + 1));
+        }
     }
-    for (; col < ncol; col++) {
-        size_t j = col % m, r;
-        double *top = z + col / m * m * m + j * cs;
-        for (r = 0; r < j && normal(&s, two_pi, top + r * rs); r++)
-            ;
-        if (r < j || !chi(&s, df[j], two_pi, top + j * rs))
-            break;
-        done = taken(&s);
-    }
-    *used = done;
-    return col;
+    return (src.refills - 1) * CHUNK + src.at - lane;
 }

@@ -36,19 +36,19 @@ stream id is the second Philox key word, so distinct ids give statistically
 independent sequences for the same seed.
 
 Compiled column walk
-    :func:`walk_fills` draws Bartlett fill columns (:mod:`triwish.samplers`)
-    in C, making the libm calls and IEEE operations of
+    :func:`walk_fills` draws Bartlett fills (:mod:`triwish.samplers`) column
+    by column in C, making the libm calls and IEEE operations of
     :meth:`RngStream.standard_normal` and :meth:`RngStream.chi` in their
-    order, into fills in C order or in Fortran order.  Philox is
+    order, into fills in C order or in Fortran order.  Where it loads, it
+    runs every fill, single or batched, at every m.  Philox is
     counter-based, so the walk computes its uniforms itself from ``(seed,
     stream, position)``: uniform p is lane ``p % 4`` of the block with
-    counter ``p // 4 + 1``; the caller then skips what it used.
-    :func:`column_walk` runs the same C code over uniforms the caller
-    supplies.  Both run ``_boxmuller.c``, which :func:`compiled_loop` builds
-    on first use with the system C compiler
-    (``cc -O2 -fPIC -shared -ffp-contract=off -lm``) into this package's
-    ``__pycache__`` and loads through ctypes; where that fails, the fills
-    run the scalar draws.  Both give the bits of the running process's libm.
+    counter ``p // 4 + 1``; the stream then skips what the walk used.  It
+    runs ``_boxmuller.c``, which :func:`compiled_loop` builds on first use
+    with the system C compiler (``cc -O2 -fPIC -shared -ffp-contract=off
+    -lm``) into this package's ``__pycache__`` and loads through ctypes;
+    where that fails, the fills run the scalar draws.  Both give the bits of
+    the running process's libm.
 """
 
 import ctypes
@@ -223,9 +223,9 @@ def _build_loop():
         fn = ctypes.CDLL(str(lib)).triwish_bartlett_walk
     except (OSError, subprocess.SubprocessError):
         return None
-    size, ptr = ctypes.c_size_t, ctypes.c_void_p
-    fn.argtypes = (ctypes.POINTER(ctypes.c_uint64), size, ptr, size, ptr, size, size, size, size,
-                   size, ptr, ctypes.c_double, ptr)
+    size, dbl = ctypes.c_size_t, ctypes.c_double
+    fn.argtypes = (ctypes.POINTER(ctypes.c_uint64), size, ctypes.POINTER(dbl), size, size,
+                   ctypes.c_int, dbl, dbl)
     fn.restype = size
     return fn
 
@@ -239,63 +239,36 @@ def compiled_loop():
     return _loop
 
 
-def _check_walk(z, col, ncol, df, u_ok=True):
-    """m, and the row and column strides of z's fills in elements."""
-    m = z.shape[-1]
-    fortran = z.ndim == 3 and z.transpose(0, 2, 1).flags.c_contiguous
-    if not (u_ok and z.dtype == df.dtype == np.float64 and z.ndim == 3 and z.shape[1] == m
-            and (z.flags.c_contiguous or fortran) and df.flags.c_contiguous
-            and df.shape == (m,) and 0 <= col <= ncol <= z.shape[0] * m):
-        raise InvalidParameter("the column walk needs float64 arrays of matching shapes, "
-                               "each fill contiguous in C or Fortran order")
-    if not (df > 0.0).all():
-        # As RngStream.chi; a NaN df would also never accept, so the walk
-        # would never end.
-        raise InvalidDegreesOfFreedom("chi degrees of freedom must be positive")
-    return m, *((1, m) if fortran else (m, 1))
-
-
 _PHILOX_STATE = ctypes.c_uint64 * 6
 _WORD = 2 ** 64 - 1
 
 
-def walk_fills(rng, z, df):
-    """Draw every column of the stacked fills z from the stream rng, starting
-    at its position, and return the number of uniforms that took.
+def walk_fills(rng, m, k, a, s, fortran=False):
+    """k Bartlett fills of size m drawn from the stream rng, as a (k, m, m)
+    array, C-ordered or with each fill in Fortran order (each column
+    contiguous); rng then skips the uniforms they used.
 
-    z is a (k, m, m) float64 array of contiguous fills, either C-ordered as
-    a whole or with each fill in Fortran order (each column contiguous),
-    such as ``np.zeros((k, m, m)).transpose(0, 2, 1)``; the walk writes that
-    layout.  Column c is column ``c % m`` of fill ``c // m``, and gets
-    ``c % m`` standard normals above the diagonal, then the diagonal
-    ``chi(df[c % m])``, each drawn as :meth:`RngStream.standard_normal` and
-    :meth:`RngStream.chi` would draw it.  The walk computes its uniforms
-    from (seed, stream, position); it does not move rng, so the caller
-    skips what it used.  Only where :func:`compiled_loop` loads the walk.
+    Column c is column j = c % m of fill c // m, and gets j standard normals
+    above the diagonal, then the diagonal ``chi(a + s * (j + 1))``, each
+    drawn as :meth:`RngStream.standard_normal` and :meth:`RngStream.chi`
+    would draw it.  s is 1.0 or -1.0, so the degrees of freedom are monotone
+    in j and both ends are checked.  Only where :func:`compiled_loop` loads
+    the walk.
     """
-    m, rs, cs = _check_walk(z, 0, z.shape[0] * z.shape[-1], df)
+    a = float(a)
+    if not (a + s > 0.0 and a + s * m > 0.0):
+        # As RngStream.chi; a NaN df would also never accept, so the walk
+        # would never end.
+        raise InvalidDegreesOfFreedom("chi degrees of freedom must be positive")
+    out = np.zeros((k, m, m))
     p = rng.position
     c = (p >> 2) + 1  # the 256-bit Philox counter of the block holding uniform p
     state = _PHILOX_STATE(rng.seed, rng.stream, c & _WORD, c >> 64 & _WORD,
                           c >> 128 & _WORD, c >> 192 & _WORD)
-    used = ctypes.c_size_t()
-    compiled_loop()(state, p & 3, None, 0, z.ctypes.data, m, rs, cs, 0, z.shape[0] * m,
-                    df.ctypes.data, _TWO_PI, ctypes.byref(used))
-    return used.value
-
-
-def column_walk(u, z, col, ncol, df):
-    """Draw columns ``col .. ncol-1`` of the stacked fills z, as
-    :func:`walk_fills` does, from the given 1-d uniforms u in order.
-
-    The same C draw code as :func:`walk_fills`, over uniforms chosen by the
-    caller.  Returns the first column the uniforms did not finish and the
-    number of uniforms the finished columns used.  Only where
-    :func:`compiled_loop` loads the walk.
-    """
-    m, rs, cs = _check_walk(z, col, ncol, df,
-                            u.dtype == np.float64 and u.flags.c_contiguous and u.ndim == 1)
-    used = ctypes.c_size_t()
-    done = compiled_loop()(None, 0, u.ctypes.data, len(u), z.ctypes.data, m, rs, cs, col, ncol,
-                           df.ctypes.data, _TWO_PI, ctypes.byref(used))
-    return done, used.value
+    # byref of the double at the start of out passes its address, and
+    # holds out's buffer for the call.
+    rng.skip(compiled_loop()(state, p & 3, ctypes.byref(ctypes.c_double.from_buffer(out)), m, k,
+                             fortran, a, s))
+    if fortran:
+        out = out.transpose(0, 2, 1)
+    return out

@@ -22,9 +22,9 @@ normals z_1j .. z_(j-1)j first and the diagonal chi draw z_jj last.  For
 equal (m, n) both fills consume exactly m(m-1)/2 normal draws and m chi
 draws in the same positions; only the chi degrees of freedom differ
 (n+1-j for the Wishart fill, n-m+j for the inverse-Wishart fill).
-For m >= ``FILL_BATCH_MIN_M``, and for every batch of k fills (the ``_many``
-fills, one (k, m, m) array), the fill runs through the compiled column walk
-of :func:`triwish.rng.walk_fills`: in one call it walks the columns in this
+Where it loads, every fill, single or a batch of k (the ``_many`` fills,
+one (k, m, m) array), at every m, runs through the compiled column walk of
+:func:`triwish.rng.walk_fills`: in one call it walks the columns in this
 order in C with the scalar draws' operations, computing the Philox uniforms
 from the stream's seed, id and position, and the stream then skips exactly
 the uniforms the column-by-column loop consumes: same bytes, same position
@@ -128,49 +128,35 @@ class SamplerSpec:
             )
 
 
-# Smallest m whose single fill runs through the compiled column walk; below
-# it the walk's fixed cost (argument checks, ctypes call, skip)
-# outweighs the Python draws it saves.  Against the scalar loop the walk took
-# 1.06-1.12x the time at m = 4, 0.84-0.85x at m = 5 and 0.68-0.69x at m = 6
-# on a 2-CPU x86-64 host with numpy 2.4 (see CHANGES.md).  Starting at 6
-# keeps the m = 4 Monte Carlo steps as they were, and lets a single fill
-# below it take any stream with standard_normal and chi.
-FILL_BATCH_MIN_M = 6
-
-
-def _fill_scalar(rng, m, diag_df):
+def _fill_scalar(rng, m, a, s):
+    # The diagonal of column j = 1..m has a + s * j degrees of freedom: the
+    # IEEE operations of n + 1 - j (a = n + 1, s = -1.0) and of n - m + j
+    # (a = n - m, s = 1.0), which the walk makes too, in double precision
+    # for any numeric n.
+    a = float(a)
     normal = rng.standard_normal
     chi = rng.chi
     z = np.zeros((m, m), order="F")
     for j in range(m):
         if j:
             z[:j, j] = [normal() for _ in range(j)]
-        z[j, j] = chi(diag_df(j + 1))
+        z[j, j] = chi(a + s * (j + 1))
     return z
 
 
-def _fill_one(rng, m, diag_df):
-    # Tested first, the bound keeps small fills from building the walk.
-    if m < FILL_BATCH_MIN_M or compiled_loop() is None:
-        return _fill_scalar(rng, m, diag_df)
-    return _fill_walk(rng, m, diag_df, 1, fortran=True)[0]
-
-
-def _fill_many(rng, m, diag_df, k):
+def _fill_one(rng, m, a, s):
     if compiled_loop() is None:
-        return np.array([_fill_scalar(rng, m, diag_df) for _ in range(k)])
-    return _fill_walk(rng, m, diag_df, k)
+        return _fill_scalar(rng, m, a, s)
+    return walk_fills(rng, m, 1, a, s, fortran=True)[0]
 
 
-def _fill_walk(rng, m, diag_df, k, fortran=False):
-    # k fills in a row are one stream of k*m columns, each fill in Fortran
-    # order or the whole (k, m, m) array in C order.  For a float n, diag_df
-    # on the floats 1..m makes the IEEE operations it makes on each int j.
-    out = np.zeros((k, m, m))
-    if fortran:
-        out = out.transpose(0, 2, 1)
-    rng.skip(walk_fills(rng, out, diag_df(np.arange(1.0, m + 1.0))))
-    return out
+def _fill_many(rng, m, a, s, k, fortran=False):
+    # k fills in a row are one stream of k*m columns: the whole (k, m, m)
+    # array in C order, or each fill in Fortran order.
+    if compiled_loop() is not None:
+        return walk_fills(rng, m, k, a, s, fortran)
+    fills = [_fill_scalar(rng, m, a, s) for _ in range(k)]
+    return np.array([z.T for z in fills]).transpose(0, 2, 1) if fortran else np.array(fills)
 
 
 def draw_bartlett_wishart(rng, m, n):
@@ -180,7 +166,7 @@ def draw_bartlett_wishart(rng, m, n):
     in the documented draw order.
     """
     m = _check_fill_args(m, n)
-    return _fill_one(rng, m, lambda j: n + 1 - j)
+    return _fill_one(rng, m, n + 1, -1.0)
 
 
 def draw_bartlett_invwishart(rng, m, n):
@@ -190,7 +176,7 @@ def draw_bartlett_invwishart(rng, m, n):
     column j uses chi_(n-m+j) instead.
     """
     m = _check_fill_args(m, n)
-    return _fill_one(rng, m, lambda j: n - m + j)
+    return _fill_one(rng, m, n - m, 1.0)
 
 
 def draw_bartlett_wishart_many(rng, m, n, k):
@@ -198,7 +184,7 @@ def draw_bartlett_wishart_many(rng, m, n, k):
     position after them, of k successive :func:`draw_bartlett_wishart` calls."""
     m = _check_fill_args(m, n)
     k = _positive_int("batch size k", k)
-    return _fill_many(rng, m, lambda j: n + 1 - j, k)
+    return _fill_many(rng, m, n + 1, -1.0, k)
 
 
 def draw_bartlett_invwishart_many(rng, m, n, k):
@@ -206,7 +192,7 @@ def draw_bartlett_invwishart_many(rng, m, n, k):
     position after them, of k successive :func:`draw_bartlett_invwishart` calls."""
     m = _check_fill_args(m, n)
     k = _positive_int("batch size k", k)
-    return _fill_many(rng, m, lambda j: n - m + j, k)
+    return _fill_many(rng, m, n - m, 1.0, k)
 
 
 def cholesky_upper_param(scale, invert, counter=None):
@@ -279,11 +265,12 @@ class Plan:
         """k draws as a (k, m, m) array, from one batch of k fills: the
         bytes, and the stream position after them, of k calls of :meth:`draw`."""
         m, n = self.spec.m, self.spec.n
-        if self.algorithm == DIRECT:
-            fills = draw_bartlett_invwishart_many(rng, m, n, k)
-        else:
-            fills = draw_bartlett_wishart_many(rng, m, n, k)
-        out = np.empty_like(fills)
+        k = _positive_int("batch size k", k)
+        # The fills of draw_bartlett_invwishart_many or _wishart_many, but
+        # each in Fortran order, which the kernels take without a copy.
+        a, s = (n - m, 1.0) if self.algorithm == DIRECT else (n + 1, -1.0)
+        fills = _fill_many(rng, m, a, s, k, fortran=True)
+        out = np.empty((k, m, m))
         for i, z in enumerate(fills):
             out[i] = self._kernels(z, None)
         return out

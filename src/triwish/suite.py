@@ -651,7 +651,10 @@ def _selected(name, only):
         token = token.strip()
         if not token:
             continue
-        if token in name or token.rstrip("s") in name:
+        # A plural matches its singular ("jacobians"); a token of only s's
+        # strips to "", which would match every name.
+        stem = token.rstrip("s")
+        if token in name or stem and stem in name:
             return True
     return False
 

@@ -38,8 +38,9 @@ def no_compiled_loop(monkeypatch):
 
 
 @pytest.fixture
-def compiled_walk():
-    """The compiled column walk; the test is skipped where it cannot be built."""
+def walk():
+    """The compiled column walk's entry, :func:`triwish.rng.walk_fills`; the
+    test is skipped where the walk cannot be built or loaded."""
     if rng.compiled_loop() is None:
         pytest.skip("no compiled column walk: every fill runs the scalar loop")
-    return rng.column_walk
+    return rng.walk_fills

@@ -419,6 +419,15 @@ def test_validate_unmatched_filter(capsys):
     assert "matched no checks" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("only", ["ss", "sss,", " , "])
+def test_validate_filter_that_strips_to_nothing_matches_no_checks(capsys, only):
+    # Stripping the plural "s" from "ss" once left an empty token, which
+    # matched, and ran, all 23 checks.
+    rc = run_cli(["validate", "--only", only])
+    assert rc == 2
+    assert "matched no checks" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("only", ["errors.df", "opcount"])
 @pytest.mark.parametrize("seed", ["-5", str(2 ** 64)])
 def test_validate_rejects_out_of_range_seed(tmp_path, capsys, only, seed):

@@ -23,12 +23,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from triwish import rng as rng_module
 from triwish import samplers
-from triwish.errors import InvalidDegreesOfFreedom, InvalidParameter
+from triwish.errors import InvalidDegreesOfFreedom
 from triwish.rng import RngStream
 from triwish.samplers import (
     draw_bartlett_invwishart,
@@ -37,6 +37,7 @@ from triwish.samplers import (
     draw_bartlett_wishart_many,
 )
 
+from philox_positions import position_of
 from test_golden_rng import GammaPath, _CountingMath
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_fill_v1.json"
@@ -78,12 +79,15 @@ def _golden_records():
     ]
 
 
-# Forces one path: every m at or above the threshold takes the column walk.
-PATHS = {"scalar": 10 ** 9, "columns": 1}
+# "scalar" unloads the compiled column walk, as in a process that cannot
+# build or load it, so every fill runs the scalar loop; "columns" leaves the
+# walk as built, which runs every fill where it loads.
+PATHS = ("columns", "scalar")
 
 
 def _force_fill_path(mp, path):
-    mp.setattr(samplers, "FILL_BATCH_MIN_M", PATHS[path])
+    if path == "scalar":
+        mp.setattr(rng_module, "_loop", None)
 
 
 @pytest.fixture(params=sorted(PATHS))
@@ -103,8 +107,7 @@ def test_golden_fill_digests(fill_path):
     _check_golden_fills()
 
 
-def test_golden_fill_digests_without_the_compiled_loop(monkeypatch, no_compiled_loop):
-    _force_fill_path(monkeypatch, "columns")
+def test_golden_fill_digests_without_the_compiled_loop(no_compiled_loop):
     _check_golden_fills()
 
 
@@ -119,7 +122,6 @@ def test_golden_fill_digests_when_the_loop_cannot_be_built(tmp_path, monkeypatch
         cache = tmp_path / "file" / "cache"
     monkeypatch.setattr(rng_module, "_CACHE", cache)
     monkeypatch.setattr(rng_module, "_loop", rng_module._NOT_LOADED)
-    _force_fill_path(monkeypatch, "columns")
     _check_golden_fills()
     assert rng_module.compiled_loop() is None
     if failure == "no compiler":
@@ -129,66 +131,48 @@ def test_golden_fill_digests_when_the_loop_cannot_be_built(tmp_path, monkeypatch
 @pytest.mark.parametrize("loop", ["as built", "none"])
 def test_single_fills_are_fortran_ordered_and_batches_c_ordered(monkeypatch, loop):
     # The kernels take a Fortran-ordered fill without a copy; batches keep
-    # C order, which the validation checks' sums over them depend on.
+    # C order, which the validation checks' sums over them depend on.  The
+    # plans' batches hold each fill in Fortran order instead.
     if loop == "none":
         monkeypatch.setattr(rng_module, "_loop", None)
-    for m in (2, samplers.FILL_BATCH_MIN_M - 1, samplers.FILL_BATCH_MIN_M, 30):
+    for m in (1, 2, 5, 6, 30):
         for name in FILLS:
             assert FILLS[name](RngStream(m), m, m + 2.0).flags.f_contiguous
             assert MANY[name](RngStream(m), m, m + 2.0, 3).flags.c_contiguous
+        fills = samplers._fill_many(RngStream(m), m, m + 3.0, -1.0, 3, fortran=True)
+        assert fills.shape == (3, m, m) and all(z.flags.f_contiguous for z in fills)
+        many = MANY["wishart"](RngStream(m), m, m + 2.0, 3)
+        assert np.array_equal(fills, many)
 
 
-def test_golden_covers_the_crossover():
-    c = samplers.FILL_BATCH_MIN_M
-    assert {c - 1, c} <= set(GOLDEN_M)
-
-
-def test_single_fill_threshold_follows_the_loaded_loop(monkeypatch):
-    walk_ms = []
-    walk = samplers._fill_walk
-    monkeypatch.setattr(samplers, "_fill_walk",
-                        lambda rng, m, diag_df, k, **kw: walk_ms.append(m)
-                        or walk(rng, m, diag_df, k, **kw))
-    # Fills below FILL_BATCH_MIN_M never build or load the loop.
-    monkeypatch.setattr(rng_module, "_loop", rng_module._NOT_LOADED)
-    for m in (1, samplers.FILL_BATCH_MIN_M - 1):
-        draw_bartlett_wishart(RngStream(m), m, m + 2.0)
-    assert rng_module._loop is rng_module._NOT_LOADED and not walk_ms
-    ms = (samplers.FILL_BATCH_MIN_M, 40)
-    for loop in (rng_module.compiled_loop(), None):
-        monkeypatch.setattr(rng_module, "_loop", loop)
-        walk_ms.clear()
-        for m in ms:
-            draw_bartlett_invwishart(RngStream(m), m, m + 2.0)
-        draw_bartlett_wishart_many(RngStream(1), 2, 3.0, 4)
-        assert walk_ms == (list(ms) + [2] if loop is not None else [])
-
-
-def _both_paths(monkeypatch, fill, m, n, seed, skip=0):
+def _both_paths(fill, m, n, seed, skip=0):
     out = {}
     for path in PATHS:
-        _force_fill_path(monkeypatch, path)
-        out[path] = _fill_record(fill, m, n, seed, skip)
+        with pytest.MonkeyPatch.context() as mp:
+            _force_fill_path(mp, path)
+            out[path] = _fill_record(fill, m, n, seed, skip)
     return out["scalar"], out["columns"]
 
 
 @pytest.mark.parametrize("fill", sorted(FILLS))
-def test_paths_agree_around_the_crossover(monkeypatch, fill):
-    c = samplers.FILL_BATCH_MIN_M
-    for m in sorted({1, c - 2, c - 1, c, c + 1, c + 7, 22, 40}):
-        for n in (m - 0.25, m + 0.5, 2.0 * m + 3.0):
-            scalar, columns = _both_paths(monkeypatch, fill, m, n, seed=m)
+def test_paths_agree_around_the_crossover(fill):
+    # Single fills below m = 6 ran the scalar loop even where the walk
+    # loads, until the walk became cheaper at every m.
+    # A numpy float32 n once ran the scalar draws in float32 arithmetic.
+    for m in (1, 2, 4, 5, 6, 7, 13, 22, 40):
+        for n in (m - 0.25, m + 0.5, 2.0 * m + 3.0, np.float32(m + 0.3)):
+            scalar, columns = _both_paths(fill, m, n, seed=m)
             assert scalar == columns
 
 
 @pytest.mark.parametrize("fill", sorted(FILLS))
-def test_paths_agree_across_a_block_boundary(monkeypatch, fill):
+def test_paths_agree_across_a_block_boundary(fill):
     # 4096 uniforms per Philox block.  Start each fill a few uniforms before
     # the first boundary so that a batch of column uniforms, or a chi draw,
     # straddles it.
     m = 20
     for skip in (4096 - 1, 4096 - 7, 4096 - 40, 4096 - 300, 4096):
-        scalar, columns = _both_paths(monkeypatch, fill, m, m + 1.5, seed=11, skip=skip)
+        scalar, columns = _both_paths(fill, m, m + 1.5, seed=11, skip=skip)
         assert scalar == columns
         assert scalar["position"] > 4096
 
@@ -245,69 +229,46 @@ def test_many_matches_single_fills_across_a_block_boundary(fill):
         assert single[1] > 4096
 
 
-def _walk_chi(u, df):
-    """One column of a 1x1 fill through the walk: (done, uniforms used, chi)."""
-    z = np.zeros((1, 1, 1))
-    done, used = rng_module.column_walk(np.array(u, dtype=float), z, 0, 1, np.array([df]))
-    return done, used, float(z[0, 0, 0])
+def _walk_and_scalar_chi(walk, u, lane, df):
+    """A 1 x 1 fill at chi df drawn from lane ``lane`` of a Philox block
+    crafted to hold the uniforms u, by the walk and by the scalar loop:
+    [(chi as hex, uniforms used)] for each."""
+    p = position_of(2, 0, u) + lane
+    out = []
+    for fill in (lambda rng: walk(rng, 1, 1, df + 1.0, -1.0)[0],
+                 lambda rng: samplers._fill_scalar(rng, 1, df + 1.0, -1.0)):
+        rng = RngStream(2, 0)
+        rng.skip(p)
+        out.append((fill(rng)[0, 0].hex(), rng.position - p))
+    return out
 
 
-def _scalar_chi(u, df):
-    """RngStream.chi over the uniforms u: (1, uniforms used, chi).  Raises
-    StopIteration where the uniforms run out."""
-    feed = iter(u)
-    stream = RngStream.__new__(RngStream)
-    stream.uniform = feed.__next__
-    chi = stream.chi(df)
-    return 1, len(u) - len(list(feed)), chi
-
-
-def test_first_attempt_with_v_not_positive_is_not_accepted(compiled_walk):
+def test_first_attempt_with_v_not_positive_is_not_accepted(walk):
     # u1 = 0.999 and u2 = 1/2 make x = -3.72; at gamma shape 1 (chi df 2,
     # d = 2/3, c = 1/sqrt(6)) that gives v = 1 + c x < 0, which the scalar
-    # gamma redraws from the next two uniforms (5 used in all).  At shape 50
-    # the same uniforms give v > 0 and miss the squeeze, as 1 - 0.0331 x^4 < 0,
-    # so the log test decides: it accepts u = 1/2 (3 used) and rejects
-    # u = 0.99, which starts a second attempt (6 used).
+    # gamma redraws from the next two uniforms (5 or more used in all).  At
+    # shape 50 the same uniforms give v > 0 and miss the squeeze, as
+    # 1 - 0.0331 x^4 < 0, so the log test decides: it accepts u = 1/2 (3
+    # used) and rejects u = 0.99, which starts a second attempt (6 or more).
     x = math.sqrt(-2.0 * math.log(1.0 - 0.999)) * math.cos(math.pi)
     assert 1.0 - 0.0331 * x ** 4 < 0.0
-    for df, u, used in ((2.0, [0.999, 0.5, 0.25, 0.125, 0.5], 5),
-                        (100.0, [0.999, 0.5, 0.5], 3),
-                        (100.0, [0.999, 0.5, 0.99, 0.25, 0.125, 0.5], 6)):
-        shape = 0.5 * df
-        stream = RngStream.__new__(RngStream)
-        stream.uniform = iter(u).__next__
-        g = RngStream._gamma_mt(stream, shape)
-        assert _walk_chi(u, df) == _scalar_chi(u, df) == (1, used, math.sqrt(g * 2.0))
-        # One uniform short, the walk finishes no column and uses none.
-        assert _walk_chi(u[:-1], df) == (0, 0, 0.0)
+    for df, u, path_taken in ((2.0, [0.999, 0.5, 0.25, 0.125], lambda used: used >= 5),
+                              (100.0, [0.999, 0.5, 0.5, 0.5], lambda used: used == 3),
+                              (100.0, [0.999, 0.5, 0.99, 0.25], lambda used: used >= 6)):
+        walked, scalar = _walk_and_scalar_chi(walk, u, 0, df)
+        assert walked == scalar and path_taken(scalar[1])
 
 
-def test_column_walk_rejects_arrays_it_cannot_walk(compiled_walk):
-    u, z, df = np.full(10, 0.5), np.zeros((1, 2, 2)), np.full(2, 5.0)
-    # Fills are walked in C order or in Fortran order; fills whose rows or
-    # columns are spaced out are refused.
-    for args in ((u[::2], z, 0, 2, df),
-                 (u, z.astype(np.float32), 0, 2, df),
-                 (u, np.zeros((1, 2, 4))[:, :, :2], 0, 2, df),
-                 (u, np.zeros((1, 2, 4)).transpose(0, 2, 1)[:, :2, :], 0, 2, df),
-                 (u, np.zeros((4, 2, 2))[::2], 0, 2, df),
-                 (u, np.zeros((2, 2, 1)), 0, 2, df),
-                 (u, z, 0, 2, np.full(3, 5.0)),
-                 (u, z, 0, 3, df),
-                 (u, z, 2, 1, df)):
-        with pytest.raises(InvalidParameter):
-            compiled_walk(*args)
-    for bad in (0.0, -1.0, np.nan):
+def test_walk_fills_rejects_degrees_of_freedom_that_are_not_positive(walk):
+    # A NaN or non-positive df would never end the walk's chi, as
+    # RngStream.chi refuses it; the df is checked at both ends of the line.
+    for m, a, s in ((1, -1.0, 1.0), (1, -2.0, 1.0), (3, 3.0, -1.0), (3, 0.5, -1.0),
+                    (2, math.nan, 1.0), (2, -math.inf, 1.0)):
+        rng = RngStream(1)
         with pytest.raises(InvalidDegreesOfFreedom):
-            compiled_walk(u, z, 0, 2, np.array([5.0, bad]))
-    walked = []
-    for fills in (z, np.zeros((3, 2, 2)).transpose(0, 2, 1), np.zeros((2, 2), order="F")[None]):
-        assert compiled_walk(u, fills, 0, 2, df)[0] == 2
-        walked.append(fills[0].tobytes())
-        # Column 1's normal lands above the diagonal, in either order.
-        assert fills[0, 0, 1] < 0.0 and fills[0, 1, 0] == 0.0
-    assert walked[0] == walked[1] == walked[2]
+            walk(rng, m, 2, a, s)
+        assert rng.position == 0
+    assert walk(RngStream(1), 3, 2, 3.5, -1.0).shape == (2, 3, 3)
 
 
 _U53 = 2.0 ** -53
@@ -317,17 +278,18 @@ _UNIFORM = st.one_of(st.sampled_from((0.0, _U53, 0.5, 1.0 - _U53)),
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(u=st.lists(_UNIFORM, max_size=16), df=st.floats(1e-3, 1e4))
-def test_walk_chi_matches_the_scalar_chi(compiled_walk, u, df):
-    # Any uniforms: rejected attempts, the boost below shape 1, and a
-    # window that ends inside the chi, where neither side finishes.
-    try:
-        scalar = _scalar_chi(u, df)
-    except StopIteration:
-        assert _walk_chi(u, df)[:2] == (0, 0)
-    else:
-        walk = _walk_chi(u, df)
-        assert walk[:2] == scalar[:2] and walk[2].hex() == scalar[2].hex()
+@given(u=st.lists(_UNIFORM, min_size=4, max_size=4), lane=st.integers(0, 3),
+       df=st.floats(1e-3, 1e4))
+# w = 0 after a normal that misses the squeeze, which the log test must not
+# take; and the shape < 1 boost at its largest and smallest uniforms.
+@example(u=[0.999, 0.0, 0.0, 0.5], lane=0, df=100.0)
+@example(u=[0.5, 0.0, 0.5, 1.0 - _U53], lane=0, df=0.5)
+@example(u=[0.5, 0.0, 0.5, 0.0], lane=0, df=0.5)
+def test_walk_chi_matches_the_scalar_chi(walk, u, lane, df):
+    # Chosen uniforms, from any lane of their block: rejected attempts, the
+    # boost below shape 1, and the uniforms 0 and 1 - 2^-53.
+    walked, scalar = _walk_and_scalar_chi(walk, u, lane, df)
+    assert walked == scalar
 
 
 FILL_CASES = dict(
@@ -346,40 +308,7 @@ def test_many_matches_single_fills_property(fill, seed, m, extra, k):
     assert single == many
 
 
-DIAG_DF = {"wishart": lambda m, n: lambda j: n + 1 - j,
-           "invwishart": lambda m, n: lambda j: n - m + j}
-
-
-def _fill_in_windows(fill, m, n, k, seed, width):
-    """k fills through the walk's window entry, over windows of numpy's
-    Philox stream: each starts where the finished columns ended, holds
-    ``width`` uniforms, and is doubled when it finishes no column.
-    (digest, uniforms used, next uniform), as :func:`_singles_and_many`."""
-    philox = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    u = (philox.random_raw(4 * k * m * (m + 2) + 1000) >> 11) * 2.0 ** -53
-    df = np.array([DIAG_DF[fill](m, n)(j + 1) for j in range(m)])
-    z = np.zeros((k, m, m))
-    col, at, grow = 0, 0, 1
-    while col < k * m:
-        assert at + grow * width < len(u)
-        done, used = rng_module.column_walk(u[at:at + grow * width], z, col, k * m, df)
-        grow = 1 if done > col else 2 * grow
-        col, at = done, at + used
-    return _digest(z), at, float(u[at])
-
-
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(**FILL_CASES)
-def test_many_matches_single_fills_property_in_small_windows(compiled_walk, fill, seed, m, extra,
-                                                              k):
-    # 50-uniform windows: windows end inside a fill and inside a column, and
-    # a chi whose rejections run past its window doubles the next one.
-    single, _ = _singles_and_many(fill, m, m - 1 + extra, k, seed)
-    assert _fill_in_windows(fill, m, m - 1 + extra, k, seed, 50) == single
-
-
-def test_walk_fills_take_every_chi_path(compiled_walk):
+def test_walk_fills_take_every_chi_path(walk):
     # 100 inverse-Wishart fills at m = 5, n = 4.5 (chi df 0.5 .. 4.5) from
     # seed 0, found by search: counted on the scalar fills with a counting
     # math, their chis take the v <= 0 redraw, the squeeze, the log test's

@@ -20,7 +20,6 @@ import pathlib
 import sys
 from dataclasses import dataclass
 
-import numpy as np
 import pytest
 
 from triwish import rng as rng_module
@@ -31,6 +30,8 @@ NORMAL_SEED = 12345
 NORMAL_COUNT = 64
 SHAPES = (0.3, 0.5, 1.0, 2.5, 50.0)
 DRAWS_PER_SEED = 8
+# Uniforms in the first NORMAL_COUNT columns of a fill when each chi takes 3.
+WRAP_LEAD = NORMAL_COUNT * (NORMAL_COUNT - 1) + 3 * NORMAL_COUNT
 
 
 @dataclass
@@ -123,14 +124,19 @@ def test_golden_normals():
     assert [rng.standard_normal().hex() for _ in range(NORMAL_COUNT)] == stored["hex"]
 
 
-def test_golden_normals_through_box_muller(compiled_walk):
-    # Column NORMAL_COUNT of a fill holds NORMAL_COUNT normals above its chi.
+def test_golden_normals_through_box_muller(walk):
+    # Column NORMAL_COUNT of an m = NORMAL_COUNT + 1 fill holds NORMAL_COUNT
+    # normals above its chi.  Positions count modulo 2**258, where the Philox
+    # counter wraps, so a fill started WRAP_LEAD uniforms before 2**258 whose
+    # first NORMAL_COUNT columns take exactly WRAP_LEAD uniforms draws that
+    # column from the stream's first uniforms.  They do at n = 100, found
+    # once: every chi accepts at its first attempt, taking three uniforms.
     stored = json.loads(GOLDEN.read_text())["normals"]
-    m = NORMAL_COUNT + 1
-    z = np.zeros((1, m, m))
-    philox = np.random.Philox(key=np.array([stored["seed"], 0], dtype=np.uint64))
-    u = (philox.random_raw(2 * NORMAL_COUNT + 100) >> 11) * 2.0 ** -53
-    assert compiled_walk(u, z, m - 1, m, np.full(m, 100.0))[0] == m
+    m, n = NORMAL_COUNT + 1, 100.0
+    rng = RngStream(stored["seed"])
+    rng.skip(2 ** 258 - WRAP_LEAD)
+    z = walk(rng, m, 1, n + 1, -1.0)
+    assert rng.position == 2 ** 258 + 2 * NORMAL_COUNT + 3
     assert [x.hex() for x in z[0, :m - 1, m - 1].tolist()] == stored["hex"]
 
 

@@ -16,6 +16,8 @@ from triwish import samplers
 from triwish.rng import RngStream
 from triwish.validation import chi_square_cdf, ks_one_sample, normal_cdf
 
+from philox_positions import philox_block, position_of, raw_word
+
 
 def test_same_seed_same_sequence():
     a = RngStream(987654321)
@@ -248,32 +250,67 @@ class _Feed:
         self.uniform = iter(u).__next__
 
 
-def _walk_normals(u):
-    """The normals the column walk draws from the uniforms u: column m - 1 of
-    an m x m fill holds m - 1 of them above its chi.  Three more uniforms
-    make that chi accept on its first attempt."""
-    m = len(u) // 2 + 1
-    z = np.zeros((1, m, m))
-    window = np.array(u[:2 * (m - 1)] + [0.5, 0.5, 0.0])
-    assert rng_module.column_walk(window, z, m - 1, m, np.full(m, 100.0)) == (m, len(window))
-    return z[0, :m - 1, m - 1]
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), stream=st.integers(0, 2 ** 64 - 1),
+       u=st.lists(_UNIFORM, min_size=4, max_size=4))
+@example(seed=0, stream=0, u=[0.0, 0.5, 0.0, 1.0 - _U53])
+def test_philox_positions_reach_chosen_uniforms(seed, stream, u):
+    # The position inverted from four chosen uniforms is where numpy's
+    # Philox, through RngStream.skip, gives them next.
+    p = position_of(seed, stream, u)
+    assert p % 4 == 0 and 0 <= p < 2 ** 258
+    rng = RngStream(seed, stream)
+    rng.skip(p)
+    assert [rng.uniform() for _ in range(4)] == u
+    assert philox_block(seed, stream, p // 4 + 1) == [raw_word(x) for x in u]
 
 
-@settings(max_examples=200, deadline=None,
+def _walk_normal(walk, u1, u2):
+    """The walk's normal from the uniforms u1 then u2, once the whole fill
+    it sits in has matched the scalar fill.  A 2 x 2 Wishart fill at df 100
+    draws a chi, then that normal, then a chi.  Its start is put three uniforms before a block
+    crafted to begin with u1, u2: the first chi takes exactly those three
+    where it accepts at its first attempt, as it mostly does at shape 50,
+    and the stream id is the first for which it does."""
+    for stream in range(100):
+        p = position_of(1, stream, [u1, u2, 0.5, 0.5])
+        ref = RngStream(1, stream)
+        ref.skip(p - 3)
+        ref.chi(100.0)
+        if ref.position == p:
+            break
+    else:
+        raise AssertionError("no stream id puts the normal on the crafted block")
+    rng, ref = RngStream(1, stream), RngStream(1, stream)
+    rng.skip(p - 3)
+    ref.skip(p - 3)
+    z = walk(rng, 2, 1, 101.0, -1.0, fortran=True)[0]
+    scalar = samplers._fill_scalar(ref, 2, 101.0, -1.0)
+    assert z.tobytes() == scalar.tobytes() and rng.position == ref.position
+    return z[0, 1]
+
+
+def _edge_examples(test):
+    for a in EDGES:
+        for b in EDGES:
+            test = example(u1=a, u2=b)(test)
+    return test
+
+
+@settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(u=st.lists(_UNIFORM, max_size=64))
-@example(u=[x for a in EDGES for b in EDGES for x in (a, b)])
-def test_box_muller_matches_standard_normal_bits(compiled_walk, u):
-    feed = _Feed(u)
-    scalar = np.array([RngStream.standard_normal(feed) for _ in range(len(u) // 2)])
-    assert _walk_normals(u).tobytes() == scalar.tobytes()
+@given(u1=_UNIFORM, u2=_UNIFORM)
+@_edge_examples
+def test_box_muller_matches_standard_normal_bits(walk, u1, u2):
+    scalar = RngStream.standard_normal(_Feed([u1, u2]))
+    assert _walk_normal(walk, u1, u2).hex() == scalar.hex()
 
 
-def test_box_muller_matches_a_stream_of_normals(compiled_walk):
+def test_box_muller_matches_a_stream_of_normals(walk):
     # A 200 x 200 fill through the walk: 19,900 normals between 200 chis.
     a = RngStream(31337)
     b = RngStream(31337)
-    z = samplers._fill_walk(a, 200, lambda j: 201.0 - j, 1)[0]
+    z = walk(a, 200, 1, 201.0, -1.0)[0]
     for j in range(200):
         assert z[:j, j].tobytes() == np.array([b.standard_normal() for _ in range(j)]).tobytes()
         assert z[j, j] == b.chi(201.0 - (j + 1))
@@ -289,14 +326,14 @@ WALK_STARTS = sorted({e + d for e in (0, 256, 512, 4096, 2 * 4096) for d in rang
 
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
 @pytest.mark.parametrize("stream", [0, 1, 2 ** 64 - 1])
-def test_walk_philox_matches_numpy_philox(compiled_walk, seed, stream):
+def test_walk_philox_matches_numpy_philox(walk, seed, stream):
     # The walk computes its own Philox uniforms from (seed, stream, position),
     # 256 at a time from the block holding the start.  Six 9 x 9 fills (about
     # 600 uniforms, so two chunk edges fall inside them) from each start must
     # equal the scalar fills over numpy's raw stream, converted as
     # (raw >> 11) * 2**-53, and use exactly the uniforms those do.  The
     # stream reaches its start by skip or by scalar uniform() calls.
-    m, k, df = 9, 6, lambda j: 10.5 - j
+    m, k, a, s = 9, 6, 10.5, -1.0
     want = _numpy_uniforms(seed, stream, WALK_STARTS[-1] + 2000)
     for start in WALK_STARTS:
         for by_skip in (True, False):
@@ -306,11 +343,11 @@ def test_walk_philox_matches_numpy_philox(compiled_walk, seed, stream):
             else:
                 for _ in range(start):
                     rng.uniform()
-            z = samplers._fill_walk(rng, m, df, k)
+            z = walk(rng, m, k, a, s)
             rest = iter(want[start:])
             feed = RngStream.__new__(RngStream)
             feed.uniform = rest.__next__
-            ref = np.stack([samplers._fill_scalar(feed, m, df) for _ in range(k)])
+            ref = np.stack([samplers._fill_scalar(feed, m, a, s) for _ in range(k)])
             assert z.tobytes() == ref.tobytes(), start
             assert rng.position == len(want) - len(list(rest)), start
             assert rng.uniform() == want[rng.position - 1]
@@ -333,8 +370,8 @@ def test_compiled_loop_builds_into_an_empty_cache(tmp_path, monkeypatch):
     # Only the finished library is left, named by the hash of source and flags.
     [lib] = (tmp_path / "cache").iterdir()
     assert re.fullmatch(r"_boxmuller-[0-9a-f]{16}\.so", lib.name)
-    walk = samplers._fill_walk(RngStream(5), 30, lambda j: 31.5 - j, 1)[0]
-    assert walk.tobytes() == samplers._fill_scalar(RngStream(5), 30, lambda j: 31.5 - j).tobytes()
+    z = rng_module.walk_fills(RngStream(5), 30, 1, 31.5, -1.0, fortran=True)[0]
+    assert z.tobytes() == samplers._fill_scalar(RngStream(5), 30, 31.5, -1.0).tobytes()
 
 
 def test_golden_first_draws():

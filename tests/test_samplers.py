@@ -13,6 +13,8 @@ from triwish.errors import (
     NumericalFailure,
     TriwishError,
 )
+from triwish import rng as rng_module
+from triwish import samplers
 from triwish.linalg import OpCounter
 from triwish.rng import RngStream
 from triwish.samplers import (
@@ -36,7 +38,10 @@ from triwish.samplers import (
 
 
 class StubRng:
-    """Scripted draw source that records the call sequence."""
+    """Scripted draw source that records the call sequence.
+
+    It has no seed or position, so only the scalar loop can draw from it:
+    tests that fill from it run with ``no_compiled_loop``."""
 
     def __init__(self, normals=(), chis=()):
         self.normals = list(normals)
@@ -54,12 +59,14 @@ class StubRng:
         return self.chis.pop(0)
 
 
+@pytest.mark.usefixtures("no_compiled_loop")
 def test_bartlett_wishart_m1_stub():
     stub = StubRng(chis=[2.0])
     np.testing.assert_array_equal(draw_bartlett_wishart(stub, 1, 5), [[2.0]])
     assert stub.chi_dfs == [5]
 
 
+@pytest.mark.usefixtures("no_compiled_loop")
 def test_bartlett_wishart_m2_stub_trace():
     # Column 1: chi(n).  Column 2: one normal, then chi(n-1).
     stub = StubRng(normals=[0.3], chis=[1.5, 0.8])
@@ -105,6 +112,7 @@ def test_fill_arguments_checked_in_one_place(bad):
     assert rng.position == 0
 
 
+@pytest.mark.usefixtures("no_compiled_loop")
 def test_bartlett_invwishart_m1_matches_wishart():
     # At m=1 the diagonal dfs coincide (n-m+1 = n+1-j = n).
     a = draw_bartlett_wishart(StubRng(chis=[2.0]), 1, 5)
@@ -112,6 +120,7 @@ def test_bartlett_invwishart_m1_matches_wishart():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.usefixtures("no_compiled_loop")
 def test_bartlett_invwishart_m2_stub_trace():
     # df sequence is (n-m+1, n-m+2) = (2, 3).
     stub = StubRng(normals=[-0.4], chis=[0.9, 1.1])
@@ -120,6 +129,7 @@ def test_bartlett_invwishart_m2_stub_trace():
     assert stub.chi_dfs == [2, 3]
 
 
+@pytest.mark.usefixtures("no_compiled_loop")
 def test_loop_order_contract_m3():
     # Column-by-column, off-diagonals before the diagonal.
     expected = ["chi", "normal", "chi", "normal", "normal", "chi"]
@@ -134,6 +144,7 @@ def test_loop_order_contract_m3():
     assert stub_i.chi_dfs == [4, 5, 6]
 
 
+@pytest.mark.usefixtures("no_compiled_loop")
 def test_prng_parity():
     # Same number and type of scalar draws for both fills at equal (m, n).
     for m, n in ((1, 4), (3, 6), (5, 10.5)):
@@ -183,12 +194,14 @@ def _factor_plan(factor, m, n, algorithm):
     return prepare(SamplerSpec(m, n, scale, retcholu=True), algorithm)
 
 
+@pytest.mark.usefixtures("no_compiled_loop")
 def test_rwishart_chol_identity_scale_returns_fill():
     stub = StubRng(normals=[0.3], chis=[1.5, 0.8])
     u_a = _factor_plan(np.eye(2), 2, 3, WISHART).draw(stub)
     np.testing.assert_allclose(u_a, [[1.5, 0.3], [0.0, 0.8]], atol=1e-15)
 
 
+@pytest.mark.usefixtures("no_compiled_loop")
 def test_rwishart_chol_stub_product():
     stub = StubRng(normals=[0.3], chis=[1.5, 0.8])
     u_sigma = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -207,6 +220,7 @@ def test_rwishart_chol_mean():
     assert err < 0.02
 
 
+@pytest.mark.usefixtures("no_compiled_loop")
 def test_rinvwishart_chol_identity_scale():
     stub = StubRng(chis=[2.0, 4.0], normals=[0.0])
     u_b = _factor_plan(np.eye(2), 2, 5, DIRECT).draw(stub)
@@ -362,6 +376,23 @@ def test_one_plan_serves_many_draws():
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
     assert rng.position == ref.position
 
+
+@pytest.mark.parametrize("loop", ["as built", "none"])
+@pytest.mark.parametrize("algorithm", [INDIRECT, DIRECT, WISHART])
+def test_draw_many_hands_the_kernels_fortran_ordered_fills(monkeypatch, loop, algorithm):
+    # Each draw's first kernel takes the fill itself, which in C order would
+    # cost a transposing copy; the kernels return Fortran order after that.
+    if loop == "none":
+        monkeypatch.setattr(rng_module, "_loop", None)
+    plan = prepare(SamplerSpec(4, 7.5, ScaleParam(_spd(4, 5))), algorithm)
+    first_operands = []
+    for name in ("tri_inverse", "tri_mul"):
+        kernel = getattr(samplers, name)
+        monkeypatch.setattr(samplers, name, lambda a, *args, _kernel=kernel, **kw:
+                            first_operands.append(a.flags.f_contiguous) or _kernel(a, *args, **kw))
+    many = plan.draw_many(RngStream(3), 3)
+    assert len(first_operands) >= 3 and all(first_operands)
+    assert many.flags.c_contiguous
 
 def test_recommend_algorithm():
     assert recommend_algorithm(ScaleParam(np.eye(2), iscov=True)) == INDIRECT
