@@ -1,6 +1,6 @@
 /* The Bartlett column walk: every column of k stacked m x m fills, drawn in
- * the documented order from the Philox stream, and written in C order or in
- * Fortran order (each column contiguous, the layout LAPACK and BLAS take
+ * the documented order from the Philox stream, and written with each fill
+ * in Fortran order (each column contiguous, the layout LAPACK and BLAS take
  * without a copy).  Where triwish.rng can build and load this file, it runs
  * every fill, single or batched, at every m.
  *
@@ -127,17 +127,16 @@ static double chi(struct source *s, double k)
     return sqrt(g * 2.0);
 }
 
-/* All k * m columns of the k stacked m x m fills z, in C order or, with
- * fortran, each fill in Fortran order.  Column c is column j = c % m of fill
- * c / m: j normals above the diagonal, then the diagonal chi with
+/* All k * m columns of the k stacked m x m fills z, each fill in Fortran
+ * order, so column c is the m doubles at z + c * m.  It is column j = c % m
+ * of fill c / m: j normals above the diagonal, then the diagonal chi with
  * a + s * (j + 1) degrees of freedom, which the caller has checked to be
  * positive.  The uniforms are the Philox stream of key philox_state[0..1]
  * from uniform lane of the block with counter philox_state[2..5] (low word
  * first) on.  Returns the number of uniforms used. */
 size_t triwish_bartlett_walk(const uint64_t *philox_state, size_t lane, double *z,
-                             size_t m, size_t k, int fortran, double a, double s)
+                             size_t m, size_t k, double a, double s)
 {
-    size_t rs = fortran ? 1 : m, cs = fortran ? m : 1;
     struct source src;
     src.key = philox_state;
     for (int i = 0; i < 4; i++)
@@ -147,10 +146,10 @@ size_t triwish_bartlett_walk(const uint64_t *philox_state, size_t lane, double *
     src.at = lane;
     for (size_t f = 0; f < k; f++) {
         for (size_t j = 0; j < m; j++) {
-            double *top = z + f * m * m + j * cs;
+            double *top = z + (f * m + j) * m;
             for (size_t r = 0; r < j; r++)
-                top[r * rs] = normal(&src);
-            top[j * rs] = chi(&src, a + s * (double)(j + 1));
+                top[r] = normal(&src);
+            top[j] = chi(&src, a + s * (double)(j + 1));
         }
     }
     return (src.refills - 1) * CHUNK + src.at - lane;

@@ -95,7 +95,7 @@ def cmd_sample(args):
     mats = [plan.draw(rng, counter)]
     mats += [plan.draw(rng) for _ in range(args.nsamples - 1)]
     if args.square:
-        mats = [check_draw(gram_ut(draw)) for draw in mats]
+        mats = [check_draw(gram_ut(draw, owned=True)) for draw in mats]
     factor_out = args.retcholu and not args.square
     kind = matio.KIND_CHOLU if factor_out else matio.KIND_SQUARE
     header = [

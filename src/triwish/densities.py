@@ -20,8 +20,17 @@ import math
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from .errors import DimensionMismatch
 from .linalg import as_square, check_cholesky_factor, chol_upper, frobenius_norm_sq, log_det_tri
 from .samplers import _check_df
+
+
+def _check_point(x, u, n):
+    # m of the point x, after checking it against the scale factor u and n.
+    if len(x) != len(u):
+        raise DimensionMismatch(f"point is {len(x)}x{len(x)}, scale factor {len(u)}x{len(u)}")
+    _check_df(len(x), n)
+    return len(x)
 
 
 def _right_div_upper(a, u):
@@ -38,8 +47,7 @@ def logkernel_wishart(a, n, u_sigma):
     """
     a = as_square(a)
     u_sigma = check_cholesky_factor(u_sigma, "covariance factor")
-    m = a.shape[0]
-    _check_df(m, n)
+    m = _check_point(a, u_sigma, n)
     u_a = chol_upper(a)
     ratio = _right_div_upper(u_a, u_sigma)
     logdet_a = 2.0 * log_det_tri(u_a)
@@ -54,8 +62,7 @@ def logkernel_invwishart(b, n, u_omega):
     """
     b = as_square(b)
     u_omega = check_cholesky_factor(u_omega, "precision factor")
-    m = b.shape[0]
-    _check_df(m, n)
+    m = _check_point(b, u_omega, n)
     u_b = chol_upper(b)
     ratio = _right_div_upper(u_omega, u_b)
     logdet_b = 2.0 * log_det_tri(u_b)
@@ -69,8 +76,7 @@ def logkernel_cholwishart(u_a, n, u_sigma):
     """
     u_a = check_cholesky_factor(u_a, "factor")
     u_sigma = check_cholesky_factor(u_sigma, "covariance factor")
-    m = u_a.shape[0]
-    _check_df(m, n)
+    m = _check_point(u_a, u_sigma, n)
     ratio = _right_div_upper(u_a, u_sigma)
     j = np.arange(1, m + 1)
     return -0.5 * frobenius_norm_sq(ratio) + float(np.sum((n - j) * np.log(np.diag(u_a))))
@@ -83,8 +89,7 @@ def logkernel_cholinvwishart(u_b, n, u_omega):
     """
     u_b = check_cholesky_factor(u_b, "factor")
     u_omega = check_cholesky_factor(u_omega, "precision factor")
-    m = u_b.shape[0]
-    _check_df(m, n)
+    m = _check_point(u_b, u_omega, n)
     ratio = _right_div_upper(u_omega, u_b)
     j = np.arange(1, m + 1)
     return -0.5 * frobenius_norm_sq(ratio) - float(np.sum((n + j) * np.log(np.diag(u_b))))

@@ -9,13 +9,12 @@ and BLAS's TRMM; every call increments exactly one field of the supplied
 Fortran (column-major) order, the layout LAPACK and BLAS work in; a
 C-ordered operand costs a transposing copy before the call.
 
-Ownership: by default the wrappers check their inputs (shape, finite
-entries, symmetry for the Cholesky input) and leave them untouched.  With
-``owned=True`` the caller declares that it built the operand itself in
-Fortran order and has no further use for it: the input checks are skipped
-and LAPACK/BLAS overwrite it in place.  The samplers pass the flag only
-for matrices made within one setup or one draw, never for a caller's scale
-or a plan's factor.
+Ownership: ``owned=False``, the default, is for matrices from outside the
+library: the wrappers check them (shape, finite entries, symmetry for the
+Cholesky input) and leave them untouched.  Setup and draws pass the
+library's own matrices, checked once where they entered and in Fortran
+order, with ``owned=True``: no checks, and LAPACK/BLAS overwrite them in
+place, so a scale or a plan's factor goes in as a copy.
 
 Counting convention: forming the symmetric products U^T U and V V^T each
 counts as one TRMM call (an actual LAPACK build might use LAUUM or SYRK
@@ -58,12 +57,20 @@ def as_square(x):
     return a
 
 
+@lru_cache(maxsize=32)
+def _strictly_lower(m):
+    # True strictly below the diagonal: the entries np.triu(x) zeroes.
+    mask = np.tri(m, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def check_upper_triangular(u, name="matrix"):
     """Require explicit zeros below the diagonal and finite entries."""
     u = as_square(u)
     if not np.isfinite(u).all():
         raise InvalidParameter(f"{name} has non-finite entries")
-    if u.shape[0] > 1 and np.any(np.tril(u, -1) != 0.0):
+    if u[_strictly_lower(u.shape[0])].any():
         raise InvalidParameter(f"{name} has nonzero entries below the diagonal")
     return u
 
@@ -75,6 +82,19 @@ def check_cholesky_factor(u, name="factor"):
     if bad.any():
         raise InvalidParameter(f"{name} diagonal entry {int(bad.argmax()) + 1} is not positive")
     return u
+
+
+def check_symmetric(x):
+    """Require a square x to be symmetric to within SYMMETRY_RTOL."""
+    # An exactly symmetric matrix passes without the tolerance test's
+    # temporaries.
+    if not np.array_equal(x, x.T):
+        asym = np.abs(x - x.T).max()
+        if asym > SYMMETRY_RTOL * max(np.abs(x).max(), 1e-300):
+            raise InvalidParameter(
+                f"matrix is not symmetric: max |x_ij - x_ji| = {asym:g} "
+                f"exceeds {SYMMETRY_RTOL:g} * max|x_ij|"
+            )
 
 
 def chol_upper(x, counter=None, *, owned=False):
@@ -91,15 +111,7 @@ def chol_upper(x, counter=None, *, owned=False):
         x = as_square(x)
         if not np.isfinite(x).all():
             raise NotPositiveDefinite("matrix has non-finite entries")
-        # An exactly symmetric matrix passes without the tolerance test's
-        # temporaries.
-        if not np.array_equal(x, x.T):
-            asym = np.abs(x - x.T).max()
-            if asym > SYMMETRY_RTOL * max(np.abs(x).max(), 1e-300):
-                raise InvalidParameter(
-                    f"matrix is not symmetric: max |x_ij - x_ji| = {asym:g} "
-                    f"exceeds {SYMMETRY_RTOL:g} * max|x_ij|"
-                )
+        check_symmetric(x)
     if counter is not None:
         counter.potrf += 1
     u, info = lapack.dpotrf(x, lower=0, overwrite_a=owned)
@@ -150,14 +162,6 @@ def tri_mul(c, x, counter=None, *, owned=False):
     if counter is not None:
         counter.trmm += 1
     return blas.dtrmm(1.0, c, x, side=0, lower=0, trans_a=0, overwrite_b=owned)
-
-
-@lru_cache(maxsize=32)
-def _strictly_lower(m):
-    # True strictly below the diagonal: the entries np.triu(x) zeroes.
-    mask = np.tri(m, k=-1, dtype=bool)
-    mask.flags.writeable = False
-    return mask
 
 
 _PANEL = 64

@@ -39,7 +39,7 @@ Compiled column walk
     :func:`walk_fills` draws Bartlett fills (:mod:`triwish.samplers`) column
     by column in C, making the libm calls and IEEE operations of
     :meth:`RngStream.standard_normal` and :meth:`RngStream.chi` in their
-    order, into fills in C order or in Fortran order.  Where it loads, it
+    order, into fills in Fortran order.  Where it loads, it
     runs every fill, single or batched, at every m.  Philox is
     counter-based, so the walk computes its uniforms itself from ``(seed,
     stream, position)``: uniform p is lane ``p % 4`` of the block with
@@ -225,7 +225,7 @@ def _build_loop():
         return None
     size, dbl = ctypes.c_size_t, ctypes.c_double
     fn.argtypes = (ctypes.POINTER(ctypes.c_uint64), size, ctypes.POINTER(dbl), size, size,
-                   ctypes.c_int, dbl, dbl)
+                   dbl, dbl)
     fn.restype = size
     return fn
 
@@ -243,10 +243,10 @@ _PHILOX_STATE = ctypes.c_uint64 * 6
 _WORD = 2 ** 64 - 1
 
 
-def walk_fills(rng, m, k, a, s, fortran=False):
+def walk_fills(rng, m, k, a, s):
     """k Bartlett fills of size m drawn from the stream rng, as a (k, m, m)
-    array, C-ordered or with each fill in Fortran order (each column
-    contiguous); rng then skips the uniforms they used.
+    array with each fill in Fortran order (each column contiguous); rng then
+    skips the uniforms they used.
 
     Column c is column j = c % m of fill c // m, and gets j standard normals
     above the diagonal, then the diagonal ``chi(a + s * (j + 1))``, each
@@ -265,10 +265,8 @@ def walk_fills(rng, m, k, a, s, fortran=False):
     c = (p >> 2) + 1  # the 256-bit Philox counter of the block holding uniform p
     state = _PHILOX_STATE(rng.seed, rng.stream, c & _WORD, c >> 64 & _WORD,
                           c >> 128 & _WORD, c >> 192 & _WORD)
-    # byref of the double at the start of out passes its address, and
-    # holds out's buffer for the call.
-    rng.skip(compiled_loop()(state, p & 3, ctypes.byref(ctypes.c_double.from_buffer(out)), m, k,
-                             fortran, a, s))
-    if fortran:
-        out = out.transpose(0, 2, 1)
-    return out
+    # out[f, j] is column j of fill f.  byref of the double at the start of
+    # out passes its address, and holds out's buffer for the call.
+    z = ctypes.byref(ctypes.c_double.from_buffer(out))
+    rng.skip(compiled_loop()(state, p & 3, z, m, k, a, s))
+    return out.transpose(0, 2, 1)

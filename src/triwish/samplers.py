@@ -29,9 +29,9 @@ order in C with the scalar draws' operations, computing the Philox uniforms
 from the stream's seed, id and position, and the stream then skips exactly
 the uniforms the column-by-column loop consumes: same bytes, same position
 after.  Where the walk cannot be built or loaded, every fill runs the scalar
-loop, which stays the reference.  On either path a single fill is an (m, m)
-array in Fortran order, which the kernels take without a copy, and a batch
-is a C-ordered (k, m, m) array.
+loop, which stays the reference.  On either path every fill, single or in
+a batch, is in Fortran order, as is every matrix the kernels get from a
+setup or a draw (see :mod:`triwish.linalg`, Ownership).
 """
 
 import math
@@ -44,6 +44,7 @@ from .linalg import (
     OpCounter,
     as_square,
     check_cholesky_factor,
+    check_symmetric,
     chol_upper,
     gram_ut,
     gram_vt,
@@ -65,7 +66,9 @@ class ScaleParam:
     ``iscov`` true means the matrix is a covariance-side scale (or its
     factor), false means precision-side.  ``ischolu`` true means the matrix
     is already an upper Cholesky factor; it is then checked structurally
-    (upper triangular, positive diagonal) but never re-factorized.
+    (upper triangular, positive diagonal) but never re-factorized; a full
+    matrix must be finite and symmetric.  ``matrix`` becomes a Fortran-ordered
+    copy of the caller's, which is checked here, once.
     """
 
     matrix: np.ndarray
@@ -74,11 +77,13 @@ class ScaleParam:
 
     def __post_init__(self):
         if self.ischolu:
-            self.matrix = check_cholesky_factor(self.matrix, "scale factor")
+            x = check_cholesky_factor(self.matrix, "scale factor")
         else:
-            self.matrix = as_square(self.matrix)
-            if not np.isfinite(self.matrix).all():
+            x = as_square(self.matrix)
+            if not np.isfinite(x).all():
                 raise InvalidParameter("scale matrix has non-finite entries")
+            check_symmetric(x)
+        self.matrix = x.copy(order="F")
 
     @property
     def dim(self):
@@ -144,19 +149,11 @@ def _fill_scalar(rng, m, a, s):
     return z
 
 
-def _fill_one(rng, m, a, s):
-    if compiled_loop() is None:
-        return _fill_scalar(rng, m, a, s)
-    return walk_fills(rng, m, 1, a, s, fortran=True)[0]
-
-
-def _fill_many(rng, m, a, s, k, fortran=False):
-    # k fills in a row are one stream of k*m columns: the whole (k, m, m)
-    # array in C order, or each fill in Fortran order.
+def _fill_many(rng, m, a, s, k):
+    # k fills in a row are one stream of k*m columns, each fill in Fortran order.
     if compiled_loop() is not None:
-        return walk_fills(rng, m, k, a, s, fortran)
-    fills = [_fill_scalar(rng, m, a, s) for _ in range(k)]
-    return np.array([z.T for z in fills]).transpose(0, 2, 1) if fortran else np.array(fills)
+        return walk_fills(rng, m, k, a, s)
+    return np.array([_fill_scalar(rng, m, a, s).T for _ in range(k)]).transpose(0, 2, 1)
 
 
 def draw_bartlett_wishart(rng, m, n):
@@ -166,7 +163,7 @@ def draw_bartlett_wishart(rng, m, n):
     in the documented draw order.
     """
     m = _check_fill_args(m, n)
-    return _fill_one(rng, m, n + 1, -1.0)
+    return _fill_many(rng, m, n + 1, -1.0, 1)[0]
 
 
 def draw_bartlett_invwishart(rng, m, n):
@@ -176,7 +173,7 @@ def draw_bartlett_invwishart(rng, m, n):
     column j uses chi_(n-m+j) instead.
     """
     m = _check_fill_args(m, n)
-    return _fill_one(rng, m, n - m, 1.0)
+    return _fill_many(rng, m, n - m, 1.0, 1)[0]
 
 
 def draw_bartlett_wishart_many(rng, m, n, k):
@@ -201,18 +198,19 @@ def cholesky_upper_param(scale, invert, counter=None):
     With ``invert`` the factor U of S is inverted (TRTRI), squared into
     S^-1 = (U^-1)(U^-1)^T (TRMM), and re-factorized (POTRF); without it the
     factor is computed directly, or passed through untouched when the scale
-    is already a factor.  Only the scale is checked: the matrices built from
-    it here are factored and inverted in place.  The result is a new array
-    in Fortran order, or ``scale.matrix`` itself when it is passed through.
+    is already a factor.  :class:`ScaleParam` checked the scale; the kernels
+    factor and invert a copy of it in place.  The result is a new array in
+    Fortran order, or ``scale.matrix`` itself when it is passed through.
     """
-    if invert:
-        u = scale.matrix if scale.ischolu else chol_upper(scale.matrix, counter)
-        c = tri_inverse(u, counter, owned=u is not scale.matrix)
-        p = gram_vt(c, counter, owned=True)
-        return chol_upper(p, counter, owned=True)
-    if scale.ischolu:
+    if scale.ischolu and not invert:
         return scale.matrix
-    return chol_upper(scale.matrix, counter)
+    u = scale.matrix.copy(order="F")
+    if not scale.ischolu:
+        u = chol_upper(u, counter, owned=True)
+    if invert:
+        u = tri_inverse(u, counter, owned=True)
+        u = chol_upper(gram_vt(u, counter, owned=True), counter, owned=True)
+    return u
 
 
 def check_draw(x):
@@ -245,8 +243,8 @@ class Plan:
 
     ``factor`` is the upper Cholesky factor, in Fortran order, of the side
     of the scale the route multiplies by: Sigma for ``'wishart'`` and
-    ``'indirect'``, Omega for ``'direct'``.  Draws only read it, so a plan
-    can be drawn from any number of times.  Make plans with :func:`prepare`.
+    ``'indirect'``, Omega for ``'direct'``.  Draws multiply a copy, so a
+    plan can be drawn from any number of times.  Make plans with :func:`prepare`.
     """
 
     spec: SamplerSpec
@@ -264,13 +262,9 @@ class Plan:
     def draw_many(self, rng, k):
         """k draws as a (k, m, m) array, from one batch of k fills: the
         bytes, and the stream position after them, of k calls of :meth:`draw`."""
-        m, n = self.spec.m, self.spec.n
-        k = _positive_int("batch size k", k)
-        # The fills of draw_bartlett_invwishart_many or _wishart_many, but
-        # each in Fortran order, which the kernels take without a copy.
-        a, s = (n - m, 1.0) if self.algorithm == DIRECT else (n + 1, -1.0)
-        fills = _fill_many(rng, m, a, s, k, fortran=True)
-        out = np.empty((k, m, m))
+        many = draw_bartlett_invwishart_many if self.algorithm == DIRECT else draw_bartlett_wishart_many
+        fills = many(rng, self.spec.m, self.spec.n, k)
+        out = np.empty(fills.shape)
         for i, z in enumerate(fills):
             out[i] = self._kernels(z, None)
         return out
@@ -278,12 +272,11 @@ class Plan:
     def _kernels(self, z, counter):
         # Every route multiplies a triangular factor by the plan's: the fill
         # (Wishart, indirect) or its inverse (direct).  The indirect route
-        # then inverts that Wishart factor and squares up.  owned=True for
-        # the fill and each product, which the draw built itself; never for
-        # the plan's factor, which TRMM would overwrite.
+        # then inverts that Wishart factor and squares up.  TRMM overwrites
+        # its second operand, so it gets a copy of the plan's factor.
         if self.algorithm == DIRECT:
             z = tri_inverse(z, counter, owned=True)
-        u = tri_mul(z, self.factor, counter)
+        u = tri_mul(z, self.factor.copy(order="F"), counter, owned=True)
         if self.algorithm == INDIRECT:
             u = tri_inverse(u, counter, owned=True)
             b = gram_vt(u, counter, owned=True)
@@ -308,10 +301,9 @@ def prepare(spec, algorithm, counter=None):
     if algorithm == WISHART and not scale.iscov:
         raise InvalidParameter("Wishart sampling expects a covariance-side scale (iscov)")
     # The direct route multiplies by the factor of Omega, the others by
-    # that of Sigma.  A factor passed through from a C-ordered scale is
-    # transposed here, once, instead of by every TRMM.
+    # that of Sigma.
     factor = cholesky_upper_param(scale, scale.iscov == (algorithm == DIRECT), counter)
-    return Plan(spec, algorithm, np.asfortranarray(factor))
+    return Plan(spec, algorithm, factor)
 
 
 def _invwishart_route(algorithm):

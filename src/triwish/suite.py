@@ -379,7 +379,8 @@ def check_density_chain(seed):
     offsets = np.empty(ndraws)
     for i, z in enumerate(fills):
         u_b = tri_mul(tri_inverse(z), u_omega)
-        log_pz = -0.5 * float(np.sum(z * z))
+        # Summed in C order: the sum's rounding follows the memory order.
+        log_pz = -0.5 * float(np.sum(np.square(np.ascontiguousarray(z))))
         for j in range(1, m + 1):
             df = n - m + j
             log_pz += (df - 1.0) * math.log(z[j - 1, j - 1])

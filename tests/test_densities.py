@@ -13,7 +13,7 @@ from triwish.densities import (
     logkernel_invwishart,
     logkernel_wishart,
 )
-from triwish.errors import NotPositiveDefinite, SingularMatrix
+from triwish.errors import DimensionMismatch, NotPositiveDefinite, SingularMatrix
 from triwish.linalg import gram_ut, log_det_tri, tri_inverse, tri_mul
 from triwish.rng import RngStream
 from triwish.samplers import (
@@ -168,6 +168,15 @@ def test_kernels_finite_on_support_raise_off_support():
         logkernel_wishart(np.array([[1.0, 2.0], [2.0, 1.0]]), 5, np.eye(2))
     with pytest.raises(NotPositiveDefinite):
         logkernel_invwishart(np.array([[1.0, 2.0], [2.0, 1.0]]), 5, np.eye(2))
+
+
+@pytest.mark.parametrize("kernel", [logkernel_wishart, logkernel_invwishart,
+                                    logkernel_cholwishart, logkernel_cholinvwishart])
+@pytest.mark.parametrize("m_point, m_factor", [(3, 2), (2, 3)])
+def test_kernels_reject_a_point_and_factor_of_different_sizes(kernel, m_point, m_factor):
+    # Identity matrices are valid points and factors, so only the sizes clash.
+    with pytest.raises(DimensionMismatch, match=f"{m_point}x{m_point}.*{m_factor}x{m_factor}"):
+        kernel(np.eye(m_point), 5.0, np.eye(m_factor))
 
 
 def test_cholwishart_consistency_offset_constant():

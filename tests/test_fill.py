@@ -129,20 +129,19 @@ def test_golden_fill_digests_when_the_loop_cannot_be_built(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("loop", ["as built", "none"])
-def test_single_fills_are_fortran_ordered_and_batches_c_ordered(monkeypatch, loop):
-    # The kernels take a Fortran-ordered fill without a copy; batches keep
-    # C order, which the validation checks' sums over them depend on.  The
-    # plans' batches hold each fill in Fortran order instead.
+def test_every_fill_is_fortran_ordered(monkeypatch, loop):
+    # The kernels take a Fortran-ordered fill without a copy: a single fill,
+    # each fill of a public batch and each fill of a plan's batch.
     if loop == "none":
         monkeypatch.setattr(rng_module, "_loop", None)
     for m in (1, 2, 5, 6, 30):
         for name in FILLS:
             assert FILLS[name](RngStream(m), m, m + 2.0).flags.f_contiguous
-            assert MANY[name](RngStream(m), m, m + 2.0, 3).flags.c_contiguous
-        fills = samplers._fill_many(RngStream(m), m, m + 3.0, -1.0, 3, fortran=True)
+            many = MANY[name](RngStream(m), m, m + 2.0, 3)
+            assert many.shape == (3, m, m) and all(z.flags.f_contiguous for z in many)
+        fills = samplers._fill_many(RngStream(m), m, m + 3.0, -1.0, 3)
         assert fills.shape == (3, m, m) and all(z.flags.f_contiguous for z in fills)
-        many = MANY["wishart"](RngStream(m), m, m + 2.0, 3)
-        assert np.array_equal(fills, many)
+        assert np.array_equal(fills, MANY["wishart"](RngStream(m), m, m + 2.0, 3))
 
 
 def _both_paths(fill, m, n, seed, skip=0):

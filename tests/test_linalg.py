@@ -22,6 +22,21 @@ from triwish.linalg import (
 )
 
 
+def test_check_upper_triangular_reads_only_below_the_diagonal():
+    u = np.array([[1.0, 2.0, 3.0], [-0.0, 4.0, 5.0], [-0.0, -0.0, 6.0]])
+    assert linalg.check_upper_triangular(u) is u
+    assert linalg.check_upper_triangular(np.array([[-2.0]])).shape == (1, 1)
+    for i, j in ((1, 0), (2, 0), (2, 1)):
+        bad = np.triu(u)
+        bad[i, j] = 5e-324
+        with pytest.raises(InvalidParameter, match="^U has nonzero entries below the diagonal$"):
+            linalg.check_upper_triangular(bad, "U")
+    bad = np.triu(u)
+    bad[2, 0] = np.nan
+    with pytest.raises(InvalidParameter, match="^U has non-finite entries$"):
+        linalg.check_upper_triangular(bad, "U")
+
+
 def test_chol_upper_identity():
     np.testing.assert_array_equal(chol_upper(np.eye(3)), np.eye(3))
 

@@ -284,7 +284,7 @@ def _walk_normal(walk, u1, u2):
     rng, ref = RngStream(1, stream), RngStream(1, stream)
     rng.skip(p - 3)
     ref.skip(p - 3)
-    z = walk(rng, 2, 1, 101.0, -1.0, fortran=True)[0]
+    z = walk(rng, 2, 1, 101.0, -1.0)[0]
     scalar = samplers._fill_scalar(ref, 2, 101.0, -1.0)
     assert z.tobytes() == scalar.tobytes() and rng.position == ref.position
     return z[0, 1]
@@ -370,7 +370,7 @@ def test_compiled_loop_builds_into_an_empty_cache(tmp_path, monkeypatch):
     # Only the finished library is left, named by the hash of source and flags.
     [lib] = (tmp_path / "cache").iterdir()
     assert re.fullmatch(r"_boxmuller-[0-9a-f]{16}\.so", lib.name)
-    z = rng_module.walk_fills(RngStream(5), 30, 1, 31.5, -1.0, fortran=True)[0]
+    z = rng_module.walk_fills(RngStream(5), 30, 1, 31.5, -1.0)[0]
     assert z.tobytes() == samplers._fill_scalar(RngStream(5), 30, 31.5, -1.0).tobytes()
 
 

@@ -14,7 +14,7 @@ from triwish.errors import (
     TriwishError,
 )
 from triwish import rng as rng_module
-from triwish import samplers
+from triwish import linalg, samplers
 from triwish.linalg import OpCounter
 from triwish.rng import RngStream
 from triwish.samplers import (
@@ -291,6 +291,7 @@ def test_draws_leave_the_callers_scale_untouched(m):
     # The routes overwrite the matrices each draw builds, never the scale:
     # C- and F-ordered scales (F-ordered upper factors for the _chol
     # parameterizations) keep their bytes, and give the same draws.
+    # ScaleParam holds a Fortran-ordered copy of each.
     a = _spd(m, m)
     factor = np.triu(np.linalg.cholesky(a).T)
     draws = {}
@@ -309,9 +310,10 @@ def test_draws_leave_the_callers_scale_untouched(m):
             if kind.startswith("cov"):
                 out.append(rwishart(rng, spec))
         for kind, x in matrices.items():
-            assert scales[kind].matrix is x
             assert x.tobytes(order="A") == before[kind].tobytes(order="A")
             assert x.flags.f_contiguous == (order == "F")
+            held = scales[kind].matrix
+            assert held is not x and held.flags.f_contiguous and np.array_equal(held, x)
         draws[order] = [x.tobytes() for x in out]
     assert draws["C"] == draws["F"]
 
@@ -362,7 +364,29 @@ def test_plan_draws_match_one_shot_calls(key, m):
         assert [x.tobytes() for x in many] == [x.tobytes() for x in draws]
         assert batch.position == rng.position
         assert plan.factor.tobytes() == factor
-        assert scale.matrix is matrix and matrix.tobytes() == before
+        assert matrix.tobytes() == before
+        assert scale.matrix is not matrix and scale.matrix.flags.f_contiguous
+        assert scale.matrix.tobytes() == before
+
+
+@pytest.mark.parametrize("key", ROUTES, ids=lambda k: f"{k[0]}-{k[1]}-{int(k[2])}")
+def test_setup_and_draws_make_no_input_scans(monkeypatch, key):
+    # ScaleParam checks the caller's scale once; from there on every kernel
+    # of the setup and the draws gets the library's own matrices with
+    # owned=True, so none of them scans its input again.
+    kind, algorithm, retcholu = key
+    a = _spd(4, 1)
+    matrix = np.triu(np.linalg.cholesky(a).T) if kind.endswith("_chol") else a
+    scale = ScaleParam(matrix, iscov=kind.startswith("cov"), ischolu=kind.endswith("_chol"))
+    spec = SamplerSpec(4, 6.5, scale, retcholu=retcholu)
+    scans = []
+    as_square = linalg.as_square
+    for module in (linalg, samplers):
+        monkeypatch.setattr(module, "as_square", lambda x: scans.append(x) or as_square(x))
+    plan = prepare(spec, algorithm)
+    plan.draw(RngStream(2))
+    plan.draw_many(RngStream(3), 2)
+    assert scans == []
 
 
 def test_one_plan_serves_many_draws():
@@ -478,6 +502,12 @@ def test_scale_param_validation():
         ScaleParam(np.array([[1.0, 0.0], [0.5, 1.0]]), ischolu=True)  # not triangular
     with pytest.raises(InvalidParameter):
         ScaleParam(np.array([[-1.0, 0.0], [0.0, 1.0]]), ischolu=True)  # bad diagonal
+    # A full scale is checked for symmetry where it enters, to chol_upper's
+    # tolerance; a factor scale is not symmetric and needs no such check.
+    with pytest.raises(InvalidParameter, match="not symmetric"):
+        ScaleParam(np.array([[2.0, 0.5], [0.4, 2.0]]), iscov=False)
+    ScaleParam(np.array([[2.0, 0.5], [0.5 + 1e-12, 2.0]]))
+    ScaleParam(np.array([[2.0, 0.5], [0.0, 2.0]]), ischolu=True)
     assert ScaleParam(np.eye(2)).kind() == "cov"
     assert ScaleParam(np.eye(2), iscov=False, ischolu=True).kind() == "prec_chol"
 
