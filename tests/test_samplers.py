@@ -333,8 +333,8 @@ def _one_shot(rng, spec, algorithm, counter):
 @pytest.mark.parametrize("m", [1, 4, 9])
 @pytest.mark.parametrize("key", ROUTES, ids=lambda k: f"{k[0]}-{k[1]}-{int(k[2])}")
 def test_plan_draws_match_one_shot_calls(key, m):
-    # m = 1 and 4 fill by the scalar loop, m = 9 by the walk; n = m - 0.5
-    # puts a chi shape below 1.  The scales are C-ordered.
+    # n = m - 0.5 puts a chi shape below 1.  The caller's scales are
+    # C-ordered.
     kind, algorithm, retcholu = key
     a = _spd(m, m)
     matrix = np.triu(np.linalg.cholesky(a).T) if kind.endswith("_chol") else a
