@@ -3,9 +3,9 @@
 All kernels are defined up to an additive constant that is independent of
 the random argument (normalization constants are out of scope); tests and
 callers should compare differences of kernel values, never absolute
-values.  Traces of the form tr(S^-1 X) are evaluated through triangular
-solves against the scale's Cholesky factor, never through an explicit
-dense inverse.
+values.  Traces of the form tr(S^-1 X) are evaluated through one LAPACK
+triangular solve (``dtrtrs``) against the scale's Cholesky factor, never
+through an explicit dense inverse.
 
 Notation: for dimension m and degrees of freedom n, a Wishart matrix A has
 kernel exp(-tr(Sigma^-1 A)/2) det(A)^((n-m-1)/2) and an inverse-Wishart
@@ -18,9 +18,9 @@ pushforwards through the upper-Cholesky map, whose Jacobian is
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SingularMatrix
 from .linalg import as_square, check_cholesky_factor, chol_upper, frobenius_norm_sq, log_det_tri
 from .samplers import _check_df
 
@@ -34,8 +34,13 @@ def _check_point(x, u, n):
 
 
 def _right_div_upper(a, u):
-    # a @ inv(u) for upper-triangular u, via one triangular solve.
-    return solve_triangular(u, a.T, trans="T", lower=False).T
+    # a @ inv(u), u upper-triangular: solve_triangular's dtrtrs call without its re-checks,
+    # on u when it is Fortran-ordered and otherwise on u.T, the same factor stored lower.
+    fortran = u.flags.f_contiguous
+    x, info = lapack.dtrtrs(u if fortran else u.T, a.T, lower=not fortran, trans=fortran)
+    if info != 0:
+        raise SingularMatrix(f"dtrtrs: triangular solve failed (info {info})")
+    return x.T
 
 
 def logkernel_wishart(a, n, u_sigma):

@@ -37,15 +37,15 @@ def _write_csv(fh, mats, kinds, header):
             fh.write("\n")
         m = mat.shape[0]
         fh.write(f"# m={m} kind={kind}\n")
-        for row in mat:
-            fh.write(",".join(format_float(v) for v in row) + "\n")
+        for row in mat.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _write_ndjson(fh, mats, kinds, header):
     if header:
         fh.write(json.dumps({"header": list(header)}) + "\n")
     for mat, kind in zip(mats, kinds):
-        rec = {"m": mat.shape[0], "kind": kind, "rows": [[float(v) for v in row] for row in mat]}
+        rec = {"m": mat.shape[0], "kind": kind, "rows": mat.tolist()}
         fh.write(json.dumps(rec) + "\n")
 
 

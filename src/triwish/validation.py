@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+import scipy  # scipy.special loads on first use, not with triwish
 
 from .errors import InvalidParameter, MeanUndefined, NumericalFailure, TooFewSamples
 from .linalg import as_square, check_cholesky_factor, gram_ut
@@ -44,13 +44,13 @@ class MomentReport:
 
 def normal_cdf(x):
     """Standard normal CDF, elementwise on arrays."""
-    return special.ndtr(x)
+    return scipy.special.ndtr(x)
 
 
 def _ks_pvalue(d, en):
     # Asymptotic Kolmogorov survival function at Stephens' corrected
     # statistic (en + 0.12 + 0.11/en) * d, for effective sample size en.
-    return float(special.kolmogorov((en + 0.12 + 0.11 / en) * d))
+    return float(scipy.special.kolmogorov((en + 0.12 + 0.11 / en) * d))
 
 
 def ks_one_sample(draws, cdf):
@@ -95,7 +95,7 @@ def chi_square_cdf(x, k):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise InvalidParameter(f"chi-square CDF argument must be nonnegative, got {x.min()}")
-    return special.gammainc(0.5 * k, 0.5 * x)
+    return scipy.special.gammainc(0.5 * k, 0.5 * x)
 
 
 def _scale_matrix(scale, iscov):

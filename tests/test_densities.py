@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from triwish.densities import (
+    _right_div_upper,
     logjac_chol,
     logjac_tri_inverse,
     logkernel_cholinvwishart,
@@ -168,6 +170,37 @@ def test_kernels_finite_on_support_raise_off_support():
         logkernel_wishart(np.array([[1.0, 2.0], [2.0, 1.0]]), 5, np.eye(2))
     with pytest.raises(NotPositiveDefinite):
         logkernel_invwishart(np.array([[1.0, 2.0], [2.0, 1.0]]), 5, np.eye(2))
+
+
+def _random_factor(rng, m):
+    u = np.triu(rng.standard_normal((m, m)))
+    np.fill_diagonal(u, np.abs(u.diagonal()) + 0.1)
+    return u
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 13, 50, 200])
+def test_right_div_upper_keeps_solve_triangulars_bits(m):
+    # The trace's direct dtrtrs call must give the bits of the scipy call it
+    # replaced, for every layout of either operand and for a strided factor.
+    rng = np.random.default_rng(1300 + m)
+    a, u = _random_factor(rng, m), _random_factor(rng, m)
+    strided = np.zeros((2 * m, 2 * m))
+    strided[::2, ::2] = u
+    cases = [(aa, uu) for aa in (np.ascontiguousarray(a), np.asfortranarray(a))
+             for uu in (np.ascontiguousarray(u), np.asfortranarray(u))]
+    cases.append((a, strided[::2, ::2]))
+    for aa, uu in cases:
+        want = solve_triangular(uu, aa.T, trans="T", lower=False).T
+        got = _right_div_upper(aa, uu)
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+
+
+def test_right_div_upper_raises_on_a_singular_factor():
+    u = np.triu(np.ones((3, 3)))
+    u[1, 1] = 0.0
+    with pytest.raises(SingularMatrix):
+        _right_div_upper(np.eye(3), u)
 
 
 @pytest.mark.parametrize("kernel", [logkernel_wishart, logkernel_invwishart,
