@@ -194,6 +194,8 @@ def test_right_div_upper_keeps_solve_triangulars_bits(m):
         got = _right_div_upper(aa, uu)
         assert got.tobytes() == want.tobytes()
         assert got.flags.c_contiguous == want.flags.c_contiguous
+    # The callers' matrices are read, never written.
+    assert all(np.array_equal(aa, a) and np.array_equal(uu, u) for aa, uu in cases)
 
 
 def test_right_div_upper_raises_on_a_singular_factor():
