@@ -5,7 +5,8 @@ the random argument (normalization constants are out of scope); tests and
 callers should compare differences of kernel values, never absolute
 values.  Traces of the form tr(S^-1 X) are evaluated through one LAPACK
 triangular solve (``dtrtrs``) against the scale's Cholesky factor, never
-through an explicit dense inverse.
+through an explicit dense inverse, and log-determinants are read from the
+diagonal of the Cholesky factor the kernel already holds.
 
 Notation: for dimension m and degrees of freedom n, a Wishart matrix A has
 kernel exp(-tr(Sigma^-1 A)/2) det(A)^((n-m-1)/2) and an inverse-Wishart
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, SingularMatrix
-from .linalg import as_square, check_cholesky_factor, chol_upper, frobenius_norm_sq, log_det_tri
+from .linalg import as_square, check_cholesky_factor, chol_upper
 from .samplers import _check_df
 
 
@@ -55,8 +56,8 @@ def logkernel_wishart(a, n, u_sigma):
     m = _check_point(a, u_sigma, n)
     u_a = chol_upper(a)
     ratio = _right_div_upper(u_a, u_sigma)
-    logdet_a = 2.0 * log_det_tri(u_a)
-    return -0.5 * frobenius_norm_sq(ratio) + 0.5 * (n - m - 1) * logdet_a
+    logdet_a = 2.0 * float(np.sum(np.log(u_a.diagonal())))
+    return -0.5 * float(np.sum(ratio * ratio)) + 0.5 * (n - m - 1) * logdet_a
 
 
 def logkernel_invwishart(b, n, u_omega):
@@ -70,8 +71,8 @@ def logkernel_invwishart(b, n, u_omega):
     m = _check_point(b, u_omega, n)
     u_b = chol_upper(b)
     ratio = _right_div_upper(u_omega, u_b)
-    logdet_b = 2.0 * log_det_tri(u_b)
-    return -0.5 * frobenius_norm_sq(ratio) - 0.5 * (n + m + 1) * logdet_b
+    logdet_b = 2.0 * float(np.sum(np.log(u_b.diagonal())))
+    return -0.5 * float(np.sum(ratio * ratio)) - 0.5 * (n + m + 1) * logdet_b
 
 
 def logkernel_cholwishart(u_a, n, u_sigma):
@@ -84,7 +85,7 @@ def logkernel_cholwishart(u_a, n, u_sigma):
     m = _check_point(u_a, u_sigma, n)
     ratio = _right_div_upper(u_a, u_sigma)
     j = np.arange(1, m + 1)
-    return -0.5 * frobenius_norm_sq(ratio) + float(np.sum((n - j) * np.log(np.diag(u_a))))
+    return -0.5 * float(np.sum(ratio * ratio)) + float(np.sum((n - j) * np.log(u_a.diagonal())))
 
 
 def logkernel_cholinvwishart(u_b, n, u_omega):
@@ -97,7 +98,7 @@ def logkernel_cholinvwishart(u_b, n, u_omega):
     m = _check_point(u_b, u_omega, n)
     ratio = _right_div_upper(u_omega, u_b)
     j = np.arange(1, m + 1)
-    return -0.5 * frobenius_norm_sq(ratio) - float(np.sum((n + j) * np.log(np.diag(u_b))))
+    return -0.5 * float(np.sum(ratio * ratio)) - float(np.sum((n + j) * np.log(u_b.diagonal())))
 
 
 def logjac_chol(t):
@@ -109,7 +110,7 @@ def logjac_chol(t):
     t = check_cholesky_factor(t, "factor")
     m = t.shape[0]
     j = np.arange(1, m + 1)
-    return m * math.log(2.0) + float(np.sum((m + 1 - j) * np.log(np.diag(t))))
+    return m * math.log(2.0) + float(np.sum((m + 1 - j) * np.log(t.diagonal())))
 
 
 def logjac_tri_inverse(r):
@@ -118,6 +119,8 @@ def logjac_tri_inverse(r):
     Equals -(m + 1) sum_j log |r_jj|, independent of the off-diagonal
     entries.  Raises SingularMatrix on a zero diagonal.
     """
-    r = as_square(r)
-    m = r.shape[0]
-    return -(m + 1) * log_det_tri(r)
+    d = as_square(r).diagonal()
+    zero = d == 0.0
+    if zero.any():
+        raise SingularMatrix(f"zero diagonal entry {int(zero.argmax()) + 1}: determinant is zero")
+    return -(len(d) + 1) * float(np.sum(np.log(np.abs(d))))

@@ -1,11 +1,13 @@
-"""Dense square/upper-triangular matrix kernels with operation counting.
+"""Counted O(m^3) matrix kernels and the checks at their entry.
 
-Matrices are float64 numpy arrays of shape (m, m), with upper-triangular
-matrices storing explicit zeros below the diagonal.  The three O(m^3)
-kernels (Cholesky factorization, triangular inversion, triangular
-multiplication) are thin instrumented wrappers over LAPACK's POTRF/TRTRI
-and BLAS's TRMM; every call increments exactly one field of the supplied
-:class:`OpCounter`.  They accept any memory layout and return arrays in
+The module holds :class:`OpCounter`, the entry checks (:func:`as_square`,
+:func:`check_cholesky_factor`, :func:`check_symmetric`) and five kernels,
+thin wrappers over LAPACK's POTRF/TRTRI and BLAS's TRMM: :func:`chol_upper`,
+:func:`tri_inverse`, :func:`tri_mul`, and the gram products :func:`gram_ut`
+and :func:`gram_vt`, which share one mirror.  Every kernel call increments
+exactly one field of the supplied :class:`OpCounter`.  Matrices are float64
+(m, m) arrays; upper-triangular ones store explicit zeros below the
+diagonal.  The kernels accept any memory layout and return arrays in
 Fortran (column-major) order, the layout LAPACK and BLAS work in; a
 C-ordered operand costs a transposing copy before the call.
 
@@ -65,19 +67,13 @@ def _strictly_lower(m):
     return mask
 
 
-def check_upper_triangular(u, name="matrix"):
-    """Require explicit zeros below the diagonal and finite entries."""
+def check_cholesky_factor(u, name="factor"):
+    """An upper-triangular matrix with finite entries and a strictly positive diagonal."""
     u = as_square(u)
     if not np.isfinite(u).all():
         raise InvalidParameter(f"{name} has non-finite entries")
     if u[_strictly_lower(u.shape[0])].any():
         raise InvalidParameter(f"{name} has nonzero entries below the diagonal")
-    return u
-
-
-def check_cholesky_factor(u, name="factor"):
-    """An upper-triangular matrix with strictly positive diagonal."""
-    u = check_upper_triangular(u, name)
     bad = u.diagonal() <= 0.0
     if bad.any():
         raise InvalidParameter(f"{name} diagonal entry {int(bad.argmax()) + 1} is not positive")
@@ -215,18 +211,3 @@ def gram_vt(v, counter=None, *, owned=False):
         counter.trmm += 1
     return _mirror_upper(blas.dtrmm(1.0, v, v, side=1, lower=0, trans_a=1))
 
-
-def frobenius_norm_sq(x):
-    """Sum of squared entries, tr(X^T X)."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.sum(x * x))
-
-
-def log_det_tri(u):
-    """log |det U| for triangular U: sum of log |u_jj|."""
-    u = as_square(u)
-    d = u.diagonal()
-    zero = d == 0.0
-    if zero.any():
-        raise SingularMatrix(f"zero diagonal entry {int(zero.argmax()) + 1}: determinant is zero")
-    return float(np.sum(np.log(np.abs(d))))

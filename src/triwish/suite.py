@@ -28,7 +28,7 @@ from .densities import (
     logkernel_wishart,
 )
 from .errors import InvalidDegreesOfFreedom, MeanUndefined
-from .linalg import OpCounter, gram_ut, log_det_tri, tri_inverse, tri_mul
+from .linalg import OpCounter, gram_ut, tri_inverse, tri_mul
 from .rng import RngStream
 from .samplers import (
     DIRECT,
@@ -58,6 +58,10 @@ from .validation import (
 
 DEFAULT_SEED = 424242
 ALPHA = 0.001
+# Random factors per dimension in each Jacobian check.
+JACOBIAN_POINTS = 10
+# Untimed draws before each timed block of bench_pair; `triwish bench` prints it.
+BENCH_WARMUP = 5
 
 # Fixed scale matrices used across checks (all strictly diagonally dominant,
 # hence symmetric positive definite).
@@ -297,23 +301,21 @@ def _random_factor(rng, m):
     return t
 
 
-def _jacobian_records(check, seed, stream, map_fn, analytic_fn, npoints=10):
+def _jacobian_records(check, seed, stream, map_fn, analytic_fn):
     rng = RngStream(seed, stream)
     records = []
     for m in (1, 2, 3):
         worst = 0.0
-        for _ in range(npoints):
+        for _ in range(JACOBIAN_POINTS):
             t = _random_factor(rng, m)
             fd = fd_logdet_jacobian(map_fn, t)
             analytic = analytic_fn(t)
             err = abs(fd - analytic) / max(1.0, abs(analytic))
             worst = max(worst, err)
         threshold = 1e-5
-        records.append(
-            CheckRecord(
-                check, {"m": m, "points": npoints}, worst, threshold, worst < threshold, seed
-            )
-        )
+        records.append(CheckRecord(
+            check, {"m": m, "points": JACOBIAN_POINTS}, worst, threshold, worst < threshold, seed
+        ))
     return records
 
 
@@ -385,7 +387,7 @@ def check_density_chain(seed):
             df = n - m + j
             log_pz += (df - 1.0) * math.log(z[j - 1, j - 1])
         offsets[i] = (
-            logkernel_cholinvwishart(u_b, n, u_omega) - (m + 1) * log_det_tri(z) - log_pz
+            logkernel_cholinvwishart(u_b, n, u_omega) + logjac_tri_inverse(z) - log_pz
         )
     return [_offset_record("density.chain", seed, {"m": m, "n": n, "draws": ndraws}, offsets)]
 
@@ -439,10 +441,10 @@ def check_scalar_invwishart_direct(seed):
 # timing
 
 
-def time_algorithm(seed, stream, spec, algorithm, reps=25, warmup=5):
-    """Median wall-clock seconds per draw, after warmup."""
+def time_algorithm(seed, stream, spec, algorithm, reps=25):
+    """Median wall-clock seconds per draw, after BENCH_WARMUP untimed draws."""
     rng = RngStream(seed, stream)
-    for _ in range(warmup):
+    for _ in range(BENCH_WARMUP):
         sample_invwishart(rng, spec, algorithm)
     times = []
     for _ in range(reps):
@@ -452,7 +454,7 @@ def time_algorithm(seed, stream, spec, algorithm, reps=25, warmup=5):
     return statistics.median(times)
 
 
-def bench_pair(scale, m, n, retcholu, seed, reps=25, warmup=5, streams=(19, 20)):
+def bench_pair(scale, m, n, retcholu, seed, reps=25, streams=(19, 20)):
     """Median per-draw time and op counts for both algorithms on one setup."""
     spec = SamplerSpec(m, n, scale, retcholu=retcholu)
     counts = {}
@@ -460,8 +462,8 @@ def bench_pair(scale, m, n, retcholu, seed, reps=25, warmup=5, streams=(19, 20))
         counter = OpCounter()
         sample_invwishart(RngStream(seed, streams[0]), spec, algorithm, counter=counter)
         counts[algorithm] = counter
-    med_indirect = time_algorithm(seed, streams[0], spec, INDIRECT, reps, warmup)
-    med_direct = time_algorithm(seed, streams[1], spec, DIRECT, reps, warmup)
+    med_indirect = time_algorithm(seed, streams[0], spec, INDIRECT, reps)
+    med_direct = time_algorithm(seed, streams[1], spec, DIRECT, reps)
     return med_indirect, med_direct, counts
 
 
@@ -646,7 +648,7 @@ REGISTRY = [
 
 
 def _selected(name, only):
-    if not only:
+    if only is None:
         return True
     for token in str(only).split(","):
         token = token.strip()

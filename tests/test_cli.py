@@ -265,6 +265,20 @@ def test_density_non_utf8_matrix_file_exit_code(tmp_path, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["wishart", "invwishart", "cholwishart", "cholinvwishart"])
+def test_density_block_of_another_size_names_both_sizes(tmp_path, capsys, kind):
+    # A 3x3 identity is a valid point and factor, so only the sizes clash;
+    # each kernel checks the block against the scale factor.
+    scale = write_scale(tmp_path, np.eye(2))
+    points = tmp_path / "points.csv"
+    matio.write_matrices(str(points), [np.eye(3)])
+    out = tmp_path / "never.ndjson"
+    rc = run_cli(["density", kind, str(points), "--n", "5", "--scale", scale, "--out", str(out)])
+    assert rc == 2
+    assert "point is 3x3, scale factor 2x2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("nsamples", ["0", "-3"])
 def test_sample_nonpositive_nsamples_rejected(tmp_path, capsys, nsamples):
     scale = write_scale(tmp_path, np.eye(2))
@@ -419,10 +433,11 @@ def test_validate_unmatched_filter(capsys):
     assert "matched no checks" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("only", ["ss", "sss,", " , "])
+@pytest.mark.parametrize("only", ["", "ss", "sss,", " , "])
 def test_validate_filter_that_strips_to_nothing_matches_no_checks(capsys, only):
     # Stripping the plural "s" from "ss" once left an empty token, which
-    # matched, and ran, all 23 checks.
+    # matched, and ran, all 23 checks; so did an empty filter.  Only a
+    # missing --only means every check.
     rc = run_cli(["validate", "--only", only])
     assert rc == 2
     assert "matched no checks" in capsys.readouterr().err

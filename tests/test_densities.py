@@ -16,7 +16,7 @@ from triwish.densities import (
     logkernel_wishart,
 )
 from triwish.errors import DimensionMismatch, NotPositiveDefinite, SingularMatrix
-from triwish.linalg import gram_ut, log_det_tri, tri_inverse, tri_mul
+from triwish.linalg import gram_ut, tri_inverse, tri_mul
 from triwish.rng import RngStream
 from triwish.samplers import (
     DIRECT,
@@ -71,6 +71,9 @@ def test_cholwishart_kernel_identity():
     for m in (1, 2, 3):
         got = logkernel_cholwishart(np.eye(m), 6, np.eye(m))
         assert abs(got - (-m / 2.0)) < 1e-14
+    # At n = m = 2 the log-diagonal terms are 1 log 1 + 0 log 3, so the
+    # kernel is the trace term alone, -||U_A||^2 / 2.
+    assert logkernel_cholwishart(np.array([[1.0, 2.0], [0.0, 3.0]]), 2.0, np.eye(2)) == -7.0
 
 
 def test_cholinvwishart_kernel_scalar_value():
@@ -93,6 +96,9 @@ def test_logjac_chol_values():
 
 def test_logjac_tri_inverse_values():
     assert logjac_tri_inverse(np.eye(4)) == 0.0
+    np.testing.assert_allclose(
+        logjac_tri_inverse(np.diag([2.0, 4.0])), -3.0 * np.log(8.0), rtol=1e-15
+    )
     for r in (0.4, 2.0, -3.0):
         got = logjac_tri_inverse(np.array([[r]]))
         assert abs(got - (-2.0 * math.log(abs(r)))) < 1e-14
@@ -264,6 +270,6 @@ def test_factor_chain_offset_constant():
         for j in range(1, m + 1):
             log_pz += (n - m + j - 1.0) * math.log(z[j - 1, j - 1])
         offsets.append(
-            logkernel_cholinvwishart(u_b, n, u_omega) - (m + 1) * log_det_tri(z) - log_pz
+            logkernel_cholinvwishart(u_b, n, u_omega) + logjac_tri_inverse(z) - log_pz
         )
     assert np.std(offsets) < 1e-8

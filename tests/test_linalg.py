@@ -13,28 +13,30 @@ from triwish.errors import (
 from triwish.linalg import (
     OpCounter,
     chol_upper,
-    frobenius_norm_sq,
     gram_ut,
     gram_vt,
-    log_det_tri,
     tri_inverse,
     tri_mul,
 )
 
 
-def test_check_upper_triangular_reads_only_below_the_diagonal():
+def test_check_cholesky_factor_reads_only_below_the_diagonal():
     u = np.array([[1.0, 2.0, 3.0], [-0.0, 4.0, 5.0], [-0.0, -0.0, 6.0]])
-    assert linalg.check_upper_triangular(u) is u
-    assert linalg.check_upper_triangular(np.array([[-2.0]])).shape == (1, 1)
+    assert linalg.check_cholesky_factor(u) is u
+    assert linalg.check_cholesky_factor(np.array([[2.0]])).shape == (1, 1)
     for i, j in ((1, 0), (2, 0), (2, 1)):
         bad = np.triu(u)
         bad[i, j] = 5e-324
         with pytest.raises(InvalidParameter, match="^U has nonzero entries below the diagonal$"):
-            linalg.check_upper_triangular(bad, "U")
+            linalg.check_cholesky_factor(bad, "U")
     bad = np.triu(u)
     bad[2, 0] = np.nan
     with pytest.raises(InvalidParameter, match="^U has non-finite entries$"):
-        linalg.check_upper_triangular(bad, "U")
+        linalg.check_cholesky_factor(bad, "U")
+    bad = np.triu(u)
+    bad[1, 1] = -0.0
+    with pytest.raises(InvalidParameter, match="^U diagonal entry 2 is not positive$"):
+        linalg.check_cholesky_factor(bad, "U")
 
 
 def test_chol_upper_identity():
@@ -184,19 +186,6 @@ def test_gram_ut_matches_naive_triple_loop():
         got = gram_ut(u)
         scale = max(np.abs(naive).max(), 1.0)
         assert np.max(np.abs(got - naive)) <= 1e-14 * scale
-
-
-def test_frobenius_norm_sq():
-    assert frobenius_norm_sq(np.eye(3)) == 3.0
-    assert frobenius_norm_sq(np.array([[1.0, 2.0], [0.0, 3.0]])) == 14.0
-    assert frobenius_norm_sq(np.zeros((4, 4))) == 0.0
-
-
-def test_log_det_tri():
-    assert log_det_tri(np.eye(5)) == 0.0
-    np.testing.assert_allclose(log_det_tri(np.diag([2.0, 4.0])), np.log(8.0), rtol=1e-15)
-    with pytest.raises(SingularMatrix):
-        log_det_tri(np.diag([1.0, 0.0]))
 
 
 def test_chol_reconstructs_random_spd():
