@@ -1,4 +1,6 @@
-"""Bit-exact matrix file round-trips and malformed-input rejection."""
+"""Bit-exact matrix file round-trips, the writers' bytes, and malformed-input rejection."""
+
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +9,9 @@ from hypothesis import strategies as st
 
 from triwish import matio
 from triwish.errors import InvalidParameter, TriwishError
+from triwish.linalg import gram_ut
+from triwish.rng import RngStream
+from triwish.samplers import DIRECT, INDIRECT, SamplerSpec, ScaleParam, prepare
 
 
 def _ugly_matrices():
@@ -39,6 +44,90 @@ def test_ndjson_roundtrip_bit_exact(tmp_path):
     for mat, (kind, back) in zip(mats, blocks):
         assert kind == "square"
         assert mat.tobytes() == back.tobytes()
+
+
+def _oracle_bytes(mats, kinds, header, fmt):
+    # The writers' bytes, built the plain way: every entry through repr for
+    # CSV, and json.dumps of each record for NDJSON.
+    mats = [np.asarray(mat, dtype=np.float64) for mat in mats]
+    out = []
+    if fmt == "csv":
+        out += [f"# {line}\n" for line in header]
+        for idx, (mat, kind) in enumerate(zip(mats, kinds)):
+            if idx or header:
+                out.append("\n")
+            out.append(f"# m={mat.shape[0]} kind={kind}\n")
+            out += [",".join(map(repr, row)) + "\n" for row in mat.tolist()]
+    else:
+        if header:
+            out.append(json.dumps({"header": list(header)}) + "\n")
+        for mat, kind in zip(mats, kinds):
+            out.append(json.dumps({"m": mat.shape[0], "kind": kind, "rows": mat.tolist()}) + "\n")
+    return "".join(out).encode("utf-8")
+
+
+def _plan_outputs(m):
+    # Full draws of both routes, and the squares of factor draws that
+    # `triwish sample --retcholu --square` writes.
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((m, m))
+    scale = ScaleParam(np.triu(a @ a.T) + np.triu(a @ a.T, 1).T + m * np.eye(m))
+    outs = []
+    for algorithm in (INDIRECT, DIRECT):
+        for retcholu in (False, True):
+            draw = prepare(SamplerSpec(m, m + 2.5, scale, retcholu), algorithm).draw(RngStream(m))
+            outs.append(gram_ut(draw, owned=True) if retcholu else draw)
+    return outs
+
+
+def _edge_matrices():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((6, 6))
+    sym = a + a.T
+    one_off = sym.copy()
+    one_off[4, 1] = np.nextafter(one_off[4, 1], np.inf)
+    zeros = sym.copy()
+    zeros[0, 2], zeros[2, 0] = 0.0, -0.0
+    factor = np.triu(a)
+    factor[np.tril_indices(6, -1)] = -0.0
+    specials = np.array([np.nan, np.inf, -np.inf, 5e-324, 1e-5, 1e16, 1e17, -1e17])
+    special_sym = np.diag(specials[:6])
+    special_sym[0, 1:] = special_sym[1:, 0] = specials[2:7]
+    special_gen = np.resize(specials, (4, 4))
+    wide = np.zeros((8, 8))
+    wide[:6, :6] = sym
+    wide += wide.T
+    return [
+        sym, one_off, zeros, factor, special_sym, special_gen,
+        np.asfortranarray(sym), np.asfortranarray(special_gen),
+        wide[::2, ::2], wide[1::3, 1::3], a.T, a[:, ::2][:3],
+        np.zeros((1, 1)), np.array([[-0.0]]),
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "ndjson"])
+@pytest.mark.parametrize("m", [1, 2, 5, 50, 64, 65, 200])
+def test_writer_bytes_on_plan_outputs(tmp_path, fmt, m):
+    mats = _plan_outputs(m)
+    for mat in mats:
+        assert mat.tobytes() == mat.T.tobytes()
+    path = tmp_path / "out.txt"
+    header = ["triwish sample", f"m={m}"]
+    matio.write_matrices(str(path), mats, kinds="square", header=header, fmt=fmt)
+    assert path.read_bytes() == _oracle_bytes(mats, ["square"] * len(mats), header, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "ndjson"])
+@pytest.mark.parametrize("header", [(), ("h",)])
+def test_writer_bytes_on_edge_matrices(tmp_path, fmt, header):
+    mats = _edge_matrices()
+    kinds = ["square", 'sq"u\\are\té\u2028'] * (len(mats) // 2)
+    path = tmp_path / "out.txt"
+    matio.write_matrices(str(path), mats, kinds=kinds, header=header, fmt=fmt)
+    assert path.read_bytes() == _oracle_bytes(mats, kinds, header, fmt)
+    for mat in mats:
+        matio.write_matrices(str(path), [mat], kinds="cholU", fmt=fmt)
+        assert path.read_bytes() == _oracle_bytes([mat], ["cholU"], (), fmt)
 
 
 def test_format_float_shortest_roundtrip():
