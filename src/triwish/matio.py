@@ -7,7 +7,12 @@ blank line.  Values are printed with Python's shortest round-trip float
 representation, so write-then-read reproduces every entry bit-exactly.
 
 NDJSON layout: an optional first record ``{"header": [...]}``, then one
-record ``{"m": ..., "kind": ..., "rows": [[...], ...]}`` per matrix.
+record ``{"m": ..., "kind": ..., "rows": [[...], ...]}`` per matrix, with
+the bytes ``json.dumps`` gives it.
+
+A matrix that equals its transpose bit for bit, as every full draw does,
+has its text made once per mirrored pair: the entries below the diagonal
+reuse the strings of their mirrors above it.  The bytes are the same.
 """
 
 import itertools
@@ -29,24 +34,44 @@ def format_float(v):
     return repr(float(v))
 
 
+def _mirrored_rows(mat, sep):
+    # The rows of a matrix equal to its transpose bit for bit (0.0 and -0.0
+    # print apart), each its reprs joined by sep; None for any other matrix.
+    # repr is most of a write's time, so it runs on the upper triangle only.
+    bits = mat.view(np.uint64)
+    if mat.ndim != 2 or not np.array_equal(bits, bits.T):
+        return None
+    texts = np.empty(mat.shape, dtype=object)
+    for i, row in enumerate(mat.tolist()):
+        texts[i, i:] = list(map(repr, row[i:]))
+        texts[i:, i] = texts[i, i:]
+    return [sep.join(row) for row in texts.tolist()]
+
+
 def _write_csv(fh, mats, kinds, header):
     for line in header:
         fh.write(f"# {line}\n")
     for idx, (mat, kind) in enumerate(zip(mats, kinds)):
         if idx or header:
             fh.write("\n")
-        m = mat.shape[0]
-        fh.write(f"# m={m} kind={kind}\n")
-        for row in mat.tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+        fh.write(f"# m={mat.shape[0]} kind={kind}\n")
+        rows = _mirrored_rows(mat, ",")
+        if rows is None:
+            rows = [",".join(map(repr, row)) for row in mat.tolist()]
+        fh.writelines(row + "\n" for row in rows)
 
 
 def _write_ndjson(fh, mats, kinds, header):
     if header:
         fh.write(json.dumps({"header": list(header)}) + "\n")
     for mat, kind in zip(mats, kinds):
-        rec = {"m": mat.shape[0], "kind": kind, "rows": mat.tolist()}
-        fh.write(json.dumps(rec) + "\n")
+        # json spells the non-finite values NaN, Infinity and -Infinity.
+        rows = _mirrored_rows(mat, ", ") if np.isfinite(mat).all() else None
+        if rows is None:
+            fh.write(json.dumps({"m": mat.shape[0], "kind": kind, "rows": mat.tolist()}) + "\n")
+            continue
+        rows = ", ".join(f"[{row}]" for row in rows)
+        fh.write(f'{{"m": {mat.shape[0]}, "kind": {json.dumps(kind)}, "rows": [{rows}]}}\n')
 
 
 def write_matrices(path, mats, kinds=None, header=(), fmt="csv"):

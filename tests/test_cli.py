@@ -279,6 +279,28 @@ def test_density_block_of_another_size_names_both_sizes(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["wishart", "invwishart", "cholwishart", "cholinvwishart"])
+def test_density_non_finite_point_is_invalid_input(tmp_path, capsys, kind):
+    scale = write_scale(tmp_path, np.eye(2))
+    points = tmp_path / "points.csv"
+    matio.write_matrices(str(points), [[[1.0, 0.0], [0.0, np.nan]]])
+    out = tmp_path / "never.ndjson"
+    rc = run_cli(["density", kind, str(points), "--n", "5", "--scale", scale, "--out", str(out)])
+    assert rc == 2
+    assert "has non-finite entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["wishart", "invwishart"])
+def test_density_not_positive_definite_point_exit_code(tmp_path, capsys, kind):
+    scale = write_scale(tmp_path, np.eye(2))
+    points = tmp_path / "points.csv"
+    matio.write_matrices(str(points), [[[1.0, 2.0], [2.0, 1.0]]])
+    rc = run_cli(["density", kind, str(points), "--n", "5", "--scale", scale, "--out", "-"])
+    assert rc == 4
+    assert "not positive definite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("nsamples", ["0", "-3"])
 def test_sample_nonpositive_nsamples_rejected(tmp_path, capsys, nsamples):
     scale = write_scale(tmp_path, np.eye(2))

@@ -15,7 +15,7 @@ from triwish.densities import (
     logkernel_invwishart,
     logkernel_wishart,
 )
-from triwish.errors import DimensionMismatch, NotPositiveDefinite, SingularMatrix
+from triwish.errors import DimensionMismatch, InvalidParameter, NotPositiveDefinite, SingularMatrix
 from triwish.linalg import gram_ut, tri_inverse, tri_mul
 from triwish.rng import RngStream
 from triwish.samplers import (
@@ -176,6 +176,11 @@ def test_kernels_finite_on_support_raise_off_support():
         logkernel_wishart(np.array([[1.0, 2.0], [2.0, 1.0]]), 5, np.eye(2))
     with pytest.raises(NotPositiveDefinite):
         logkernel_invwishart(np.array([[1.0, 2.0], [2.0, 1.0]]), 5, np.eye(2))
+    nan_point = np.array([[1.0, 0.0], [0.0, np.nan]])
+    for kernel in (logkernel_wishart, logkernel_invwishart, logkernel_cholwishart,
+                   logkernel_cholinvwishart):
+        with pytest.raises(InvalidParameter, match="has non-finite entries"):
+            kernel(nan_point, 5, np.eye(2))
 
 
 def _random_factor(rng, m):
