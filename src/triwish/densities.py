@@ -21,18 +21,9 @@ import math
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import DimensionMismatch, InvalidParameter, SingularMatrix
+from .errors import DimensionMismatch, SingularMatrix
 from .linalg import as_square, check_cholesky_factor, chol_upper
 from .samplers import _check_df
-
-
-def _finite_matrix(x):
-    # chol_upper books a non-finite matrix as not positive definite; as a
-    # point it is invalid input, like a factor point with a non-finite entry.
-    x = as_square(x)
-    if not np.isfinite(x).all():
-        raise InvalidParameter("matrix has non-finite entries")
-    return x
 
 
 def _check_point(x, u, n):
@@ -61,7 +52,7 @@ def logkernel_wishart(a, n, u_sigma):
     the log determinant.  Raises NotPositiveDefinite off support and
     InvalidParameter for a non-finite A.
     """
-    a = _finite_matrix(a)
+    a = as_square(a)
     u_sigma = check_cholesky_factor(u_sigma, "covariance factor")
     m = _check_point(a, u_sigma, n)
     u_a = chol_upper(a)
@@ -76,7 +67,7 @@ def logkernel_invwishart(b, n, u_omega):
     Computes -tr(Omega B^-1)/2 - ((n+m+1)/2) log det B via the Cholesky
     factor of B and a triangular solve.
     """
-    b = _finite_matrix(b)
+    b = as_square(b)
     u_omega = check_cholesky_factor(u_omega, "precision factor")
     m = _check_point(b, u_omega, n)
     u_b = chol_upper(b)

@@ -96,9 +96,10 @@ def check_symmetric(x):
 def chol_upper(x, counter=None, *, owned=False):
     """Upper Cholesky factor U of a positive definite X, with X = U^T U.
 
-    X must be symmetric to within SYMMETRY_RTOL (the upper triangle is the
-    authority; only it is read by the factorization).  Counts one POTRF.
-    With ``owned`` (see the module docstring) U overwrites X.
+    X must be finite and symmetric to within SYMMETRY_RTOL (the upper
+    triangle is the authority; only it is read by the factorization), or
+    InvalidParameter is raised.  Counts one POTRF.  With ``owned`` (see the
+    module docstring) U overwrites X.
 
     Raises NotPositiveDefinite if a pivot is non-positive or non-finite;
     the 1-based index of the failing pivot is attached to the exception.
@@ -106,7 +107,7 @@ def chol_upper(x, counter=None, *, owned=False):
     if not owned:
         x = as_square(x)
         if not np.isfinite(x).all():
-            raise NotPositiveDefinite("matrix has non-finite entries")
+            raise InvalidParameter("matrix has non-finite entries")
         check_symmetric(x)
     if counter is not None:
         counter.potrf += 1
