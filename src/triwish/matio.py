@@ -54,7 +54,8 @@ def _write_csv(fh, mats, kinds, header):
     for idx, (mat, kind) in enumerate(zip(mats, kinds)):
         if idx or header:
             fh.write("\n")
-        fh.write(f"# m={mat.shape[0]} kind={kind}\n")
+        m = mat.shape[0]
+        fh.write(f"# m={m} kind={kind}\n")
         rows = _mirrored_rows(mat, ",")
         if rows is None:
             rows = [",".join(map(repr, row)) for row in mat.tolist()]
