@@ -3,8 +3,8 @@ Validating the samplers with the built-in test machinery
 ========================================================
 
 The package carries its own goodness-of-fit toolbox: one- and two-sample KS
-tests, a dependency-free chi-square CDF, Monte Carlo moment checks, and
-finite-difference Jacobian verification.  This script runs a few of them by
+tests, a chi-square CDF (``scipy.special.gammainc``), Monte Carlo moment
+checks, and finite-difference Jacobian verification.  This script runs a few of them by
 hand; ``triwish validate`` runs the full registry with fixed seeds.
 """
 

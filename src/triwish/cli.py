@@ -14,11 +14,9 @@ definite).
 
 import argparse
 import csv
-import io
+import functools
 import json
 import sys
-
-import numpy as np
 
 from . import matio, suite
 from .densities import (
@@ -137,24 +135,15 @@ def cmd_density(args):
     factor = cholesky_upper_param(scale, invert=invert)
     _, blocks = matio.read_matrices(args.matrices)
     values = [float(kernel(mat, args.n, factor)) for _, mat in blocks]
-    buf = io.StringIO()
-    if args.format == "ndjson":
-        for i, v in enumerate(values):
-            buf.write(json.dumps({"index": i, "kind": args.kind, "n": args.n, "logkernel": v}) + "\n")
-    else:
-        buf.write("index,logkernel\n")
-        for i, v in enumerate(values):
-            buf.write(f"{i},{matio.format_float(v)}\n")
-    _write_text(args.out, buf.getvalue())
+    with matio.open_output(args.out) as fh:
+        if args.format == "ndjson":
+            for i, v in enumerate(values):
+                fh.write(json.dumps({"index": i, "kind": args.kind, "n": args.n, "logkernel": v}) + "\n")
+        else:
+            fh.write("index,logkernel\n")
+            for i, v in enumerate(values):
+                fh.write(f"{i},{matio.format_float(v)}\n")
     return 0
-
-
-def _write_text(path, text):
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
 
 
 def _opcount_cell(full, chol):
@@ -186,20 +175,19 @@ def cmd_validate(args):
     records = suite.run_checks(seed=args.seed, only=args.only)
     if not records:
         raise InvalidParameter(f"--only {args.only!r} matched no checks")
-    buf = io.StringIO()
-    if args.format == "csv":
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["check", "params", "statistic", "threshold", "pass", "seed"])
-        for rec in records:
-            d = rec.to_dict()
-            writer.writerow(
-                [d["check"], json.dumps(d["params"]), d["statistic"], d["threshold"],
-                 d["pass"], d["seed"]]
-            )
-    else:
-        for rec in records:
-            buf.write(json.dumps(rec.to_dict()) + "\n")
-    _write_text(args.out, buf.getvalue())
+    with matio.open_output(args.out) as fh:
+        if args.format == "csv":
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["check", "params", "statistic", "threshold", "pass", "seed"])
+            for rec in records:
+                d = rec.to_dict()
+                writer.writerow(
+                    [d["check"], json.dumps(d["params"]), d["statistic"], d["threshold"],
+                     d["pass"], d["seed"]]
+                )
+        else:
+            for rec in records:
+                fh.write(json.dumps(rec.to_dict()) + "\n")
     failed = [rec for rec in records if not rec.passed]
     print(
         f"{len(records)} record(s), {len(failed)} failed",
@@ -219,15 +207,11 @@ def cmd_bench(args):
     if min(sizes) < 1:
         raise InvalidParameter(f"--m must be a positive integer, got {min(sizes)}")
     for m in sizes:
-        n = float(m + 2)
-        values = np.linspace(0.5, 2.0, m)
-        matrix = np.diag(np.sqrt(values)) if args.ischolu else np.diag(values)
-        scale = ScaleParam(matrix, iscov=args.iscov, ischolu=args.ischolu)
-        med_ind, med_dir, counts = suite.bench_pair(
-            scale, m, n, args.retcholu, args.seed, reps=reps
+        spec, med_ind, med_dir, counts = suite.bench_pair(
+            m, args.iscov, args.ischolu, args.retcholu, args.seed, reps=reps
         )
         print(
-            f"m={m} n={n:g} scale={scale.kind()} retcholu={_FLAG[args.retcholu]} "
+            f"m={m} n={spec.n:g} scale={spec.scale.kind()} retcholu={_FLAG[args.retcholu]} "
             f"reps={reps} warmup={suite.BENCH_WARMUP}"
         )
         print(f"{'algorithm':<10} {'median_ms':<12} {'TRTRI':<6} {'TRMM':<6} {'POTRF':<6}")
@@ -243,7 +227,9 @@ def cmd_bench(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="triwish",
         description="Wishart and inverse-Wishart sampling on the Cholesky scale.",

@@ -80,8 +80,11 @@ def check_cholesky_factor(u, name="factor"):
     return u
 
 
-def check_symmetric(x):
-    """Require a square x to be symmetric to within SYMMETRY_RTOL."""
+def check_symmetric(x, name="matrix"):
+    """A square matrix with finite entries, symmetric to within SYMMETRY_RTOL."""
+    x = as_square(x)
+    if not np.isfinite(x).all():
+        raise InvalidParameter(f"{name} has non-finite entries")
     # An exactly symmetric matrix passes without the tolerance test's
     # temporaries.
     if not np.array_equal(x, x.T):
@@ -91,6 +94,7 @@ def check_symmetric(x):
                 f"matrix is not symmetric: max |x_ij - x_ji| = {asym:g} "
                 f"exceeds {SYMMETRY_RTOL:g} * max|x_ij|"
             )
+    return x
 
 
 def chol_upper(x, counter=None, *, owned=False):
@@ -105,10 +109,7 @@ def chol_upper(x, counter=None, *, owned=False):
     the 1-based index of the failing pivot is attached to the exception.
     """
     if not owned:
-        x = as_square(x)
-        if not np.isfinite(x).all():
-            raise InvalidParameter("matrix has non-finite entries")
-        check_symmetric(x)
+        x = check_symmetric(x)
     if counter is not None:
         counter.potrf += 1
     u, info = lapack.dpotrf(x, lower=0, overwrite_a=owned)

@@ -15,9 +15,11 @@ has its text made once per mirrored pair: the entries below the diagonal
 reuse the strings of their mirrors above it.  The bytes are the same.
 """
 
+import contextlib
 import itertools
 import json
 import re
+import sys
 
 import numpy as np
 
@@ -32,6 +34,17 @@ KIND_CHOLU = "cholU"
 def format_float(v):
     """Shortest decimal representation that parses back to the same float."""
     return repr(float(v))
+
+
+def open_output(path):
+    """Context manager for the text destination of every output file.
+
+    '-' is the ``sys.stdout`` of the moment, left open; any other path is
+    opened for writing as UTF-8 with LF line ends.
+    """
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _mirrored_rows(mat, sep):
@@ -87,13 +100,8 @@ def write_matrices(path, mats, kinds=None, header=(), fmt="csv"):
     writer = {"csv": _write_csv, "ndjson": _write_ndjson}.get(fmt)
     if writer is None:
         raise InvalidParameter(f"unknown format {fmt!r}")
-    if path == "-":
-        import sys
-
-        writer(sys.stdout, mats, kinds, header)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            writer(fh, mats, kinds, header)
+    with open_output(path) as fh:
+        writer(fh, mats, kinds, header)
 
 
 def _parse_csv(text):

@@ -42,7 +42,6 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidDegreesOfFreedom, InvalidParameter, NumericalFailure
 from .linalg import (
     OpCounter,
-    as_square,
     check_cholesky_factor,
     check_symmetric,
     chol_upper,
@@ -79,10 +78,7 @@ class ScaleParam:
         if self.ischolu:
             x = check_cholesky_factor(self.matrix, "scale factor")
         else:
-            x = as_square(self.matrix)
-            if not np.isfinite(x).all():
-                raise InvalidParameter("scale matrix has non-finite entries")
-            check_symmetric(x)
+            x = check_symmetric(self.matrix, "scale matrix")
         self.matrix = x.copy(order="F")
 
     @property

@@ -454,33 +454,32 @@ def time_algorithm(seed, stream, spec, algorithm, reps=25):
     return statistics.median(times)
 
 
-def bench_pair(scale, m, n, retcholu, seed, reps=25, streams=(19, 20)):
-    """Median per-draw time and op counts for both algorithms on one setup."""
-    spec = SamplerSpec(m, n, scale, retcholu=retcholu)
-    counts = {}
-    for algorithm in (INDIRECT, DIRECT):
-        counter = OpCounter()
-        sample_invwishart(RngStream(seed, streams[0]), spec, algorithm, counter=counter)
-        counts[algorithm] = counter
+def bench_pair(m, iscov, ischolu, retcholu, seed, reps=25, streams=(19, 20)):
+    """The benchmark's spec, both algorithms' median per-draw times and op counts.
+
+    The scale is diag(linspace(0.5, 2, m)), taken as given (a factor with
+    ``ischolu``), and n = m + 2.  Returns (spec, median indirect, median
+    direct, {algorithm: the EXPECTED_OP_COUNTS of one draw}).
+    """
+    scale = ScaleParam(np.diag(np.linspace(0.5, 2.0, m)), iscov=iscov, ischolu=ischolu)
+    spec = SamplerSpec(m, m + 2, scale, retcholu=retcholu)
     med_indirect = time_algorithm(seed, streams[0], spec, INDIRECT, reps)
     med_direct = time_algorithm(seed, streams[1], spec, DIRECT, reps)
-    return med_indirect, med_direct, counts
+    counts = {alg: EXPECTED_OP_COUNTS[(scale.kind(), alg, retcholu)] for alg in (INDIRECT, DIRECT)}
+    return spec, med_indirect, med_direct, counts
 
 
-def _bench_record(check, seed, kind, retcholu, faster, streams):
+def _bench_record(check, seed, iscov, ischolu, retcholu, faster, streams):
     # Statistic: median time per draw of the ``faster`` route over the other's.
-    m, n, reps = 200, 202, 25
-    scale = ScaleParam(
-        np.diag(np.linspace(0.5, 2.0, m)),
-        iscov=kind.startswith("cov"),
-        ischolu=kind.endswith("_chol"),
+    m, reps = 200, 25
+    spec, med_indirect, med_direct, _ = bench_pair(
+        m, iscov, ischolu, retcholu, seed, reps=reps, streams=streams
     )
-    med_indirect, med_direct, _ = bench_pair(scale, m, n, retcholu, seed, reps=reps, streams=streams)
     ratio = med_direct / med_indirect if faster == DIRECT else med_indirect / med_direct
     return [
         CheckRecord(
             check,
-            {"m": m, "n": n, "reps": reps, "retcholu": retcholu, "scale": kind},
+            {"m": m, "n": spec.n, "reps": reps, "retcholu": retcholu, "scale": spec.scale.kind()},
             ratio,
             1.0,
             ratio < 1.0,
@@ -491,12 +490,12 @@ def _bench_record(check, seed, kind, retcholu, faster, streams):
 
 def check_bench_precchol(seed):
     """Direct beats indirect for a precision-factor scale with factor output."""
-    return _bench_record("bench.precchol", seed, "prec_chol", True, DIRECT, (19, 20))
+    return _bench_record("bench.precchol", seed, False, True, True, DIRECT, (19, 20))
 
 
 def check_bench_cov(seed):
     """Indirect beats direct for a covariance scale with full-matrix output."""
-    return _bench_record("bench.cov", seed, "cov", False, INDIRECT, (21, 22))
+    return _bench_record("bench.cov", seed, True, False, False, INDIRECT, (21, 22))
 
 
 # ---------------------------------------------------------------------------

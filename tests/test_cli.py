@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triwish import matio
+from triwish import cli, matio, suite
 from triwish.cli import main
 from triwish.densities import logkernel_wishart
 from triwish.linalg import chol_upper
@@ -485,6 +485,41 @@ def test_bench_smoke(capsys):
     assert "ratios direct/indirect:" in out
 
 
+def _timed_specs(monkeypatch, run):
+    # What each suite.time_algorithm call would time; no draw runs.
+    calls = []
+
+    def record(seed, stream, spec, algorithm, reps=25):
+        scale = spec.scale
+        calls.append((algorithm, spec.m, spec.n, scale.matrix.tobytes(), scale.iscov,
+                      scale.ischolu, spec.retcholu))
+        return 1e-3
+
+    monkeypatch.setattr(suite, "time_algorithm", record)
+    run()
+    return calls
+
+
+@pytest.mark.parametrize("flags, check, table", [
+    (["--ischolu", "--retcholu"], suite.check_bench_precchol,
+     ["m=200 n=202 scale=prec_chol retcholu=1 reps=1 warmup=5",
+      "indirect   1.000        2      3      2     ",
+      "direct     1.000        1      1      0     ",
+      "ratios direct/indirect: ops=0.29 time=1.000"]),
+    (["--iscov"], suite.check_bench_cov,
+     ["m=200 n=202 scale=cov retcholu=0 reps=1 warmup=5",
+      "indirect   1.000        1      2      1     ",
+      "direct     1.000        2      3      2     ",
+      "ratios direct/indirect: ops=1.75 time=1.000"]),
+])
+def test_bench_times_the_spec_criterion_8_times(monkeypatch, capsys, flags, check, table):
+    timed = _timed_specs(monkeypatch, lambda: main(["bench", "--m", "200", *flags, "--reps", "1"]))
+    lines = capsys.readouterr().out.splitlines()
+    assert timed == _timed_specs(monkeypatch, lambda: check(suite.DEFAULT_SEED))
+    assert [algorithm for algorithm, *_ in timed] == ["indirect", "direct"]
+    assert lines == [table[0], "algorithm  median_ms    TRTRI  TRMM   POTRF ", *table[1:]]
+
+
 def test_bench_rejects_bad_m(capsys):
     rc = run_cli(["bench", "--m", "0", "--reps", "1"])
     assert rc == 2
@@ -504,6 +539,41 @@ def test_bench_rejects_bad_sizes_before_timing(capsys, argv):
     assert rc == 2
     assert captured.out == ""
     assert "must be a positive integer" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "ndjson"])
+@pytest.mark.parametrize("command", ["sample", "density", "validate"])
+def test_output_has_the_same_bytes_on_stdout_as_in_a_file(tmp_path, command, fmt):
+    scale = write_scale(tmp_path, SIGMA_2)
+    points = tmp_path / "points.csv"
+    matio.write_matrices(str(points), [SIGMA_2, np.eye(2)])
+    argv = {
+        "sample": ["sample", "--n", "6", "--scale", scale, "--iscov", "--seed", "5",
+                   "--nsamples", "3"],
+        "density": ["density", "invwishart", str(points), "--n", "6", "--scale", scale],
+        "validate": ["validate", "--only", "errors"],
+    }[command] + ["--format", fmt]
+    path = tmp_path / f"out.{fmt}"
+    stdout = io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+        assert main([*argv, "--out", "-"]) == 0
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main([*argv, "--out", str(path)]) == 0
+    assert stdout.getvalue()
+    assert stdout.getvalue().encode("utf-8") == path.read_bytes()
+
+
+def test_parser_is_built_once_and_a_failed_parse_leaves_it_as_it_was(capsys):
+    cli.build_parser.cache_clear()
+    argv = ["bench", "--m", "4", "--m", "5", "--reps", "2", "--iscov"]
+    before = vars(cli.build_parser().parse_args(argv))
+    assert main(["opcount"]) == 0
+    assert main(["bench", "--m", "x"]) == 2
+    assert main(["sample", "--bogus"]) == 2
+    assert main(["validate", "--only", "errors.df", "--out", "-"]) == 0
+    assert vars(cli.build_parser().parse_args(argv)) == before
+    assert cli.build_parser.cache_info().misses == 1
+    capsys.readouterr()
 
 
 def test_scale_file_can_hold_factor(tmp_path):
