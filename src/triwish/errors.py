@@ -14,7 +14,14 @@ class DimensionMismatch(TriwishError):
     """Operands have incompatible shapes."""
 
 
-class NotPositiveDefinite(TriwishError):
+class NumericalFailure(TriwishError):
+    """A numerical procedure failed: a matrix that is not positive definite
+    or is singular (the two subclasses below), a draw that over- or
+    underflowed, or a result that lost all precision (e.g. a
+    finite-difference Jacobian that is singular to working precision)."""
+
+
+class NotPositiveDefinite(NumericalFailure):
     """Cholesky factorization hit a non-positive or non-finite pivot.
 
     ``pivot`` is the 1-based index of the failing pivot when known.
@@ -25,7 +32,7 @@ class NotPositiveDefinite(TriwishError):
         self.pivot = pivot
 
 
-class SingularMatrix(TriwishError):
+class SingularMatrix(NumericalFailure):
     """A triangular matrix with a zero diagonal entry cannot be inverted."""
 
 
@@ -44,8 +51,3 @@ class TooFewSamples(TriwishError):
 
 class MeanUndefined(TriwishError):
     """The requested distribution moment does not exist (n <= m + 1)."""
-
-
-class NumericalFailure(TriwishError):
-    """A numerical procedure lost all precision (e.g. a finite-difference
-    Jacobian that is singular to working precision)."""

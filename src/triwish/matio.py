@@ -47,15 +47,16 @@ def open_output(path):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _mirrored_rows(mat, sep):
-    # The rows of a matrix equal to its transpose bit for bit (0.0 and -0.0
-    # print apart), each its reprs joined by sep; None for any other matrix.
-    # repr is most of a write's time, so it runs on the upper triangle only.
+def _row_texts(mat, sep):
+    # The rows of a matrix, each its entries' reprs joined by sep.  repr is
+    # most of a write's time, so for a matrix equal to its transpose bit for
+    # bit (0.0 and -0.0 print apart) it runs on the upper triangle only.
+    rows = mat.tolist()
     bits = mat.view(np.uint64)
-    if mat.ndim != 2 or not np.array_equal(bits, bits.T):
-        return None
+    if not np.array_equal(bits, bits.T):
+        return [sep.join(map(repr, row)) for row in rows]
     texts = np.empty(mat.shape, dtype=object)
-    for i, row in enumerate(mat.tolist()):
+    for i, row in enumerate(rows):
         texts[i, i:] = list(map(repr, row[i:]))
         texts[i:, i] = texts[i, i:]
     return [sep.join(row) for row in texts.tolist()]
@@ -69,22 +70,18 @@ def _write_csv(fh, mats, kinds, header):
             fh.write("\n")
         m = mat.shape[0]
         fh.write(f"# m={m} kind={kind}\n")
-        rows = _mirrored_rows(mat, ",")
-        if rows is None:
-            rows = [",".join(map(repr, row)) for row in mat.tolist()]
-        fh.writelines(row + "\n" for row in rows)
+        fh.writelines(row + "\n" for row in _row_texts(mat, ","))
 
 
 def _write_ndjson(fh, mats, kinds, header):
     if header:
         fh.write(json.dumps({"header": list(header)}) + "\n")
     for mat, kind in zip(mats, kinds):
-        # json spells the non-finite values NaN, Infinity and -Infinity.
-        rows = _mirrored_rows(mat, ", ") if np.isfinite(mat).all() else None
-        if rows is None:
+        if not np.isfinite(mat).all():
+            # json spells the non-finite values NaN, Infinity and -Infinity.
             fh.write(json.dumps({"m": mat.shape[0], "kind": kind, "rows": mat.tolist()}) + "\n")
             continue
-        rows = ", ".join(f"[{row}]" for row in rows)
+        rows = ", ".join(f"[{row}]" for row in _row_texts(mat, ", "))
         fh.write(f'{{"m": {mat.shape[0]}, "kind": {json.dumps(kind)}, "rows": [{rows}]}}\n')
 
 

@@ -6,10 +6,13 @@ every seeded result in the package and is a breaking change.
 Raw stream
     Philox 4x64 with 10 rounds (the counter-based generator shipped with
     numpy as ``numpy.random.Philox``), keyed with the two 64-bit words
-    ``(seed, stream)`` and counter starting at zero.  Successive 64-bit
-    outputs are consumed in order; blocks are prefetched into a buffer,
-    which does not affect the sequence.  Seed and stream id are integer
-    values in [0, 2**64).
+    ``(seed, stream)``.  Uniform p, counting from zero, is made from the
+    64-bit output in lane ``p % 4`` of the block with the 256-bit counter
+    ``p // 4 + 1``, which is where numpy's Philox started at counter zero
+    puts it.  So a stream's whole state is its seed, its id and its
+    position; the uniforms are built a block of 4096 at a time, which does
+    not affect the sequence.  Seed and stream id are integer values in
+    [0, 2**64).
 
 Uniform doubles
     ``u = (raw >> 11) * 2**-53``, i.e. the top 53 bits, giving u in [0, 1).
@@ -35,20 +38,19 @@ Parallel work uses independent streams ``RngStream(seed, stream=i)``; the
 stream id is the second Philox key word, so distinct ids give statistically
 independent sequences for the same seed.
 
-Compiled column walk
-    :func:`walk_fills` draws Bartlett fills (:mod:`triwish.samplers`) column
-    by column in C, making the libm calls and IEEE operations of
-    :meth:`RngStream.standard_normal` and :meth:`RngStream.chi` in their
-    order, into fills in Fortran order.  Where it loads, it
-    runs every fill, single or batched, at every m.  Philox is
-    counter-based, so the walk computes its uniforms itself from ``(seed,
-    stream, position)``: uniform p is lane ``p % 4`` of the block with
-    counter ``p // 4 + 1``; the stream then skips what the walk used.  It
-    runs ``_boxmuller.c``, which :func:`compiled_loop` builds on first use
-    with the system C compiler (``cc -O2 -fPIC -shared -ffp-contract=off
-    -lm``) into this package's ``__pycache__`` and loads through ctypes;
-    where that fails, the fills run the scalar draws.  Both give the bits of
-    the running process's libm.
+Bartlett fills
+    :func:`bartlett_fills` draws k Bartlett fills of :mod:`triwish.samplers`
+    column by column, each column's normals and then its chi, as
+    :meth:`RngStream.standard_normal` and :meth:`RngStream.chi` would.
+    Where it loads, the compiled column walk draws them: ``_boxmuller.c``,
+    which :func:`compiled_loop` builds on first use with the system C
+    compiler (``cc -O2 -fPIC -shared -ffp-contract=off -lm``) into this
+    package's ``__pycache__`` and loads through ctypes.  It makes the scalar
+    draws' libm calls and IEEE operations in their order, and computes its
+    uniforms itself from the stream's seed, id and position; the stream then
+    skips what the walk used.  Elsewhere the scalar draws run in a Python
+    loop.  Both give the same bytes and end position, with the running
+    process's libm.
 """
 
 import ctypes
@@ -66,6 +68,7 @@ from .errors import InvalidDegreesOfFreedom, InvalidParameter
 _TWO_PI = 2.0 * math.pi
 _U53 = 2.0 ** -53
 _BLOCK = 4096
+_COUNTER = 2 ** 256 - 1
 
 
 def integer_value(value):
@@ -86,6 +89,13 @@ def _uint64(name, value):
     return v
 
 
+def _philox_block(p):
+    """Uniform p is lane p % 4 of the Philox block with counter p // 4 + 1,
+    the first block numpy's ``Philox(counter=p // 4)`` makes; counters wrap
+    at 2**256.  Returns p // 4 (mod 2**256) and the lane."""
+    return p >> 2 & _COUNTER, p & 3
+
+
 class RngStream:
     """Single-owner deterministic random stream.
 
@@ -97,52 +107,44 @@ class RngStream:
     def __init__(self, seed, stream=0):
         self.seed = _uint64("seed", seed)
         self.stream = _uint64("stream id", stream)
-        self._bitgen = np.random.Philox(key=np.array([self.seed, self.stream], dtype=np.uint64))
-        # The current block as a reversed list, popped by uniform.  The
-        # generator has passed _blocks blocks, built or skipped; the next
-        # block built drops its first _lag uniforms, which skip passed over
-        # (nonzero only while the list is empty).
+        self._position = 0
+        # The unread uniforms of the current 4096-uniform block, from the
+        # position on, as a reversed list popped by uniform; empty until
+        # uniform needs them.
         self._buf = []
-        self._blocks = 0
-        self._lag = 0
 
     def _refill(self):
-        raw = self._bitgen.random_raw(_BLOCK)[self._lag:]
-        buf = ((raw >> 11) * _U53).tolist()
+        p = self._position
+        counter, lane = _philox_block(p)
+        key = np.array([self.seed, self.stream], dtype=np.uint64)
+        raw = np.random.Philox(key=key, counter=counter).random_raw(lane + _BLOCK - p % _BLOCK)
+        buf = ((raw[lane:] >> 11) * _U53).tolist()
         buf.reverse()
         self._buf = buf
-        self._blocks += 1
-        self._lag = 0
         return buf
 
     @property
     def position(self):
         """Number of uniforms consumed so far: the exact Philox stream position."""
-        return self._blocks * _BLOCK - len(self._buf) + self._lag
+        return self._position
 
     def uniform(self):
         """Next uniform double in [0, 1)."""
         buf = self._buf
         if not buf:
             buf = self._refill()
+        self._position += 1
         return buf.pop()
 
     def skip(self, k):
         """Consume the next k >= 0 uniforms, leaving the stream where k calls
-        of :meth:`uniform` would.  Past the current block the Philox counter
-        is advanced (four outputs per step) without generating anything; the
-        block the skip lands in is built by the next :meth:`uniform`."""
+        of :meth:`uniform` would.  Only the position moves; a block the skip
+        lands in past the current one is built by the next :meth:`uniform`."""
         if (n := integer_value(k)) is None or n < 0:
             raise InvalidParameter(f"skip count must be a non-negative integer, got {k!r}")
         buf = self._buf
-        if n <= len(buf):
-            del buf[len(buf) - n:]
-            return
-        whole, self._lag = divmod(n - len(buf) + self._lag, _BLOCK)
-        if whole:
-            self._bitgen.advance(whole * _BLOCK // 4)
-            self._blocks += whole
-        self._buf = []
+        del buf[max(len(buf) - n, 0):]
+        self._position += n
 
     def standard_normal(self):
         """One N(0, 1) draw; consumes exactly two raw outputs."""
@@ -243,30 +245,35 @@ _PHILOX_STATE = ctypes.c_uint64 * 6
 _WORD = 2 ** 64 - 1
 
 
-def walk_fills(rng, m, k, a, s):
+def bartlett_fills(rng, m, k, a, s):
     """k Bartlett fills of size m drawn from the stream rng, as a (k, m, m)
-    array with each fill in Fortran order (each column contiguous); rng then
-    skips the uniforms they used.
+    array with each fill in Fortran order (each column contiguous).
 
-    Column c is column j = c % m of fill c // m, and gets j standard normals
-    above the diagonal, then the diagonal ``chi(a + s * (j + 1))``, each
-    drawn as :meth:`RngStream.standard_normal` and :meth:`RngStream.chi`
-    would draw it.  s is 1.0 or -1.0, so the degrees of freedom are monotone
-    in j and both ends are checked.  Only where :func:`compiled_loop` loads
-    the walk.
+    Column j = 0..m-1 of each fill gets j standard normals above the
+    diagonal, then the diagonal ``chi(a + s * (j + 1))``.  s is 1.0 or
+    -1.0, so the degrees of freedom are monotone in j; both ends are checked
+    before any uniform is drawn.  The stream ends where k * m column-by-column
+    draws of :meth:`RngStream.standard_normal` and :meth:`RngStream.chi` leave it.
     """
     a = float(a)
     if not (a + s > 0.0 and a + s * m > 0.0):
-        # As RngStream.chi; a NaN df would also never accept, so the walk
-        # would never end.
+        # A NaN df fails too: the walk's chi would never accept it.
         raise InvalidDegreesOfFreedom("chi degrees of freedom must be positive")
-    out = np.zeros((k, m, m))
-    p = rng.position
-    c = (p >> 2) + 1  # the 256-bit Philox counter of the block holding uniform p
-    state = _PHILOX_STATE(rng.seed, rng.stream, c & _WORD, c >> 64 & _WORD,
-                          c >> 128 & _WORD, c >> 192 & _WORD)
-    # out[f, j] is column j of fill f.  byref of the double at the start of
-    # out passes its address, and holds out's buffer for the call.
-    z = ctypes.byref(ctypes.c_double.from_buffer(out))
-    rng.skip(compiled_loop()(state, p & 3, z, m, k, a, s))
+    out = np.zeros((k, m, m))  # out[f, j] is column j of fill f
+    loop = compiled_loop()
+    if loop is None:
+        normal, chi = rng.standard_normal, rng.chi
+        for fill in out:
+            for j, column in enumerate(fill):
+                column[:j] = [normal() for _ in range(j)]
+                column[j] = chi(a + s * (j + 1))
+    else:
+        c, lane = _philox_block(rng.position)
+        c += 1
+        state = _PHILOX_STATE(rng.seed, rng.stream, c & _WORD, c >> 64 & _WORD,
+                              c >> 128 & _WORD, c >> 192 & _WORD)
+        # byref of the double at the start of out passes its address, and
+        # holds out's buffer for the call.
+        z = ctypes.byref(ctypes.c_double.from_buffer(out))
+        rng.skip(loop(state, lane, z, m, k, a, s))
     return out.transpose(0, 2, 1)

@@ -22,15 +22,10 @@ normals z_1j .. z_(j-1)j first and the diagonal chi draw z_jj last.  For
 equal (m, n) both fills consume exactly m(m-1)/2 normal draws and m chi
 draws in the same positions; only the chi degrees of freedom differ
 (n+1-j for the Wishart fill, n-m+j for the inverse-Wishart fill).
-Where it loads, every fill, single or a batch of k (the ``_many`` fills,
-one (k, m, m) array), at every m, runs through the compiled column walk of
-:func:`triwish.rng.walk_fills`: in one call it walks the columns in this
-order in C with the scalar draws' operations, computing the Philox uniforms
-from the stream's seed, id and position, and the stream then skips exactly
-the uniforms the column-by-column loop consumes: same bytes, same position
-after.  Where the walk cannot be built or loaded, every fill runs the scalar
-loop, which stays the reference.  On either path every fill, single or in
-a batch, is in Fortran order, as is every matrix the kernels get from a
+Every fill, single or a batch of k (the ``_many`` fills, one (k, m, m)
+array), is drawn by :func:`triwish.rng.bartlett_fills`, which says how; a
+batch has the bytes, and leaves the stream where, k single fills would.
+Every fill is in Fortran order, as is every matrix the kernels get from a
 setup or a draw (see :mod:`triwish.linalg`, Ownership).
 """
 
@@ -50,7 +45,7 @@ from .linalg import (
     tri_inverse,
     tri_mul,
 )
-from .rng import compiled_loop, integer_value, walk_fills
+from .rng import bartlett_fills, integer_value
 
 INDIRECT = "indirect"
 DIRECT = "direct"
@@ -129,27 +124,9 @@ class SamplerSpec:
             )
 
 
-def _fill_scalar(rng, m, a, s):
-    # The diagonal of column j = 1..m has a + s * j degrees of freedom: the
-    # IEEE operations of n + 1 - j (a = n + 1, s = -1.0) and of n - m + j
-    # (a = n - m, s = 1.0), which the walk makes too, in double precision
-    # for any numeric n.
-    a = float(a)
-    normal = rng.standard_normal
-    chi = rng.chi
-    z = np.zeros((m, m), order="F")
-    for j in range(m):
-        if j:
-            z[:j, j] = [normal() for _ in range(j)]
-        z[j, j] = chi(a + s * (j + 1))
-    return z
-
-
-def _fill_many(rng, m, a, s, k):
-    # k fills in a row are one stream of k*m columns, each fill in Fortran order.
-    if compiled_loop() is not None:
-        return walk_fills(rng, m, k, a, s)
-    return np.array([_fill_scalar(rng, m, a, s).T for _ in range(k)]).transpose(0, 2, 1)
+# Column j = 1..m of a fill has chi degrees of freedom a + s * j, in double
+# precision: n + 1 - j is a = n + 1, s = -1.0, and n - m + j is a = n - m,
+# s = 1.0.
 
 
 def draw_bartlett_wishart(rng, m, n):
@@ -159,7 +136,7 @@ def draw_bartlett_wishart(rng, m, n):
     in the documented draw order.
     """
     m = _check_fill_args(m, n)
-    return _fill_many(rng, m, n + 1, -1.0, 1)[0]
+    return bartlett_fills(rng, m, 1, n + 1, -1.0)[0]
 
 
 def draw_bartlett_invwishart(rng, m, n):
@@ -169,7 +146,7 @@ def draw_bartlett_invwishart(rng, m, n):
     column j uses chi_(n-m+j) instead.
     """
     m = _check_fill_args(m, n)
-    return _fill_many(rng, m, n - m, 1.0, 1)[0]
+    return bartlett_fills(rng, m, 1, n - m, 1.0)[0]
 
 
 def draw_bartlett_wishart_many(rng, m, n, k):
@@ -177,7 +154,7 @@ def draw_bartlett_wishart_many(rng, m, n, k):
     position after them, of k successive :func:`draw_bartlett_wishart` calls."""
     m = _check_fill_args(m, n)
     k = _positive_int("batch size k", k)
-    return _fill_many(rng, m, n + 1, -1.0, k)
+    return bartlett_fills(rng, m, k, n + 1, -1.0)
 
 
 def draw_bartlett_invwishart_many(rng, m, n, k):
@@ -185,7 +162,7 @@ def draw_bartlett_invwishart_many(rng, m, n, k):
     position after them, of k successive :func:`draw_bartlett_invwishart` calls."""
     m = _check_fill_args(m, n)
     k = _positive_int("batch size k", k)
-    return _fill_many(rng, m, n - m, 1.0, k)
+    return bartlett_fills(rng, m, k, n - m, 1.0)
 
 
 def cholesky_upper_param(scale, invert, counter=None):

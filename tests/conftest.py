@@ -33,14 +33,27 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture
 def no_compiled_loop(monkeypatch):
     """Run the test without the compiled column walk, as a process does
-    when it cannot build or load it: every fill runs the scalar loop."""
+    when it cannot build or load it: every fill runs the Python loop."""
     monkeypatch.setattr(rng, "_loop", None)
 
 
 @pytest.fixture
 def walk():
-    """The compiled column walk's entry, :func:`triwish.rng.walk_fills`; the
+    """:func:`triwish.rng.bartlett_fills` on the compiled column walk; the
     test is skipped where the walk cannot be built or loaded."""
     if rng.compiled_loop() is None:
-        pytest.skip("no compiled column walk: every fill runs the scalar loop")
-    return rng.walk_fills
+        pytest.skip("no compiled column walk: every fill runs the Python loop")
+    return rng.bartlett_fills
+
+
+@pytest.fixture
+def python_fills():
+    """:func:`triwish.rng.bartlett_fills` on the Python loop, the engine of
+    a process that cannot build or load the compiled walk."""
+
+    def fills(*args):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rng, "_loop", None)
+            return rng.bartlett_fills(*args)
+
+    return fills

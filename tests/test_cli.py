@@ -213,6 +213,15 @@ def test_sample_square_requires_retcholu(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_sample_square_without_retcholu_is_invalid_whatever_the_scale_file(tmp_path, capsys):
+    # The flags are checked before the scale is read: a missing scale file
+    # once made this an I/O error (exit 3).
+    missing = str(tmp_path / "no-such-scale.csv")
+    rc = run_cli(["sample", "--n", "5", "--scale", missing, "--square", "--out", "-"])
+    assert rc == 2
+    assert "--square" in capsys.readouterr().err
+
+
 def test_sample_df_rejected_before_output(tmp_path, capsys):
     scale = write_scale(tmp_path, np.eye(3))
     out = tmp_path / "never.csv"

@@ -27,7 +27,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from triwish import rng as rng_module
-from triwish import samplers
 from triwish.errors import InvalidDegreesOfFreedom
 from triwish.rng import RngStream
 from triwish.samplers import (
@@ -53,11 +52,12 @@ def _golden_n(m):
     return (m - 0.5, m + 2.0, 3.0 * m + 7.5)
 
 
-def _fill_record(fill, m, n, seed, skip=0):
+def _fill_record(fill, m, n, seed, skip=0, k=None):
+    # One fill, or a batch of k fills.
     rng = RngStream(seed)
     for _ in range(skip):
         rng.uniform()
-    z = FILLS[fill](rng, m, n)
+    z = FILLS[fill](rng, m, n) if k is None else MANY[fill](rng, m, n, k)
     return {
         "fill": fill,
         "m": m,
@@ -139,17 +139,17 @@ def test_every_fill_is_fortran_ordered(monkeypatch, loop):
             assert FILLS[name](RngStream(m), m, m + 2.0).flags.f_contiguous
             many = MANY[name](RngStream(m), m, m + 2.0, 3)
             assert many.shape == (3, m, m) and all(z.flags.f_contiguous for z in many)
-        fills = samplers._fill_many(RngStream(m), m, m + 3.0, -1.0, 3)
+        fills = rng_module.bartlett_fills(RngStream(m), m, 3, m + 3.0, -1.0)
         assert fills.shape == (3, m, m) and all(z.flags.f_contiguous for z in fills)
         assert np.array_equal(fills, MANY["wishart"](RngStream(m), m, m + 2.0, 3))
 
 
-def _both_paths(fill, m, n, seed, skip=0):
+def _both_paths(fill, m, n, seed, skip=0, k=None):
     out = {}
     for path in PATHS:
         with pytest.MonkeyPatch.context() as mp:
             _force_fill_path(mp, path)
-            out[path] = _fill_record(fill, m, n, seed, skip)
+            out[path] = _fill_record(fill, m, n, seed, skip, k)
     return out["scalar"], out["columns"]
 
 
@@ -166,14 +166,15 @@ def test_paths_agree_around_the_crossover(fill):
 
 @pytest.mark.parametrize("fill", sorted(FILLS))
 def test_paths_agree_across_a_block_boundary(fill):
-    # 4096 uniforms per Philox block.  Start each fill a few uniforms before
-    # the first boundary so that a batch of column uniforms, or a chi draw,
-    # straddles it.
-    m = 20
-    for skip in (4096 - 1, 4096 - 7, 4096 - 40, 4096 - 300, 4096):
-        scalar, columns = _both_paths(fill, m, m + 1.5, seed=11, skip=skip)
-        assert scalar == columns
-        assert scalar["position"] > 4096
+    # 4096 uniforms per Philox block.  Start each fill, and each batch of 40
+    # fills at m = 6 (about 1,900 uniforms), a few uniforms before the first
+    # boundary, from every lane of a Philox block, so that a batch of column
+    # uniforms, a chi draw or a fill straddles it.
+    for skip in (4096 - 1, 4096 - 2, 4096 - 3, 4096 - 7, 4096 - 40, 4096 - 300, 4096):
+        for m, k in ((20, None), (6, 40)):
+            scalar, columns = _both_paths(fill, m, m + 1.5, seed=11, skip=skip, k=k)
+            assert scalar == columns
+            assert scalar["position"] > 4096
 
 
 def _digest(z):
@@ -228,21 +229,20 @@ def test_many_matches_single_fills_across_a_block_boundary(fill):
         assert single[1] > 4096
 
 
-def _walk_and_scalar_chi(walk, u, lane, df):
+def _walk_and_scalar_chi(walk, python_fills, u, lane, df):
     """A 1 x 1 fill at chi df drawn from lane ``lane`` of a Philox block
-    crafted to hold the uniforms u, by the walk and by the scalar loop:
+    crafted to hold the uniforms u, by the walk and by the Python loop:
     [(chi as hex, uniforms used)] for each."""
     p = position_of(2, 0, u) + lane
     out = []
-    for fill in (lambda rng: walk(rng, 1, 1, df + 1.0, -1.0)[0],
-                 lambda rng: samplers._fill_scalar(rng, 1, df + 1.0, -1.0)):
+    for fills in (walk, python_fills):
         rng = RngStream(2, 0)
         rng.skip(p)
-        out.append((fill(rng)[0, 0].hex(), rng.position - p))
+        out.append((fills(rng, 1, 1, df + 1.0, -1.0)[0, 0, 0].hex(), rng.position - p))
     return out
 
 
-def test_first_attempt_with_v_not_positive_is_not_accepted(walk):
+def test_first_attempt_with_v_not_positive_is_not_accepted(walk, python_fills):
     # u1 = 0.999 and u2 = 1/2 make x = -3.72; at gamma shape 1 (chi df 2,
     # d = 2/3, c = 1/sqrt(6)) that gives v = 1 + c x < 0, which the scalar
     # gamma redraws from the next two uniforms (5 or more used in all).  At
@@ -254,20 +254,23 @@ def test_first_attempt_with_v_not_positive_is_not_accepted(walk):
     for df, u, path_taken in ((2.0, [0.999, 0.5, 0.25, 0.125], lambda used: used >= 5),
                               (100.0, [0.999, 0.5, 0.5, 0.5], lambda used: used == 3),
                               (100.0, [0.999, 0.5, 0.99, 0.25], lambda used: used >= 6)):
-        walked, scalar = _walk_and_scalar_chi(walk, u, 0, df)
+        walked, scalar = _walk_and_scalar_chi(walk, python_fills, u, 0, df)
         assert walked == scalar and path_taken(scalar[1])
 
 
-def test_walk_fills_rejects_degrees_of_freedom_that_are_not_positive(walk):
+def test_df_line_is_checked_before_any_uniform(fill_path):
     # A NaN or non-positive df would never end the walk's chi, as
-    # RngStream.chi refuses it; the df is checked at both ends of the line.
+    # RngStream.chi refuses it; the df is checked at both ends of the line,
+    # before any column is drawn.  The Python loop once drew the columns
+    # before a last df that is not positive.
     for m, a, s in ((1, -1.0, 1.0), (1, -2.0, 1.0), (3, 3.0, -1.0), (3, 0.5, -1.0),
-                    (2, math.nan, 1.0), (2, -math.inf, 1.0)):
+                    (5, 4.5, -1.0), (3, -2.5, 1.0), (2, math.nan, 1.0), (2, math.nan, -1.0),
+                    (2, -math.inf, 1.0)):
         rng = RngStream(1)
         with pytest.raises(InvalidDegreesOfFreedom):
-            walk(rng, m, 2, a, s)
+            rng_module.bartlett_fills(rng, m, 2, a, s)
         assert rng.position == 0
-    assert walk(RngStream(1), 3, 2, 3.5, -1.0).shape == (2, 3, 3)
+    assert rng_module.bartlett_fills(RngStream(1), 3, 2, 3.5, -1.0).shape == (2, 3, 3)
 
 
 _U53 = 2.0 ** -53
@@ -284,10 +287,10 @@ _UNIFORM = st.one_of(st.sampled_from((0.0, _U53, 0.5, 1.0 - _U53)),
 @example(u=[0.999, 0.0, 0.0, 0.5], lane=0, df=100.0)
 @example(u=[0.5, 0.0, 0.5, 1.0 - _U53], lane=0, df=0.5)
 @example(u=[0.5, 0.0, 0.5, 0.0], lane=0, df=0.5)
-def test_walk_chi_matches_the_scalar_chi(walk, u, lane, df):
+def test_walk_chi_matches_the_scalar_chi(walk, python_fills, u, lane, df):
     # Chosen uniforms, from any lane of their block: rejected attempts, the
     # boost below shape 1, and the uniforms 0 and 1 - 2^-53.
-    walked, scalar = _walk_and_scalar_chi(walk, u, lane, df)
+    walked, scalar = _walk_and_scalar_chi(walk, python_fills, u, lane, df)
     assert walked == scalar
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from triwish import rng as rng_module
 from triwish.errors import InvalidDegreesOfFreedom, InvalidParameter
-from triwish import samplers
 from triwish.rng import RngStream
 from triwish.validation import chi_square_cdf, ks_one_sample, normal_cdf
 
@@ -265,13 +264,14 @@ def test_philox_positions_reach_chosen_uniforms(seed, stream, u):
     assert philox_block(seed, stream, p // 4 + 1) == [raw_word(x) for x in u]
 
 
-def _walk_normal(walk, u1, u2):
+def _walk_normal(walk, python_fills, u1, u2):
     """The walk's normal from the uniforms u1 then u2, once the whole fill
     it sits in has matched the scalar fill.  A 2 x 2 Wishart fill at df 100
     draws a chi, then that normal, then a chi.  Its start is put three uniforms before a block
     crafted to begin with u1, u2: the first chi takes exactly those three
     where it accepts at its first attempt, as it mostly does at shape 50,
-    and the stream id is the first for which it does."""
+    and the stream id is the first for which it does.  The Python loop
+    draws the reference fill."""
     for stream in range(100):
         p = position_of(1, stream, [u1, u2, 0.5, 0.5])
         ref = RngStream(1, stream)
@@ -285,7 +285,7 @@ def _walk_normal(walk, u1, u2):
     rng.skip(p - 3)
     ref.skip(p - 3)
     z = walk(rng, 2, 1, 101.0, -1.0)[0]
-    scalar = samplers._fill_scalar(ref, 2, 101.0, -1.0)
+    scalar = python_fills(ref, 2, 1, 101.0, -1.0)[0]
     assert z.tobytes() == scalar.tobytes() and rng.position == ref.position
     return z[0, 1]
 
@@ -301,9 +301,9 @@ def _edge_examples(test):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(u1=_UNIFORM, u2=_UNIFORM)
 @_edge_examples
-def test_box_muller_matches_standard_normal_bits(walk, u1, u2):
+def test_box_muller_matches_standard_normal_bits(walk, python_fills, u1, u2):
     scalar = RngStream.standard_normal(_Feed([u1, u2]))
-    assert _walk_normal(walk, u1, u2).hex() == scalar.hex()
+    assert _walk_normal(walk, python_fills, u1, u2).hex() == scalar.hex()
 
 
 def test_box_muller_matches_a_stream_of_normals(walk):
@@ -326,11 +326,11 @@ WALK_STARTS = sorted({e + d for e in (0, 256, 512, 4096, 2 * 4096) for d in rang
 
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
 @pytest.mark.parametrize("stream", [0, 1, 2 ** 64 - 1])
-def test_walk_philox_matches_numpy_philox(walk, seed, stream):
+def test_walk_philox_matches_numpy_philox(walk, python_fills, seed, stream):
     # The walk computes its own Philox uniforms from (seed, stream, position),
     # 256 at a time from the block holding the start.  Six 9 x 9 fills (about
     # 600 uniforms, so two chunk edges fall inside them) from each start must
-    # equal the scalar fills over numpy's raw stream, converted as
+    # equal the Python loop's fills over numpy's raw stream, converted as
     # (raw >> 11) * 2**-53, and use exactly the uniforms those do.  The
     # stream reaches its start by skip or by scalar uniform() calls.
     m, k, a, s = 9, 6, 10.5, -1.0
@@ -347,7 +347,7 @@ def test_walk_philox_matches_numpy_philox(walk, seed, stream):
             rest = iter(want[start:])
             feed = RngStream.__new__(RngStream)
             feed.uniform = rest.__next__
-            ref = np.stack([samplers._fill_scalar(feed, m, a, s) for _ in range(k)])
+            ref = python_fills(feed, m, k, a, s)
             assert z.tobytes() == ref.tobytes(), start
             assert rng.position == len(want) - len(list(rest)), start
             assert rng.uniform() == want[rng.position - 1]
@@ -363,15 +363,15 @@ def test_compiled_loop_loads_where_a_compiler_is_present():
 
 
 @needs_cc
-def test_compiled_loop_builds_into_an_empty_cache(tmp_path, monkeypatch):
+def test_compiled_loop_builds_into_an_empty_cache(tmp_path, monkeypatch, python_fills):
     monkeypatch.setattr(rng_module, "_CACHE", tmp_path / "cache")
     monkeypatch.setattr(rng_module, "_loop", rng_module._NOT_LOADED)
     assert rng_module.compiled_loop() is not None
     # Only the finished library is left, named by the hash of source and flags.
     [lib] = (tmp_path / "cache").iterdir()
     assert re.fullmatch(r"_boxmuller-[0-9a-f]{16}\.so", lib.name)
-    z = rng_module.walk_fills(RngStream(5), 30, 1, 31.5, -1.0)[0]
-    assert z.tobytes() == samplers._fill_scalar(RngStream(5), 30, 31.5, -1.0).tobytes()
+    z = rng_module.bartlett_fills(RngStream(5), 30, 1, 31.5, -1.0)
+    assert z.tobytes() == python_fills(RngStream(5), 30, 1, 31.5, -1.0).tobytes()
 
 
 def test_golden_first_draws():

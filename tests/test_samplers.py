@@ -40,7 +40,7 @@ from triwish.samplers import (
 class StubRng:
     """Scripted draw source that records the call sequence.
 
-    It has no seed or position, so only the scalar loop can draw from it:
+    It has no seed or position, so only the Python loop can draw from it:
     tests that fill from it run with ``no_compiled_loop``."""
 
     def __init__(self, normals=(), chis=()):
