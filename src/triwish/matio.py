@@ -97,6 +97,19 @@ def write_matrices(path, mats, kinds=None, header=(), fmt="csv"):
     writer = {"csv": _write_csv, "ndjson": _write_ndjson}.get(fmt)
     if writer is None:
         raise InvalidParameter(f"unknown format {fmt!r}")
+    # Everything the readers would reject is refused before the file opens,
+    # so a bad matrix late in the list leaves no partial file.
+    for idx, (mat, kind) in enumerate(zip(mats, kinds)):
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
+            raise InvalidParameter(f"matrix {idx} has shape {mat.shape}, not m x m with m >= 1")
+        if kind not in (KIND_SQUARE, KIND_CHOLU):
+            raise InvalidParameter(f"unknown matrix kind {kind!r} for matrix {idx}")
+    if fmt == "csv":
+        for line in header:
+            # One line of text that the reader takes for a header, not a block.
+            text = f"# {line}"
+            if text.splitlines() != [text] or _BLOCK_RE.match(text):
+                raise InvalidParameter(f"header line {line!r} would not read back as one")
     with open_output(path) as fh:
         writer(fh, mats, kinds, header)
 

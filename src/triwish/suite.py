@@ -1,10 +1,16 @@
 """Registry of self-contained validation checks.
 
-Each check draws what it needs from its own deterministic stream, compares a
-statistic against a fixed threshold, and reports one record per assertion:
-``{check, params, statistic, threshold, pass, seed}``.  The registry drives
-the ``validate`` subcommand and the acceptance tests; ``run_checks`` filters
-by substring and returns the records in registry order.
+Each check draws what it needs from its own deterministic stream, through the
+library's plans and fills, compares a statistic against a fixed threshold,
+and reports one record per assertion:
+``{check, params, statistic, threshold, pass, seed}``.
+
+A ``REGISTRY`` row is ``(name, fn, kwargs)``, and ``run_checks`` calls
+``fn(name, seed, **kwargs)``: a record's ``check`` is its row's name, with
+``.diag``/``.offdiag`` appended by the fill-marginal rows.  The registry
+drives the ``validate`` subcommand and the acceptance tests; ``run_checks``
+filters rows by substring of their names and returns the records in
+registry order.
 """
 
 import io
@@ -18,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cli, matio
+from . import matio
 from .densities import (
     logjac_chol,
     logjac_tri_inverse,
@@ -28,7 +34,7 @@ from .densities import (
     logkernel_wishart,
 )
 from .errors import InvalidDegreesOfFreedom, MeanUndefined
-from .linalg import OpCounter, gram_ut, tri_inverse, tri_mul
+from .linalg import OpCounter, gram_ut, tri_inverse
 from .rng import RngStream
 from .samplers import (
     DIRECT,
@@ -37,7 +43,6 @@ from .samplers import (
     WISHART,
     SamplerSpec,
     ScaleParam,
-    cholesky_upper_param,
     draw_bartlett_invwishart_many,
     draw_bartlett_wishart_many,
     prepare,
@@ -129,13 +134,13 @@ def measure_opcounts(seed):
     return measured, matches
 
 
-def check_opcount(seed):
+def check_opcount(name, seed):
     """Every (parameterization, algorithm, retcholU) op count matches the table."""
     _, matches = measure_opcounts(seed)
     total = len(EXPECTED_OP_COUNTS)
     return [
         CheckRecord(
-            "opcount.table",
+            name,
             {"m": 4, "n": 7.5, "combinations": total},
             float(matches),
             float(total),
@@ -149,7 +154,9 @@ def check_opcount(seed):
 # triangular-fill marginals and the outer-product oracle
 
 
-def _fill_marginals(check_prefix, seed, stream, draw_many, diag_df, m, n, nsamples):
+def check_fill_marginals(name, seed, stream, draw_many, diag_df):
+    """KS of each z_jj^2 against chi-square(diag_df(m, n, j)), off-diagonals against N(0,1)."""
+    m, n, nsamples = 5, 10, 50_000
     rng = RngStream(seed, stream)
     diags = np.empty((nsamples, m))
     offdiags = np.empty((nsamples, m * (m - 1) // 2))
@@ -163,11 +170,11 @@ def _fill_marginals(check_prefix, seed, stream, draw_many, diag_df, m, n, nsampl
         offdiags[start:start + len(z)] = z[:, iu[0], iu[1]]
     records = []
     for j in range(1, m + 1):
-        df = diag_df(j)
+        df = diag_df(m, n, j)
         res = ks_one_sample(diags[:, j - 1] ** 2, lambda x, d=df: chi_square_cdf(x, d))
         records.append(
             _ks_record(
-                f"{check_prefix}.diag",
+                f"{name}.diag",
                 {"j": j, "df": df, "m": m, "n": n, "nsamples": nsamples},
                 seed,
                 res,
@@ -177,7 +184,7 @@ def _fill_marginals(check_prefix, seed, stream, draw_many, diag_df, m, n, nsampl
     res = ks_one_sample(offdiags.ravel(), normal_cdf)
     records.append(
         _ks_record(
-            f"{check_prefix}.offdiag",
+            f"{name}.offdiag",
             {"m": m, "n": n, "nsamples": nsamples},
             seed,
             res,
@@ -185,24 +192,6 @@ def _fill_marginals(check_prefix, seed, stream, draw_many, diag_df, m, n, nsampl
         )
     )
     return records
-
-
-def check_bartlett_wishart(seed):
-    """Wishart fill: z_jj^2 is chi-square(n+1-j), off-diagonals are N(0,1)."""
-    m, n, nsamples = 5, 10, 50_000
-    return _fill_marginals(
-        "bartlett.wishart", seed, 2, draw_bartlett_wishart_many, lambda j: n + 1 - j,
-        m, n, nsamples,
-    )
-
-
-def check_bartlett_invwishart(seed):
-    """Inverse-Wishart fill: z_jj^2 is chi-square(n-m+j), off-diagonals N(0,1)."""
-    m, n, nsamples = 5, 10, 50_000
-    return _fill_marginals(
-        "bartlett.invwishart", seed, 5, draw_bartlett_invwishart_many, lambda j: n - m + j,
-        m, n, nsamples,
-    )
 
 
 def _entrywise_ks(check, seed, spec, a, b):
@@ -220,25 +209,25 @@ def _entrywise_ks(check, seed, spec, a, b):
     ]
 
 
-def check_wishart_outer(seed):
+def check_wishart_outer(name, seed):
     """Triangular-fill Wishart draws match the n-column outer-product construction."""
     m, n, nsamples = 2, 5, 50_000
     spec = SamplerSpec(m, n, ScaleParam(SIGMA_2, iscov=True))
     plan = prepare(spec, WISHART)
     oracle = RngStream(seed, 4)
     return _entrywise_ks(
-        "bartlett.wishart.outer", seed, spec,
+        name, seed, spec,
         plan.draw_many(RngStream(seed, 3), nsamples),
         np.array([rwishart_outer_oracle(oracle, m, n, plan.factor) for _ in range(nsamples)]),
     )
 
 
-def check_agreement(seed):
+def check_agreement(name, seed):
     """Both inverse-Wishart algorithms draw from the same law (two-sample KS)."""
     nsamples = 50_000
     spec = SamplerSpec(3, 8, ScaleParam(SIGMA_3, iscov=True))
     return _entrywise_ks(
-        "agreement.invwishart", seed, spec,
+        name, seed, spec,
         prepare(spec, INDIRECT).draw_many(RngStream(seed, 6), nsamples),
         prepare(spec, DIRECT).draw_many(RngStream(seed, 7), nsamples),
     )
@@ -248,14 +237,14 @@ def check_agreement(seed):
 # Monte Carlo moments
 
 
-def check_moments_wishart(seed):
+def check_moments_wishart(name, seed):
     m, n, nsamples = 4, 10, 200_000
     spec = SamplerSpec(m, n, ScaleParam(SPD_4, iscov=True))
     report = mc_mean_wishart(RngStream(seed, 8), spec, nsamples)
     threshold = 0.02
     return [
         CheckRecord(
-            "moments.wishart",
+            name,
             {"m": m, "n": n, "nsamples": nsamples},
             report.relative_error,
             threshold,
@@ -265,27 +254,21 @@ def check_moments_wishart(seed):
     ]
 
 
-def _moment_invwishart(seed, stream, algorithm):
+def check_moments_invwishart(name, seed, stream, algorithm):
     m, n, nsamples = 4, 10, 200_000
     spec = SamplerSpec(m, n, ScaleParam(SPD_4, iscov=False))
     report = mc_mean_invwishart(RngStream(seed, stream), spec, algorithm, nsamples)
     threshold = 0.05
-    return CheckRecord(
-        f"moments.invwishart.{algorithm}",
-        {"m": m, "n": n, "nsamples": nsamples, "algorithm": algorithm},
-        report.relative_error,
-        threshold,
-        report.relative_error < threshold,
-        seed,
-    )
-
-
-def check_moments_invwishart_indirect(seed):
-    return [_moment_invwishart(seed, 9, INDIRECT)]
-
-
-def check_moments_invwishart_direct(seed):
-    return [_moment_invwishart(seed, 10, DIRECT)]
+    return [
+        CheckRecord(
+            name,
+            {"m": m, "n": n, "nsamples": nsamples, "algorithm": algorithm},
+            report.relative_error,
+            threshold,
+            report.relative_error < threshold,
+            seed,
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +284,8 @@ def _random_factor(rng, m):
     return t
 
 
-def _jacobian_records(check, seed, stream, map_fn, analytic_fn):
+def check_jacobian(name, seed, stream, map_fn, analytic_fn):
+    """FD log|det J| of ``map_fn`` at random factors against ``analytic_fn``."""
     rng = RngStream(seed, stream)
     records = []
     for m in (1, 2, 3):
@@ -314,19 +298,9 @@ def _jacobian_records(check, seed, stream, map_fn, analytic_fn):
             worst = max(worst, err)
         threshold = 1e-5
         records.append(CheckRecord(
-            check, {"m": m, "points": JACOBIAN_POINTS}, worst, threshold, worst < threshold, seed
+            name, {"m": m, "points": JACOBIAN_POINTS}, worst, threshold, worst < threshold, seed
         ))
     return records
-
-
-def check_jacobian_chol(seed):
-    """FD log|det J| of T -> T^T T against the closed form."""
-    return _jacobian_records("jacobian.chol", seed, 11, gram_ut, logjac_chol)
-
-
-def check_jacobian_triinv(seed):
-    """FD log|det J| of R -> R^{-1} against the closed form."""
-    return _jacobian_records("jacobian.triinv", seed, 12, tri_inverse, logjac_tri_inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +313,8 @@ def _offset_record(check, seed, params, offsets):
     return CheckRecord(check, params, spread, threshold, spread < threshold, seed)
 
 
-def _factor_offsets(check, seed, stream, n, algorithm, factor_kernel, matrix_kernel):
+def check_factor_density(name, seed, stream, n, algorithm, factor_kernel, matrix_kernel):
+    """Factor kernel = squared-matrix kernel + Cholesky Jacobian, up to a constant."""
     # Factor draws of the Wishart route on Sigma = SIGMA_3, or of the direct
     # route on Omega = SIGMA_3.
     m, ndraws = 3, 100
@@ -351,45 +326,33 @@ def _factor_offsets(check, seed, stream, n, algorithm, factor_kernel, matrix_ker
             factor_kernel(u, n, plan.factor) - matrix_kernel(gram_ut(u), n, plan.factor)
             - logjac_chol(u)
         )
-    return [_offset_record(check, seed, {"m": m, "n": n, "draws": ndraws}, offsets)]
+    return [_offset_record(name, seed, {"m": m, "n": n, "draws": ndraws}, offsets)]
 
 
-def check_density_wishart(seed):
-    """Factor kernel = squared-matrix kernel + Cholesky Jacobian, up to a constant."""
-    return _factor_offsets(
-        "density.wishart", seed, 13, 7.5, WISHART, logkernel_cholwishart, logkernel_wishart,
-    )
+def check_density_chain(name, seed):
+    """The direct route's factor kernel follows from the scalar laws of its fill.
 
-
-def check_density_invwishart(seed):
-    return _factor_offsets(
-        "density.invwishart", seed, 14, 6.5, DIRECT,
-        logkernel_cholinvwishart, logkernel_invwishart,
-    )
-
-
-def check_density_chain(seed):
-    """Triangular fill + inversion: the factor kernel follows from the scalar laws.
-
-    For Z from the inverse-Wishart fill and U_B = Z^{-1} U_Omega, the factor
-    log kernel minus (m+1)*log det Z must differ from the summed chi and
-    normal log kernels of Z's entries by a draw-independent constant.
+    For the direct plan's factor draws U_B = Z^{-1} U_Omega, with Z the
+    inverse-Wishart fill each was made from, the factor log kernel minus
+    (m+1)*log det Z must differ from the summed chi and normal log kernels
+    of Z's entries by a draw-independent constant.
     """
     m, n, ndraws = 3, 8, 100
-    u_omega = cholesky_upper_param(ScaleParam(SIGMA_3, iscov=False), invert=False)
+    plan = prepare(SamplerSpec(m, n, ScaleParam(SIGMA_3, iscov=False), retcholu=True), DIRECT)
+    draws = plan.draw_many(RngStream(seed, 15), ndraws)
+    # The same fills again: the plan's draws consume a stream of the same seed.
     fills = draw_bartlett_invwishart_many(RngStream(seed, 15), m, n, ndraws)
     offsets = np.empty(ndraws)
-    for i, z in enumerate(fills):
-        u_b = tri_mul(tri_inverse(z), u_omega)
+    for i, (u_b, z) in enumerate(zip(draws, fills)):
         # Summed in C order: the sum's rounding follows the memory order.
         log_pz = -0.5 * float(np.sum(np.square(np.ascontiguousarray(z))))
         for j in range(1, m + 1):
             df = n - m + j
             log_pz += (df - 1.0) * math.log(z[j - 1, j - 1])
         offsets[i] = (
-            logkernel_cholinvwishart(u_b, n, u_omega) + logjac_tri_inverse(z) - log_pz
+            logkernel_cholinvwishart(u_b, n, plan.factor) + logjac_tri_inverse(z) - log_pz
         )
-    return [_offset_record("density.chain", seed, {"m": m, "n": n, "draws": ndraws}, offsets)]
+    return [_offset_record(name, seed, {"m": m, "n": n, "draws": ndraws}, offsets)]
 
 
 # ---------------------------------------------------------------------------
@@ -397,44 +360,35 @@ def check_density_chain(seed):
 
 
 def _scalar_record(check, params, seed, stream, plan, cdf):
-    # One-sample KS of params["nsamples"] m=1 draws against a closed-form CDF.
+    # One-sample KS of params["nsamples"] m=1 draws against a closed-form CDF,
+    # as a one-record list.
     draws = plan.draw_many(RngStream(seed, stream), params["nsamples"])[:, 0, 0]
-    return _ks_record(check, params, seed, ks_one_sample(draws, cdf), ALPHA)
+    return [_ks_record(check, params, seed, ks_one_sample(draws, cdf), ALPHA)]
 
 
-def check_scalar_wishart(seed):
+def check_scalar_wishart(name, seed):
     """m=1 draws follow the scaled chi-square law."""
     n, sigma_sq = 4.5, 2.0
     spec = SamplerSpec(1, n, ScaleParam(np.array([[sigma_sq]]), iscov=True))
-    return [
-        _scalar_record(
-            "scalar.wishart", {"n": n, "sigma_sq": sigma_sq, "nsamples": 50_000}, seed, 16,
-            prepare(spec, WISHART),
-            lambda x: chi_square_cdf(x / sigma_sq, n),
-        )
-    ]
+    return _scalar_record(
+        name, {"n": n, "sigma_sq": sigma_sq, "nsamples": 50_000}, seed, 16,
+        prepare(spec, WISHART),
+        lambda x: chi_square_cdf(x / sigma_sq, n),
+    )
 
 
-def _scalar_invwishart(seed, stream, algorithm):
+def check_scalar_invwishart(name, seed, stream, algorithm):
     """m=1 draws follow the inverse-gamma law (via 2*omega/B ~ chi-square(n))."""
     n, omega = 6, 3.0
     spec = SamplerSpec(1, n, ScaleParam(np.array([[omega]]), iscov=False))
     return _scalar_record(
-        f"scalar.invwishart.{algorithm}",
+        name,
         {"n": n, "omega": omega, "nsamples": 50_000, "algorithm": algorithm},
         seed,
         stream,
         prepare(spec, algorithm),
         lambda x: 1.0 - chi_square_cdf(omega / x, n),
     )
-
-
-def check_scalar_invwishart_indirect(seed):
-    return [_scalar_invwishart(seed, 17, INDIRECT)]
-
-
-def check_scalar_invwishart_direct(seed):
-    return [_scalar_invwishart(seed, 18, DIRECT)]
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +423,7 @@ def bench_pair(m, iscov, ischolu, retcholu, seed, reps=25, streams=(19, 20)):
     return spec, med_indirect, med_direct, counts
 
 
-def _bench_record(check, seed, iscov, ischolu, retcholu, faster, streams):
+def check_bench(name, seed, iscov, ischolu, retcholu, faster, streams):
     # Statistic: median time per draw of the ``faster`` route over the other's.
     m, reps = 200, 25
     spec, med_indirect, med_direct, _ = bench_pair(
@@ -478,7 +432,7 @@ def _bench_record(check, seed, iscov, ischolu, retcholu, faster, streams):
     ratio = med_direct / med_indirect if faster == DIRECT else med_indirect / med_direct
     return [
         CheckRecord(
-            check,
+            name,
             {"m": m, "n": spec.n, "reps": reps, "retcholu": retcholu, "scale": spec.scale.kind()},
             ratio,
             1.0,
@@ -486,16 +440,6 @@ def _bench_record(check, seed, iscov, ischolu, retcholu, faster, streams):
             seed,
         )
     ]
-
-
-def check_bench_precchol(seed):
-    """Direct beats indirect for a precision-factor scale with factor output."""
-    return _bench_record("bench.precchol", seed, False, True, True, DIRECT, (19, 20))
-
-
-def check_bench_cov(seed):
-    """Indirect beats direct for a covariance scale with full-matrix output."""
-    return _bench_record("bench.cov", seed, True, False, False, INDIRECT, (21, 22))
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +451,10 @@ def _run_sample(tmp, scale, argv):
 
     Returns the exit code and what the command wrote to stderr.
     """
+    # Imported here: cli imports this module, and importing the suite
+    # should not load the command line.
+    from . import cli
+
     scale_path = str(tmp / "scale.csv")
     matio.write_matrices(scale_path, [scale])
     err = io.StringIO()
@@ -515,19 +463,19 @@ def _run_sample(tmp, scale, argv):
     return rc, err.getvalue()
 
 
-def check_cli_determinism(seed):
+def check_cli_determinism(name, seed):
     """Same seed, same flags: byte-identical output files."""
     args = ["--m", "2", "--n", "5", "--iscov", "--seed", str(seed), "--nsamples", "3"]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         outs = []
-        for name in ("a.csv", "b.csv"):
-            rc, _ = _run_sample(tmp, np.eye(2), args + ["--out", str(tmp / name)])
-            outs.append((rc, (tmp / name).read_bytes()))
+        for out in ("a.csv", "b.csv"):
+            rc, _ = _run_sample(tmp, np.eye(2), args + ["--out", str(tmp / out)])
+            outs.append((rc, (tmp / out).read_bytes()))
         same = outs[0] == outs[1] and outs[0][0] == 0
     return [
         CheckRecord(
-            "cli.determinism",
+            name,
             {"m": 2, "n": 5, "nsamples": 3},
             0.0 if same else 1.0,
             0.0,
@@ -537,7 +485,7 @@ def check_cli_determinism(seed):
     ]
 
 
-def check_cli_square(seed):
+def check_cli_square(name, seed):
     """--retcholu --square reproduces the retcholu=false matrices bit-exactly."""
     base = [
         "--m", "3", "--n", "6.5", "--iscov", "--algorithm", "direct",
@@ -562,7 +510,7 @@ def check_cli_square(seed):
         )
     return [
         CheckRecord(
-            "cli.square",
+            name,
             {"m": 3, "n": 6.5, "nsamples": 4, "algorithm": DIRECT},
             0.0 if same else 1.0,
             0.0,
@@ -576,7 +524,7 @@ def check_cli_square(seed):
 # error contracts
 
 
-def check_errors_df(seed):
+def check_errors_df(name, seed):
     """Too-small degrees of freedom are rejected before any sampling."""
     try:
         SamplerSpec(3, 1.5, ScaleParam(np.eye(3)))
@@ -584,11 +532,11 @@ def check_errors_df(seed):
     except InvalidDegreesOfFreedom:
         ok = True
     return [
-        CheckRecord("errors.df", {"m": 3, "n": 1.5}, 1.0 if ok else 0.0, 1.0, ok, seed)
+        CheckRecord(name, {"m": 3, "n": 1.5}, 1.0 if ok else 0.0, 1.0, ok, seed)
     ]
 
 
-def check_errors_notspd(seed):
+def check_errors_notspd(name, seed):
     """A non-positive-definite scale file exits with the numerical-failure code."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -599,11 +547,11 @@ def check_errors_notspd(seed):
         )
         ok = rc == 4 and "pivot" in err
     return [
-        CheckRecord("errors.notspd", {"m": 2, "exit": rc}, float(rc), 4.0, ok, seed)
+        CheckRecord(name, {"m": 2, "exit": rc}, float(rc), 4.0, ok, seed)
     ]
 
 
-def check_errors_mean(seed):
+def check_errors_mean(name, seed):
     """The inverse-Wishart moment check refuses n <= m+1 (mean does not exist)."""
     spec = SamplerSpec(2, 3, ScaleParam(np.eye(2), iscov=False))
     try:
@@ -612,7 +560,7 @@ def check_errors_mean(seed):
     except MeanUndefined:
         ok = True
     return [
-        CheckRecord("errors.mean", {"m": 2, "n": 3}, 1.0 if ok else 0.0, 1.0, ok, seed)
+        CheckRecord(name, {"m": 2, "n": 3}, 1.0 if ok else 0.0, 1.0, ok, seed)
     ]
 
 
@@ -620,29 +568,44 @@ def check_errors_mean(seed):
 # registry
 
 REGISTRY = [
-    ("opcount.table", check_opcount),
-    ("bartlett.wishart", check_bartlett_wishart),
-    ("bartlett.wishart.outer", check_wishart_outer),
-    ("bartlett.invwishart", check_bartlett_invwishart),
-    ("agreement.invwishart", check_agreement),
-    ("moments.wishart", check_moments_wishart),
-    ("moments.invwishart.indirect", check_moments_invwishart_indirect),
-    ("moments.invwishart.direct", check_moments_invwishart_direct),
-    ("jacobian.chol", check_jacobian_chol),
-    ("jacobian.triinv", check_jacobian_triinv),
-    ("density.wishart", check_density_wishart),
-    ("density.invwishart", check_density_invwishart),
-    ("density.chain", check_density_chain),
-    ("scalar.wishart", check_scalar_wishart),
-    ("scalar.invwishart.indirect", check_scalar_invwishart_indirect),
-    ("scalar.invwishart.direct", check_scalar_invwishart_direct),
-    ("bench.precchol", check_bench_precchol),
-    ("bench.cov", check_bench_cov),
-    ("cli.determinism", check_cli_determinism),
-    ("cli.square", check_cli_square),
-    ("errors.df", check_errors_df),
-    ("errors.notspd", check_errors_notspd),
-    ("errors.mean", check_errors_mean),
+    ("opcount.table", check_opcount, {}),
+    # Wishart fill: z_jj^2 is chi-square(n+1-j), off-diagonals are N(0,1).
+    ("bartlett.wishart", check_fill_marginals, dict(
+        stream=2, draw_many=draw_bartlett_wishart_many, diag_df=lambda m, n, j: n + 1 - j)),
+    ("bartlett.wishart.outer", check_wishart_outer, {}),
+    # Inverse-Wishart fill: z_jj^2 is chi-square(n-m+j), off-diagonals N(0,1).
+    ("bartlett.invwishart", check_fill_marginals, dict(
+        stream=5, draw_many=draw_bartlett_invwishart_many, diag_df=lambda m, n, j: n - m + j)),
+    ("agreement.invwishart", check_agreement, {}),
+    ("moments.wishart", check_moments_wishart, {}),
+    ("moments.invwishart.indirect", check_moments_invwishart, dict(stream=9, algorithm=INDIRECT)),
+    ("moments.invwishart.direct", check_moments_invwishart, dict(stream=10, algorithm=DIRECT)),
+    # FD log|det J| of T -> T^T T against the closed form.
+    ("jacobian.chol", check_jacobian, dict(stream=11, map_fn=gram_ut, analytic_fn=logjac_chol)),
+    # FD log|det J| of R -> R^{-1} against the closed form.
+    ("jacobian.triinv", check_jacobian, dict(
+        stream=12, map_fn=tri_inverse, analytic_fn=logjac_tri_inverse)),
+    ("density.wishart", check_factor_density, dict(
+        stream=13, n=7.5, algorithm=WISHART,
+        factor_kernel=logkernel_cholwishart, matrix_kernel=logkernel_wishart)),
+    ("density.invwishart", check_factor_density, dict(
+        stream=14, n=6.5, algorithm=DIRECT,
+        factor_kernel=logkernel_cholinvwishart, matrix_kernel=logkernel_invwishart)),
+    ("density.chain", check_density_chain, {}),
+    ("scalar.wishart", check_scalar_wishart, {}),
+    ("scalar.invwishart.indirect", check_scalar_invwishart, dict(stream=17, algorithm=INDIRECT)),
+    ("scalar.invwishart.direct", check_scalar_invwishart, dict(stream=18, algorithm=DIRECT)),
+    # Direct beats indirect for a precision-factor scale with factor output.
+    ("bench.precchol", check_bench, dict(
+        iscov=False, ischolu=True, retcholu=True, faster=DIRECT, streams=(19, 20))),
+    # Indirect beats direct for a covariance scale with full-matrix output.
+    ("bench.cov", check_bench, dict(
+        iscov=True, ischolu=False, retcholu=False, faster=INDIRECT, streams=(21, 22))),
+    ("cli.determinism", check_cli_determinism, {}),
+    ("cli.square", check_cli_square, {}),
+    ("errors.df", check_errors_df, {}),
+    ("errors.notspd", check_errors_notspd, {}),
+    ("errors.mean", check_errors_mean, {}),
 ]
 
 
@@ -661,11 +624,12 @@ def _selected(name, only):
     return False
 
 
-def select_checks(only=None):
-    """Registry entries whose name matches the comma-separated filter."""
-    return [entry for entry in REGISTRY if _selected(entry[0], only)]
-
-
 def run_checks(seed=DEFAULT_SEED, only=None):
-    """Run the selected checks; records come back in registry order."""
-    return [record for _, fn in select_checks(only) for record in fn(seed)]
+    """Run the rows whose name matches the comma-separated filter ``only``;
+    records come back in registry order."""
+    return [
+        record
+        for name, fn, kwargs in REGISTRY
+        if _selected(name, only)
+        for record in fn(name, seed, **kwargs)
+    ]

@@ -459,9 +459,11 @@ def test_validate_csv_format(tmp_path, capsys):
 
 
 def test_validate_unmatched_filter(capsys):
-    rc = run_cli(["validate", "--only", "zzz-no-such-check"])
-    assert rc == 2
-    assert "matched no checks" in capsys.readouterr().err
+    # --only matches row names: "diag" is only a suffix of the fill rows' records.
+    for only in ("zzz-no-such-check", "diag"):
+        rc = run_cli(["validate", "--only", only])
+        assert rc == 2
+        assert "matched no checks" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("only", ["", "ss", "sss,", " , "])
@@ -509,22 +511,22 @@ def _timed_specs(monkeypatch, run):
     return calls
 
 
-@pytest.mark.parametrize("flags, check, table", [
-    (["--ischolu", "--retcholu"], suite.check_bench_precchol,
+@pytest.mark.parametrize("flags, only, table", [
+    (["--ischolu", "--retcholu"], "bench.precchol",
      ["m=200 n=202 scale=prec_chol retcholu=1 reps=1 warmup=5",
       "indirect   1.000        2      3      2     ",
       "direct     1.000        1      1      0     ",
       "ratios direct/indirect: ops=0.29 time=1.000"]),
-    (["--iscov"], suite.check_bench_cov,
+    (["--iscov"], "bench.cov",
      ["m=200 n=202 scale=cov retcholu=0 reps=1 warmup=5",
       "indirect   1.000        1      2      1     ",
       "direct     1.000        2      3      2     ",
       "ratios direct/indirect: ops=1.75 time=1.000"]),
 ])
-def test_bench_times_the_spec_criterion_8_times(monkeypatch, capsys, flags, check, table):
+def test_bench_times_the_spec_criterion_8_times(monkeypatch, capsys, flags, only, table):
     timed = _timed_specs(monkeypatch, lambda: main(["bench", "--m", "200", *flags, "--reps", "1"]))
     lines = capsys.readouterr().out.splitlines()
-    assert timed == _timed_specs(monkeypatch, lambda: check(suite.DEFAULT_SEED))
+    assert timed == _timed_specs(monkeypatch, lambda: suite.run_checks(only=only))
     assert [algorithm for algorithm, *_ in timed] == ["indirect", "direct"]
     assert lines == [table[0], "algorithm  median_ms    TRTRI  TRMM   POTRF ", *table[1:]]
 

@@ -121,7 +121,7 @@ def test_writer_bytes_on_plan_outputs(tmp_path, fmt, m):
 @pytest.mark.parametrize("header", [(), ("h",)])
 def test_writer_bytes_on_edge_matrices(tmp_path, fmt, header):
     mats = _edge_matrices()
-    kinds = ["square", 'sq"u\\are\té\u2028'] * (len(mats) // 2)
+    kinds = ["square", "cholU"] * (len(mats) // 2)
     path = tmp_path / "out.txt"
     matio.write_matrices(str(path), mats, kinds=kinds, header=header, fmt=fmt)
     assert path.read_bytes() == _oracle_bytes(mats, kinds, header, fmt)
@@ -193,6 +193,38 @@ def test_kinds_length_checked(tmp_path):
         matio.write_matrices(str(tmp_path / "x.csv"), [np.eye(2)], kinds=["square", "cholU"])
     with pytest.raises(InvalidParameter):
         matio.write_matrices(str(tmp_path / "x.csv"), [np.eye(2)], fmt="xml")
+
+
+_UNREADABLE_WRITES = {
+    "not-square": ([np.ones((2, 3))], None, ()),
+    "one-dim": ([np.ones(3)], None, ()),
+    "empty": ([np.ones((0, 0))], None, ()),
+    "bad-matrix-last": ([np.eye(2), np.eye(3), np.ones((3, 2))], None, ()),
+    "kind-foo": ([np.eye(2)], "foo", ()),
+    "kind-case": ([np.eye(2), np.eye(2)], ["cholU", "Square"], ()),
+}
+# NDJSON keeps any header string on one line; CSV writes each as "# <line>".
+_UNREADABLE_CSV_HEADERS = {
+    "header-newline": ["a\nb"],
+    "header-line-separator": ["x\u2028y"],
+    "header-block-line": ["ok", "m=1 kind=square"],
+}
+
+
+@pytest.mark.parametrize(
+    "fmt, case",
+    [(fmt, case) for case in _UNREADABLE_WRITES for fmt in ("csv", "ndjson")]
+    + [("csv", case) for case in _UNREADABLE_CSV_HEADERS],
+)
+def test_writer_refuses_what_the_reader_rejects(tmp_path, fmt, case):
+    if case in _UNREADABLE_WRITES:
+        mats, kinds, header = _UNREADABLE_WRITES[case]
+    else:
+        mats, kinds, header = [np.eye(2)], None, _UNREADABLE_CSV_HEADERS[case]
+    path = tmp_path / "out"
+    with pytest.raises(InvalidParameter):
+        matio.write_matrices(str(path), mats, kinds, header, fmt)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(
