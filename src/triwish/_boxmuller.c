@@ -13,10 +13,16 @@
  * builds this file with fixed flags (no -ffast-math, no contraction, no
  * vector math library), which keeps every result bit-identical to the
  * Python code.
+ *
+ * The second half of the file is the matrix text of triwish.matio: doubles
+ * written as Python's repr writes them, and CSV rows read as float() reads
+ * each cell; both with integer arithmetic only, never the C library's
+ * conversions.
  */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 /* Uniforms generated per refill: 64 Philox blocks. */
 #define CHUNK 256
@@ -153,4 +159,403 @@ size_t triwish_bartlett_walk(const uint64_t *philox_state, size_t lane, double *
         }
     }
     return (src.refills - 1) * CHUNK + src.at - lane;
+}
+
+/* ---- Matrix text ----
+ *
+ * The writers' and the CSV reader's number conversions, for triwish.matio.
+ * Their constant tables are built by triwish.matio from exact integer
+ * arithmetic and passed in with every call; the scalar multipliers below
+ * are recomputed over their ranges by the tests.
+ */
+
+/* floor(e * log10(2)) for 0 <= e <= 1650, floor(e * log10(5)) for
+ * 0 <= e <= 2620, and the bit length of 5^e for 0 <= e <= 3528, as
+ * (e * MUL) >> SHIFT (+ 1 for the bit length). */
+#define LOG10_2_MUL 78913
+#define LOG10_2_SHIFT 18
+#define LOG10_5_MUL 732923
+#define LOG10_5_SHIFT 20
+#define LOG2_5_MUL 1217359
+#define LOG2_5_SHIFT 19
+/* The significand width of Ryu's 5^q and 5^-q tables. */
+#define POW5_BITS 125
+
+static uint32_t log10_pow2(int32_t e) { return ((uint32_t)e * LOG10_2_MUL) >> LOG10_2_SHIFT; }
+static uint32_t log10_pow5(int32_t e) { return ((uint32_t)e * LOG10_5_MUL) >> LOG10_5_SHIFT; }
+static int32_t pow5_bits(int32_t e) { return (int32_t)((((uint32_t)e * LOG2_5_MUL) >> LOG2_5_SHIFT) + 1); }
+
+static int multiple_of_pow5(uint64_t v, uint32_t p)
+{
+    uint32_t count = 0;
+    while (v % 5 == 0) {
+        v /= 5;
+        count++;
+    }
+    return count >= p;
+}
+
+/* (m * mul) >> j for the 128-bit mul = mul[1] * 2^64 + mul[0], j >= 64. */
+static uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
+{
+    unsigned __int128 lo = (unsigned __int128)m * mul[0];
+    unsigned __int128 hi = (unsigned __int128)m * mul[1];
+    return (uint64_t)(((lo >> 64) + hi) >> (j - 64));
+}
+
+/* Ryu (Adams, PLDI 2018): the shortest digits * 10^exp that reads back as
+ * the finite nonzero double of the given fields, the closest to it among
+ * the shortest, ties to an even last digit.  pow5_inv[2q..2q+1] is
+ * floor(2^(bitlen(5^q) - 1 + POW5_BITS) / 5^q) + 1 and pow5[2i..2i+1] is
+ * 5^i scaled to POW5_BITS bits, low word first. */
+static uint64_t shortest(uint64_t frac, uint32_t biased, const uint64_t *pow5_inv,
+                         const uint64_t *pow5, int32_t *exp)
+{
+    /* Two extra bits below the significand for the interval's bounds. */
+    int32_t e2 = (biased ? (int32_t)biased : 1) - 1023 - 52 - 2;
+    uint64_t m2 = biased ? frac | (1ull << 52) : frac;
+    int accept_bounds = (m2 & 1) == 0;
+    uint64_t mv = 4 * m2;
+    uint32_t mm_shift = frac != 0 || biased <= 1;
+    uint64_t vr, vp, vm;
+    int32_t e10;
+    int vm_zeros = 0, vr_zeros = 0;
+
+    if (e2 >= 0) {
+        uint32_t q = log10_pow2(e2) - (e2 > 3);
+        int32_t j = -e2 + (int32_t)q + POW5_BITS + pow5_bits((int32_t)q) - 1;
+        const uint64_t *mul = pow5_inv + 2 * q;
+        e10 = (int32_t)q;
+        vr = mul_shift(4 * m2, mul, j);
+        vp = mul_shift(4 * m2 + 2, mul, j);
+        vm = mul_shift(4 * m2 - 1 - mm_shift, mul, j);
+        if (q <= 21) {
+            /* At most one of mv - 1 - mm_shift, mv, mv + 2 is a multiple of 5. */
+            if (mv % 5 == 0)
+                vr_zeros = multiple_of_pow5(mv, q);
+            else if (accept_bounds)
+                vm_zeros = multiple_of_pow5(mv - 1 - mm_shift, q);
+            else
+                vp -= multiple_of_pow5(mv + 2, q);
+        }
+    } else {
+        uint32_t q = log10_pow5(-e2) - (-e2 > 1);
+        int32_t i = -e2 - (int32_t)q;
+        int32_t j = (int32_t)q - (pow5_bits(i) - POW5_BITS);
+        const uint64_t *mul = pow5 + 2 * i;
+        e10 = (int32_t)q + e2;
+        vr = mul_shift(4 * m2, mul, j);
+        vp = mul_shift(4 * m2 + 2, mul, j);
+        vm = mul_shift(4 * m2 - 1 - mm_shift, mul, j);
+        if (q <= 1) {
+            /* mv = 4 * m2 has at least two trailing zero bits. */
+            vr_zeros = 1;
+            if (accept_bounds)
+                vm_zeros = mm_shift == 1;
+            else
+                vp--;
+        } else if (q < 63) {
+            vr_zeros = (mv & ((1ull << q) - 1)) == 0;
+        }
+    }
+
+    int32_t removed = 0;
+    uint32_t last = 0;
+    uint64_t out;
+    if (vm_zeros || vr_zeros) {
+        while (vp / 10 > vm / 10) {
+            vm_zeros &= vm % 10 == 0;
+            vr_zeros &= last == 0;
+            last = (uint32_t)(vr % 10);
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+        if (vm_zeros) {
+            while (vm % 10 == 0) {
+                vr_zeros &= last == 0;
+                last = (uint32_t)(vr % 10);
+                vr /= 10;
+                vp /= 10;
+                vm /= 10;
+                removed++;
+            }
+        }
+        if (vr_zeros && last == 5 && vr % 2 == 0)
+            last = 4; /* exactly halfway: round to even */
+        out = vr + ((vr == vm && (!accept_bounds || !vm_zeros)) || last >= 5);
+    } else {
+        int round_up = 0;
+        while (vp / 10 > vm / 10) {
+            round_up = vr % 10 >= 5;
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+        out = vr + (vr == vm || round_up);
+    }
+    *exp = e10 + removed;
+    return out;
+}
+
+/* The longest text put_double writes: "-2.2250738585072014e-308". */
+#define DOUBLE_TEXT_MAX 24
+
+/* x as Python's repr writes it; returns the end of the text. */
+static char *put_double(char *p, double x, const uint64_t *pow5_inv, const uint64_t *pow5)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    uint64_t frac = bits & ((1ull << 52) - 1);
+    uint32_t biased = (uint32_t)(bits >> 52) & 0x7ff;
+    if (biased == 0x7ff && frac) {
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (biased == 0x7ff) {
+        memcpy(p, "inf", 3);
+        return p + 3;
+    }
+    if (biased == 0 && frac == 0) {
+        memcpy(p, "0.0", 3);
+        return p + 3;
+    }
+    int32_t exp;
+    uint64_t v = shortest(frac, biased, pow5_inv, pow5, &exp);
+    while (v % 10 == 0) {
+        v /= 10;
+        exp++;
+    }
+    char digits[20];
+    int n = 0;
+    for (uint64_t t = v; t; t /= 10)
+        digits[19 - n++] = (char)('0' + t % 10);
+    const char *d = digits + 20 - n;
+    /* The value is 0.d * 10^point. */
+    int point = exp + n;
+    if (point <= -4 || point > 16) {
+        *p++ = d[0];
+        if (n > 1) {
+            *p++ = '.';
+            memcpy(p, d + 1, (size_t)n - 1);
+            p += n - 1;
+        }
+        int e = point - 1;
+        *p++ = 'e';
+        *p++ = e < 0 ? '-' : '+';
+        if (e < 0)
+            e = -e;
+        if (e >= 100)
+            *p++ = (char)('0' + e / 100);
+        *p++ = (char)('0' + e / 10 % 10);
+        *p++ = (char)('0' + e % 10);
+    } else if (point <= 0) {
+        *p++ = '0';
+        *p++ = '.';
+        memset(p, '0', (size_t)-point);
+        p += -point;
+        memcpy(p, d, (size_t)n);
+        p += n;
+    } else if (point < n) {
+        memcpy(p, d, (size_t)point);
+        p += point;
+        *p++ = '.';
+        memcpy(p, d + point, (size_t)(n - point));
+        p += n - point;
+    } else {
+        memcpy(p, d, (size_t)n);
+        p += n;
+        memset(p, '0', (size_t)(point - n));
+        p += point - n;
+        memcpy(p, ".0", 2);
+        p += 2;
+    }
+    return p;
+}
+
+/* The rows of the C-ordered m x m matrix x as text in out, which holds at
+ * least m * (m * (DOUBLE_TEXT_MAX + 2) + 2) bytes: each row's values joined
+ * by "," and ended by "\n" (layout 0, CSV), or each row's values joined by
+ * ", " in brackets, the rows joined by ", " (layout 1, an NDJSON "rows"
+ * list without its outer brackets).  Returns the number of bytes written. */
+size_t triwish_format_rows(const double *x, size_t m, int layout, char *out,
+                           const uint64_t *pow5_inv, const uint64_t *pow5)
+{
+    char *p = out;
+    for (size_t r = 0; r < m; r++) {
+        if (layout) {
+            if (r) {
+                *p++ = ',';
+                *p++ = ' ';
+            }
+            *p++ = '[';
+        }
+        for (size_t c = 0; c < m; c++) {
+            if (c) {
+                *p++ = ',';
+                if (layout)
+                    *p++ = ' ';
+            }
+            p = put_double(p, x[r * m + c], pow5_inv, pow5);
+        }
+        *p++ = layout ? ']' : '\n';
+    }
+    return (size_t)(p - out);
+}
+
+/* The double nearest w * 10^q (ties to even) as bits, after Eisel and
+ * Lemire (Software: Practice and Experience 51(8), 2021); w > 0 and q is in
+ * the table.  pow10 holds 4 words for each q: 10^q = t * 2^s with
+ * 2^127 <= t < 2^128 rounded down, as t's high word, its low word, s, and
+ * 1 where t is exact.  Returns 0 where the rounding cannot be decided from
+ * the truncated t, or the value overflows. */
+static int nearest(uint64_t w, const uint64_t *entry, uint64_t *bits)
+{
+    int lz = __builtin_clzll(w);
+    w <<= lz;
+    /* z = w * t, 192 bits: z2, z1, z0 from the top.  It is below the exact
+     * product by less than w < 2^64, and equal to it where t is exact. */
+    unsigned __int128 hi = (unsigned __int128)w * entry[0];
+    unsigned __int128 lo = (unsigned __int128)w * entry[1];
+    unsigned __int128 mid = (lo >> 64) + (uint64_t)hi;
+    uint64_t z0 = (uint64_t)lo, z1 = (uint64_t)mid;
+    uint64_t z2 = (uint64_t)(hi >> 64) + (uint64_t)(mid >> 64);
+    /* The top 54 bits: 53 and the rounding bit. */
+    int shift = 9 + (int)(z2 >> 63);
+    uint64_t mant = z2 >> shift;
+    uint64_t rest = z2 & ((1ull << shift) - 1);
+    int sticky;
+    if (entry[3]) {
+        sticky = (rest | z1 | z0) != 0;
+    } else {
+        /* Only a carry out of the bits below mant can change it; with them
+         * not all ones there is none, and the exact rest is above zero. */
+        if (rest == (1ull << shift) - 1 && z1 == UINT64_MAX)
+            return 0;
+        sticky = 1;
+    }
+    /* value = mant * 2^(e - 1076) with e the biased exponent of a normal
+     * result. */
+    int64_t e = 1204 + shift + (int64_t)entry[2] - lz;
+    if (e <= 0) {
+        /* Subnormal: the result counts units of 2^-1074. */
+        int64_t d = 2 - e;
+        if (d > 54) {
+            *bits = 0;
+            return 1;
+        }
+        sticky |= (mant & ((1ull << (d - 1)) - 1)) != 0;
+        uint64_t f = mant >> d, round = mant >> (d - 1) & 1;
+        *bits = f + (round && (sticky || (f & 1)));
+        return 1;
+    }
+    uint64_t f = mant >> 1, round = mant & 1;
+    /* f + round up may reach 2^53, which carries into the exponent. */
+    *bits = ((uint64_t)(e - 1) << 52) + f + (round && (sticky || (f & 1)));
+    return *bits < 0x7ff0000000000000u;
+}
+
+/* One cell of the grammar [+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)? at *pp with
+ * at most 19 significant digits, as the double float() makes of it; moves
+ * *pp past it.  Returns 0 where the text is not such a cell or the value is
+ * not decided here. */
+static int parse_cell(const char **pp, const char *end, const double *small,
+                      const uint64_t *pow10, int64_t qmin, int64_t qmax, double *out)
+{
+    const char *p = *pp;
+    int neg = 0, digits = 0, any = 0;
+    uint64_t w = 0;
+    int64_t q = 0;
+    if (p < end && (*p == '+' || *p == '-'))
+        neg = *p++ == '-';
+    for (int frac = 0;; frac = 1) {
+        for (; p < end && *p >= '0' && *p <= '9'; p++) {
+            any = 1;
+            q -= frac;
+            if (w || *p != '0') {
+                if (++digits > 19)
+                    return 0;
+                w = w * 10 + (uint64_t)(*p - '0');
+            }
+        }
+        if (frac || p == end || *p != '.')
+            break;
+        p++;
+    }
+    if (!any)
+        return 0;
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        int eneg = 0;
+        int64_t ev = 0;
+        p++;
+        if (p < end && (*p == '+' || *p == '-'))
+            eneg = *p++ == '-';
+        if (p == end || *p < '0' || *p > '9')
+            return 0;
+        for (; p < end && *p >= '0' && *p <= '9'; p++) {
+            ev = ev * 10 + (*p - '0');
+            if (ev > 100000)
+                return 0;
+        }
+        q += eneg ? -ev : ev;
+    }
+    *pp = p;
+    if (w == 0) {
+        *out = neg ? -0.0 : 0.0;
+        return 1;
+    }
+    while (w % 10 == 0) {
+        w /= 10;
+        q++;
+    }
+    double v;
+    if (w <= 1ull << 53 && q >= -22 && q <= 22) {
+        /* Clinger: w and 10^|q| are exact doubles, so one rounding. */
+        v = q < 0 ? (double)w / small[-q] : (double)w * small[q];
+    } else {
+        uint64_t bits;
+        if (q < qmin || q > qmax || !nearest(w, pow10 + 4 * (q - qmin), &bits))
+            return 0;
+        memcpy(&v, &bits, sizeof v);
+    }
+    *out = neg ? -v : v;
+    return 1;
+}
+
+/* m rows of m cells from text[pos] on, read into the C-ordered m x m out:
+ * cells joined by ",", each row ended by "\n" or, for the last row, by the
+ * end of the text at text[end].  pow10 covers q = qmin..qmax (see nearest).
+ * Returns the number of bytes read, or -1 where the rows are not in this
+ * form or a value is not decided here. */
+ptrdiff_t triwish_parse_rows(const char *text, size_t pos, size_t end, size_t m, double *out,
+                             const uint64_t *pow10, int64_t qmin, int64_t qmax)
+{
+    double small[23];
+    small[0] = 1.0;
+    for (int k = 1; k < 23; k++)
+        small[k] = small[k - 1] * 10.0; /* exact up to 10^22 */
+    const char *p = text + pos, *stop = text + end;
+    for (size_t r = 0; r < m; r++) {
+        for (size_t c = 0; c < m; c++) {
+            if (!parse_cell(&p, stop, small, pow10, qmin, qmax, out + r * m + c))
+                return -1;
+            if (c + 1 < m) {
+                if (p == stop || *p != ',')
+                    return -1;
+                p++;
+            }
+        }
+        if (p < stop) {
+            if (*p != '\n')
+                return -1;
+            p++;
+        } else if (r + 1 < m) {
+            return -1;
+        }
+    }
+    return p - (text + pos);
 }

@@ -1,4 +1,4 @@
-"""Matrix block files: bit-exact CSV (default) or NDJSON.
+r"""Matrix block files: bit-exact CSV (default) or NDJSON.
 
 CSV layout: optional leading ``#`` comment lines (the run header), then one
 block per matrix.  A block is the line ``# m=<m> kind=<square|cholU>``
@@ -10,12 +10,21 @@ NDJSON layout: an optional first record ``{"header": [...]}``, then one
 record ``{"m": ..., "kind": ..., "rows": [[...], ...]}`` per matrix, with
 the bytes ``json.dumps`` gives it.
 
-A matrix that equals its transpose bit for bit, as every full draw does,
-has its text made once per mirrored pair: the entries below the diagonal
-reuse the strings of their mirrors above it.  The bytes are the same.
+Where the compiled library of :mod:`triwish.rng` loads, the writers' values
+come from its C formatter, with the bytes of ``repr``, one matrix at a time;
+an NDJSON record with a non-finite value is still written by ``json.dumps``.
+The CSV reader tries the library's parser first.  It takes ASCII cells of
+the grammar ``[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?`` with at most 19
+significant digits, joined by ``,`` in ``\n``-ended lines (the text-mode
+read has already made every line end ``\n``), and rounds each exactly as
+``float()`` does.  Any other file, and any value whose rounding
+it cannot decide, is parsed by the Python parser from the start, so the
+files accepted and the errors raised are the Python parser's.  NDJSON is
+read with ``json.loads``.  Without the library the Python code does it all.
 """
 
 import contextlib
+import functools
 import itertools
 import json
 import re
@@ -23,6 +32,7 @@ import sys
 
 import numpy as np
 
+from . import rng
 from .errors import InvalidParameter
 
 _BLOCK_RE = re.compile(r"^# m=(\d+) kind=(square|cholU)$")
@@ -47,19 +57,65 @@ def open_output(path):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _row_texts(mat, sep):
-    # The rows of a matrix, each its entries' reprs joined by sep.  repr is
-    # most of a write's time, so for a matrix equal to its transpose bit for
-    # bit (0.0 and -0.0 print apart) it runs on the upper triangle only.
-    rows = mat.tolist()
-    bits = mat.view(np.uint64)
-    if not np.array_equal(bits, bits.T):
-        return [sep.join(map(repr, row)) for row in rows]
-    texts = np.empty(mat.shape, dtype=object)
-    for i, row in enumerate(rows):
-        texts[i, i:] = list(map(repr, row[i:]))
-        texts[i:, i] = texts[i, i:]
-    return [sep.join(row) for row in texts.tolist()]
+# The layouts of triwish_format_rows: CSV lines, or the items of an NDJSON
+# "rows" list.
+_CSV, _NDJSON = 0, 1
+# The bytes one value may take, with its separator (see _boxmuller.c).
+_CELL_BYTES = 24 + 2
+# Ryu's table sizes for doubles: 5^-q for q < 342 and 5^i for i < 326.
+_POW5_INV_COUNT, _POW5_COUNT, _POW5_BITS = 342, 326, 125
+# The decimal exponents q of the parser's table of 10^q.  Past them w * 10^q
+# with w < 10^19 is below half the smallest subnormal, or overflows.
+_POW10_MIN, _POW10_MAX = -342, 308
+_WORD = 2**64 - 1
+
+
+def _uint64s(words):
+    out = np.array(words, dtype=np.uint64)
+    out.flags.writeable = False
+    return out
+
+
+@functools.cache
+def _tables():
+    """The C text functions' constants, from exact integer arithmetic:
+    Ryu's 5^-q and 5^i (see shortest in _boxmuller.c), each as its low and
+    high word, and for each q the 4 words (t's high and low word, s, exact)
+    of 10^q = t * 2^s with 2^127 <= t < 2^128 rounded down."""
+    inv = [(1 << (5**q).bit_length() - 1 + _POW5_BITS) // 5**q + 1
+           for q in range(_POW5_INV_COUNT)]
+    pow5 = [5**i << _POW5_BITS >> (5**i).bit_length() for i in range(_POW5_COUNT)]
+    pow10 = []
+    for q in range(_POW10_MIN, _POW10_MAX + 1):
+        if q >= 0:
+            s = (10**q).bit_length() - 128
+            t, rem = (10**q << -s, 0) if s < 0 else divmod(10**q, 1 << s)
+        else:
+            s = -127 - (10**-q).bit_length()
+            t, rem = divmod(1 << -s, 10**-q)
+        pow10 += [t >> 64, t & _WORD, s & _WORD, int(rem == 0)]
+    return (_uint64s([w for v in inv for w in (v & _WORD, v >> 64)]),
+            _uint64s([w for v in pow5 for w in (v & _WORD, v >> 64)]),
+            _uint64s(pow10))
+
+
+def _rows_text(mat, layout):
+    """The text of mat's rows: each row's values joined by "," and ended by
+    "\\n" (_CSV), or each row's values joined by ", " in brackets and the
+    rows joined by ", " (_NDJSON)."""
+    lib = rng.compiled_loop()
+    if lib is None:
+        rows = mat.tolist()
+        if layout == _CSV:
+            return "".join(",".join(map(repr, row)) + "\n" for row in rows)
+        return ", ".join("[" + ", ".join(map(repr, row)) + "]" for row in rows)
+    mat = np.ascontiguousarray(mat)
+    m = mat.shape[0]
+    out = np.empty(m * (m * _CELL_BYTES + 2), dtype=np.uint8)
+    inv, pow5, _ = _tables()
+    n = lib.format_rows(mat.ctypes.data, m, layout, out.ctypes.data, inv.ctypes.data,
+                        pow5.ctypes.data)
+    return str(out[:n].data, "ascii")
 
 
 def _write_csv(fh, mats, kinds, header):
@@ -70,7 +126,7 @@ def _write_csv(fh, mats, kinds, header):
             fh.write("\n")
         m = mat.shape[0]
         fh.write(f"# m={m} kind={kind}\n")
-        fh.writelines(row + "\n" for row in _row_texts(mat, ","))
+        fh.write(_rows_text(mat, _CSV))
 
 
 def _write_ndjson(fh, mats, kinds, header):
@@ -81,13 +137,21 @@ def _write_ndjson(fh, mats, kinds, header):
             # json spells the non-finite values NaN, Infinity and -Infinity.
             fh.write(json.dumps({"m": mat.shape[0], "kind": kind, "rows": mat.tolist()}) + "\n")
             continue
-        rows = ", ".join(f"[{row}]" for row in _row_texts(mat, ", "))
+        rows = _rows_text(mat, _NDJSON)
         fh.write(f'{{"m": {mat.shape[0]}, "kind": {json.dumps(kind)}, "rows": [{rows}]}}\n')
 
 
 def write_matrices(path, mats, kinds=None, header=(), fmt="csv"):
     """Write matrices to ``path`` ('-' for stdout) in the given format."""
-    mats = [np.asarray(m, dtype=np.float64) for m in mats]
+    # Everything the readers would reject is refused before the file opens,
+    # so a bad matrix late in the list leaves no partial file.
+    arrays = []
+    for idx, mat in enumerate(mats):
+        try:
+            arrays.append(np.asarray(mat, dtype=np.float64))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidParameter(f"matrix {idx} is not an array of numbers") from exc
+    mats = arrays
     if kinds is None:
         kinds = [KIND_SQUARE] * len(mats)
     elif isinstance(kinds, str):
@@ -97,24 +161,81 @@ def write_matrices(path, mats, kinds=None, header=(), fmt="csv"):
     writer = {"csv": _write_csv, "ndjson": _write_ndjson}.get(fmt)
     if writer is None:
         raise InvalidParameter(f"unknown format {fmt!r}")
-    # Everything the readers would reject is refused before the file opens,
-    # so a bad matrix late in the list leaves no partial file.
     for idx, (mat, kind) in enumerate(zip(mats, kinds)):
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise InvalidParameter(f"matrix {idx} has shape {mat.shape}, not m x m with m >= 1")
         if kind not in (KIND_SQUARE, KIND_CHOLU):
             raise InvalidParameter(f"unknown matrix kind {kind!r} for matrix {idx}")
-    if fmt == "csv":
-        for line in header:
-            # One line of text that the reader takes for a header, not a block.
-            text = f"# {line}"
-            if text.splitlines() != [text] or _BLOCK_RE.match(text):
-                raise InvalidParameter(f"header line {line!r} would not read back as one")
+    for line in header:
+        if not isinstance(line, str):
+            raise InvalidParameter(f"header line {line!r} is not a string")
+        # In CSV, one line of text that the reader takes for a header, not a
+        # block, and that its strip gives back unchanged.
+        text = f"# {line}"
+        if fmt == "csv" and (line != line.strip() or text.splitlines() != [text]
+                             or _BLOCK_RE.match(text)):
+            raise InvalidParameter(f"header line {line!r} would not read back as one")
     with open_output(path) as fh:
         writer(fh, mats, kinds, header)
 
 
+# What str.splitlines breaks an ASCII line at, besides "\n".
+_LINE_BREAKS = re.compile("[\r\x0b\x0c\x1c-\x1e]")
+
+
 def _parse_csv(text):
+    lib = rng.compiled_loop()
+    if lib is not None:
+        parsed = _parse_csv_compiled(text, lib.parse_rows)
+        if parsed is not None:
+            return parsed
+    return _parse_csv_python(text)
+
+
+def _parse_csv_compiled(text, parse_rows):
+    """What _parse_csv_python returns for the ASCII text, with the rows of
+    each block read by parse_rows; None where that cannot be done, and
+    _parse_csv_python then parses the text."""
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    _, _, pow10 = _tables()
+    header = []
+    blocks = []
+    pos, end = 0, len(text)
+    while pos < end:
+        eol = text.find("\n", pos)
+        if eol < 0:
+            eol = end
+        line = text[pos:eol]
+        pos = eol + 1
+        if _LINE_BREAKS.search(line):
+            return None
+        if not line.strip():
+            continue
+        match = _BLOCK_RE.match(line)
+        if match:
+            digits = match.group(1)
+            m = int(digits) if len(digits) < 10 else 0
+            # Each of m * m values takes at least one byte and a separator,
+            # so a block too large for the text is never allocated.
+            if not 0 < 2 * m * m - 1 <= end - pos:
+                return None
+            mat = np.empty((m, m))
+            used = parse_rows(data, pos, end, m, mat.ctypes.data, pow10.ctypes.data,
+                              _POW10_MIN, _POW10_MAX)
+            if used < 0:
+                return None
+            pos += used
+            blocks.append((match.group(2), mat))
+        elif line.startswith("#"):
+            header.append(line[1:].strip())
+        else:
+            return None
+    return header, blocks
+
+
+def _parse_csv_python(text):
     header = []
     blocks = []
     lines = text.splitlines()

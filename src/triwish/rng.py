@@ -50,9 +50,11 @@ Bartlett fills
     uniforms itself from the stream's seed, id and position; the stream then
     skips what the walk used.  Elsewhere the scalar draws run in a Python
     loop.  Both give the same bytes and end position, with the running
-    process's libm.
+    process's libm.  The same library holds the matrix text functions of
+    :mod:`triwish.matio`.
 """
 
+import collections
 import ctypes
 import hashlib
 import math
@@ -193,9 +195,10 @@ class RngStream:
         return RngStream(self.seed, stream)
 
 
-# The compiled column walk: its source, how it is built and where the
-# library is cached.  Flags that may change the bits (-ffast-math,
-# -march=native, a vector math library such as libmvec) are not used.
+# The compiled library: the column walk and the matrix text functions of
+# triwish.matio, its source, how it is built and where it is cached.  Flags
+# that may change the bits (-ffast-math, -march=native, a vector math
+# library such as libmvec) are not used.
 _C_SOURCE = pathlib.Path(__file__).with_name("_boxmuller.c")
 _CC = "cc"
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
@@ -204,9 +207,11 @@ _CACHE = _C_SOURCE.with_name("__pycache__")
 _NOT_LOADED = object()
 _loop = _NOT_LOADED
 
+_Compiled = collections.namedtuple("_Compiled", "walk format_rows parse_rows")
+
 
 def _build_loop():
-    """Build (unless cached) and load the C loop; None if that is not possible."""
+    """Build (unless cached) and load the C library; None if that is not possible."""
     try:
         source = _C_SOURCE.read_bytes()
         tag = hashlib.sha256(source + " ".join(_CFLAGS + _LDLIBS).encode()).hexdigest()[:16]
@@ -222,19 +227,28 @@ def _build_loop():
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        fn = ctypes.CDLL(str(lib)).triwish_bartlett_walk
+        dll = ctypes.CDLL(str(lib))
+        fns = _Compiled(dll.triwish_bartlett_walk, dll.triwish_format_rows,
+                        dll.triwish_parse_rows)
     except (OSError, subprocess.SubprocessError):
         return None
-    size, dbl = ctypes.c_size_t, ctypes.c_double
-    fn.argtypes = (ctypes.POINTER(ctypes.c_uint64), size, ctypes.POINTER(dbl), size, size,
-                   dbl, dbl)
-    fn.restype = size
-    return fn
+    size, dbl, ptr = ctypes.c_size_t, ctypes.c_double, ctypes.c_void_p
+    fns.walk.argtypes = (ctypes.POINTER(ctypes.c_uint64), size, ctypes.POINTER(dbl), size, size,
+                         dbl, dbl)
+    fns.walk.restype = size
+    fns.format_rows.argtypes = (ptr, size, ctypes.c_int, ptr, ptr, ptr)
+    fns.format_rows.restype = size
+    fns.parse_rows.argtypes = (ctypes.c_char_p, size, size, size, ptr, ptr, ctypes.c_int64,
+                               ctypes.c_int64)
+    fns.parse_rows.restype = ctypes.c_ssize_t
+    return fns
 
 
 def compiled_loop():
-    """The compiled column walk, built and loaded on the first call, or None
-    when this process cannot build or load it."""
+    """The compiled library, built and loaded on the first call: its column
+    walk and the text functions of :mod:`triwish.matio`, or None when this
+    process cannot build or load it.  Setting ``_loop = None`` turns all of
+    them off."""
     global _loop
     if _loop is _NOT_LOADED:
         _loop = _build_loop()
@@ -275,5 +289,5 @@ def bartlett_fills(rng, m, k, a, s):
         # byref of the double at the start of out passes its address, and
         # holds out's buffer for the call.
         z = ctypes.byref(ctypes.c_double.from_buffer(out))
-        rng.skip(loop(state, lane, z, m, k, a, s))
+        rng.skip(loop.walk(state, lane, z, m, k, a, s))
     return out.transpose(0, 2, 1)

@@ -1,13 +1,17 @@
 """Bit-exact matrix file round-trips, the writers' bytes, and malformed-input rejection."""
 
+import contextlib
+import decimal
 import json
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from triwish import matio
+from triwish import matio, rng
 from triwish.errors import InvalidParameter, TriwishError
 from triwish.linalg import gram_ut
 from triwish.rng import RngStream
@@ -20,6 +24,38 @@ def _ugly_matrices():
     b = np.array([[0.1 + 0.2, -0.0], [1e-308, np.pi]])
     c = np.array([[123456789.123456789]])
     return [a, b, c]
+
+
+def _both_paths():
+    # The loop body runs with the compiled library as this process loads
+    # it, then as a process that cannot load it runs: rng._loop = None.
+    yield "compiled"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng, "_loop", None)
+        yield "python"
+
+
+def _outcome(result):
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    header, blocks = result
+    return header, [(kind, mat.dtype.str, mat.shape, mat.tobytes()) for kind, mat in blocks]
+
+
+def _read_both(path):
+    """read_matrices on both paths, which must give the same header and
+    blocks or raise the same exception class with the same message."""
+    results = []
+    for _ in _both_paths():
+        try:
+            results.append(matio.read_matrices(str(path)))
+        except Exception as exc:  # compared below, then raised again
+            results.append(exc)
+    compiled, python = results
+    assert _outcome(compiled) == _outcome(python)
+    if isinstance(python, Exception):
+        raise python
+    return python
 
 
 def test_csv_roundtrip_bit_exact(tmp_path):
@@ -113,8 +149,9 @@ def test_writer_bytes_on_plan_outputs(tmp_path, fmt, m):
         assert mat.tobytes() == mat.T.tobytes()
     path = tmp_path / "out.txt"
     header = ["triwish sample", f"m={m}"]
-    matio.write_matrices(str(path), mats, kinds="square", header=header, fmt=fmt)
-    assert path.read_bytes() == _oracle_bytes(mats, ["square"] * len(mats), header, fmt)
+    for _ in _both_paths():
+        matio.write_matrices(str(path), mats, kinds="square", header=header, fmt=fmt)
+        assert path.read_bytes() == _oracle_bytes(mats, ["square"] * len(mats), header, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "ndjson"])
@@ -123,11 +160,14 @@ def test_writer_bytes_on_edge_matrices(tmp_path, fmt, header):
     mats = _edge_matrices()
     kinds = ["square", "cholU"] * (len(mats) // 2)
     path = tmp_path / "out.txt"
-    matio.write_matrices(str(path), mats, kinds=kinds, header=header, fmt=fmt)
-    assert path.read_bytes() == _oracle_bytes(mats, kinds, header, fmt)
-    for mat in mats:
-        matio.write_matrices(str(path), [mat], kinds="cholU", fmt=fmt)
-        assert path.read_bytes() == _oracle_bytes([mat], ["cholU"], (), fmt)
+    for _ in _both_paths():
+        matio.write_matrices(str(path), mats, kinds=kinds, header=header, fmt=fmt)
+        assert path.read_bytes() == _oracle_bytes(mats, kinds, header, fmt)
+        back = _read_both(path)[1]
+        assert [mat.shape for _, mat in back] == [mat.shape for mat in mats]
+        for mat in mats:
+            matio.write_matrices(str(path), [mat], kinds="cholU", fmt=fmt)
+            assert path.read_bytes() == _oracle_bytes([mat], ["cholU"], (), fmt)
 
 
 def test_format_float_shortest_roundtrip():
@@ -155,37 +195,37 @@ def test_truncated_block_rejected(tmp_path):
     path_obj = tmp_path / "bad.csv"
     path_obj.write_text("# m=2 kind=square\n1.0,2.0\n")
     with pytest.raises(InvalidParameter):
-        matio.read_matrices(path)
+        _read_both(path)
 
 
 def test_wrong_row_width_rejected(tmp_path):
     (tmp_path / "bad.csv").write_text("# m=2 kind=square\n1.0,2.0\n1.0,2.0,3.0\n")
     with pytest.raises(InvalidParameter):
-        matio.read_matrices(str(tmp_path / "bad.csv"))
+        _read_both(tmp_path / "bad.csv")
 
 
 def test_non_numeric_rejected(tmp_path):
     (tmp_path / "bad.csv").write_text("# m=1 kind=square\nspam\n")
     with pytest.raises(InvalidParameter):
-        matio.read_matrices(str(tmp_path / "bad.csv"))
+        _read_both(tmp_path / "bad.csv")
 
 
 def test_stray_content_rejected(tmp_path):
     (tmp_path / "bad.csv").write_text("1.0,2.0\n")
     with pytest.raises(InvalidParameter):
-        matio.read_matrices(str(tmp_path / "bad.csv"))
+        _read_both(tmp_path / "bad.csv")
 
 
 def test_malformed_ndjson_rejected(tmp_path):
     (tmp_path / "bad.ndjson").write_text('{"m": 2, "kind": "square"\n')
     with pytest.raises(InvalidParameter):
-        matio.read_matrices(str(tmp_path / "bad.ndjson"))
+        _read_both(tmp_path / "bad.ndjson")
     (tmp_path / "bad2.ndjson").write_text('{"m": 2, "kind": "square", "rows": [[1.0]]}\n')
     with pytest.raises(InvalidParameter):
-        matio.read_matrices(str(tmp_path / "bad2.ndjson"))
+        _read_both(tmp_path / "bad2.ndjson")
     (tmp_path / "bad3.ndjson").write_text('{"m": 1, "kind": "wat", "rows": [[1.0]]}\n')
     with pytest.raises(InvalidParameter):
-        matio.read_matrices(str(tmp_path / "bad3.ndjson"))
+        _read_both(tmp_path / "bad3.ndjson")
 
 
 def test_kinds_length_checked(tmp_path):
@@ -202,12 +242,17 @@ _UNREADABLE_WRITES = {
     "bad-matrix-last": ([np.eye(2), np.eye(3), np.ones((3, 2))], None, ()),
     "kind-foo": ([np.eye(2)], "foo", ()),
     "kind-case": ([np.eye(2), np.eye(2)], ["cholU", "Square"], ()),
+    "ragged": ([[[1.0, 2.0], [3.0]]], None, ()),
+    "non-numeric": ([[["a"]]], None, ()),
+    "header-not-str": ([np.eye(2)], None, [5]),
 }
 # NDJSON keeps any header string on one line; CSV writes each as "# <line>".
 _UNREADABLE_CSV_HEADERS = {
     "header-newline": ["a\nb"],
     "header-line-separator": ["x\u2028y"],
     "header-block-line": ["ok", "m=1 kind=square"],
+    "header-padded": ["  x  "],
+    "header-trailing-space": ["x "],
 }
 
 
@@ -257,22 +302,193 @@ def test_malformed_input_raises_invalid_parameter(tmp_path, data):
     path = tmp_path / "bad.txt"
     path.write_bytes(data)
     with pytest.raises(InvalidParameter):
-        matio.read_matrices(str(path))
+        _read_both(path)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     prefix=st.sampled_from([b"", b"{", b"# m=2 kind=square\n", b'{"m": 1, "kind": "square", "rows": ']),
-    body=st.binary(max_size=200),
+    body=st.binary(max_size=200)
+    | st.text(alphabet="0123456789.,eE+-_ \n#\x0c", max_size=200).map(str.encode),
 )
 def test_arbitrary_bytes_read_or_rejected(tmp_path, prefix, body):
     path = tmp_path / "fuzz.txt"
     path.write_bytes(prefix + body)
     try:
-        _, blocks = matio.read_matrices(str(path))
+        _, blocks = _read_both(path)
     except TriwishError:
         return
     for kind, mat in blocks:
         assert kind in (matio.KIND_SQUARE, matio.KIND_CHOLU)
         assert mat.dtype == np.float64
         assert mat.ndim == 2 and mat.shape[0] == mat.shape[1] >= 1
+
+
+@pytest.fixture
+def library():
+    """The compiled library; the test is skipped where it does not load."""
+    lib = rng.compiled_loop()
+    if lib is None:
+        pytest.skip("no compiled library: the matrix text is Python's")
+    return lib
+
+
+def _formatter_values():
+    # 10^6 random finite bit patterns, which span every binary exponent;
+    # every 2^e and 10^k with both neighbours; the zeros, the smallest and
+    # largest subnormals and DBL_MAX; the integers around 2^53; and both
+    # neighbours of repr's layout switches at 1e16 and 1e-4.
+    r = np.random.default_rng(19)
+    random = r.integers(0, 2**64, size=10**6, dtype=np.uint64).view(np.float64)
+    p2 = np.ldexp(1.0, np.arange(-1074, 1024))
+    p10 = np.array([float(f"1e{k}") for k in range(-324, 309)])
+    fixed = np.concatenate([
+        [0.0, 5e-324, 2.2250738585072009e-308, 1.7976931348623157e308, 1e16, 1e-4],
+        np.arange(2**53 - 64, 2**53 + 64, dtype=np.int64).astype(np.float64),
+    ])
+    grid = np.concatenate([p2, p10, fixed])
+    with np.errstate(over="ignore"):
+        grid = np.concatenate([grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf)])
+    values = np.concatenate([random, grid, -grid])
+    values = values[np.isfinite(values)]
+    return np.concatenate([values, np.zeros(-len(values) % 10_000)]).reshape(-1, 100, 100)
+
+
+def test_formatter_writes_repr(library):
+    for block in _formatter_values():
+        rows = block.tolist()
+        assert matio._rows_text(block, matio._CSV) == "".join(
+            ",".join(map(repr, row)) + "\n" for row in rows
+        )
+        assert matio._rows_text(block, matio._NDJSON) == json.dumps(rows)[1:-1]
+
+
+def _compiled_floats(library, cells, m=10):
+    """Each cell as the C parser reads it, None where it leaves it to the
+    Python parser; m * m cells per call, then one per call in a block that
+    has such a cell."""
+    _, _, pow10 = matio._tables()
+
+    def parse(chunk, m):
+        data = "\n".join(",".join(chunk[i:i + m]) for i in range(0, m * m, m)).encode("ascii")
+        mat = np.empty((m, m))
+        used = library.parse_rows(data, 0, len(data), m, mat.ctypes.data, pow10.ctypes.data,
+                                  matio._POW10_MIN, matio._POW10_MAX)
+        return mat.ravel().tolist() if used == len(data) else None
+
+    cells = list(cells) + ["0"] * (-len(cells) % (m * m))
+    out = []
+    for at in range(0, len(cells), m * m):
+        chunk = cells[at:at + m * m]
+        got = parse(chunk, m)
+        out += got if got is not None else [(parse([c], 1) or [None])[0] for c in chunk]
+    return out
+
+
+def _decided_as_float(library, cells):
+    """How many cells the C parser reads, after checking that it reads each
+    bit for bit as float() does."""
+    got = _compiled_floats(library, cells)
+    done = [(c, v) for c, v in zip(cells, got) if v is not None]
+    assert [np.float64(v).tobytes() for _, v in done] == [
+        np.float64(float(c)).tobytes() for c, _ in done
+    ]
+    return len(done)
+
+
+def test_parser_reads_reprs_as_float(library):
+    # It leaves to Python the values that equal w * 10^q exactly with
+    # w > 2^53 and 5^|q| above 128 bits or q < 0, such as 4503599627370495.5.
+    blocks = _formatter_values()
+    done = sum(_decided_as_float(library, list(map(repr, b.ravel().tolist()))) for b in blocks)
+    assert done >= 0.999 * blocks.size
+
+
+def test_parser_reads_random_decimals_as_float(library):
+    # 1-19 significant digits with decimal exponents -345..310; those past
+    # the table are left to Python.
+    r = np.random.default_rng(20)
+    cells = []
+    for _ in range(10**5):
+        nd = int(r.integers(1, 20))
+        digits = str(int(r.integers(10 ** (nd - 1), 10**nd, dtype=np.uint64)))
+        sign = "-" if r.random() < 0.5 else ""
+        point = f"{digits[0]}.{digits[1:]}" if r.random() < 0.5 else digits
+        cells.append(f"{sign}{point}e{int(r.integers(-345, 311))}")
+    assert _decided_as_float(library, cells) >= 0.9 * len(cells)
+
+
+def test_parser_reads_midpoints_as_float(library):
+    # The exact midpoint between adjacent doubles, rounded down and up to
+    # 17, 18 and 19 significant digits.
+    r = np.random.default_rng(21)
+    lows = r.integers(1, 0x7FEFFFFFFFFFFFFF, size=10**4, dtype=np.uint64).view(np.float64)
+    exact = decimal.Context(prec=800)
+    cells = []
+    for low in lows.tolist():
+        mid = exact.divide(exact.add(decimal.Decimal(low), decimal.Decimal(np.nextafter(low, np.inf))), 2)
+        for nd in (17, 18, 19):
+            for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING):
+                cells.append(str(decimal.Context(prec=nd, rounding=rounding).plus(mid)))
+    assert _decided_as_float(library, cells) >= 0.99 * len(cells)
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [" 1.0", "1.0 ", "1_0", "inf", "-inf", "nan", "١", "1.23456789012345678901",
+     "12345678901234567890", "1e400", "1e-400", "0e100001", "4503599627370495.5", "1e", "e5",
+     ".", "+", "--1", "1.0.0", "0x10", ""],
+)
+def test_csv_outside_the_grammar_goes_to_the_python_parser(tmp_path, library, cell):
+    text = f"# m=2 kind=square\n1.0,{cell}\n2.0,3.0\n"
+    assert matio._parse_csv_compiled(text, library.parse_rows) is None
+    path = tmp_path / "m.csv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        float(cell)
+        python_reads = contextlib.nullcontext()
+    except ValueError:
+        python_reads = pytest.raises(InvalidParameter)
+    with python_reads:
+        _read_both(path)
+
+
+@pytest.mark.parametrize("cell", ["1.", ".5", "+1e-3", "-0", "007", "-.0e+00", "9007199254740993",
+                                  "1E5", "2.5e-324", "1.7976931348623157e308", "0.1"])
+def test_csv_in_the_grammar_is_read_by_the_compiled_parser(library, cell):
+    parsed = matio._parse_csv_compiled(f"# a\n\n# m=1 kind=cholU\n{cell}", library.parse_rows)
+    assert parsed is not None
+    assert _outcome(parsed) == _outcome(matio._parse_csv_python(f"# a\n\n# m=1 kind=cholU\n{cell}"))
+
+
+@pytest.mark.parametrize("line", ["# a\x0cb", "# a\x1cb", "\x0b", "# m=3 kind=square"])
+def test_csv_structure_the_fast_path_leaves_to_python(library, line):
+    # Lines str.splitlines breaks, and a block larger than the text.
+    assert matio._parse_csv_compiled(f"{line}\n# m=1 kind=square\n1.0\n", library.parse_rows) is None
+
+
+def test_formatter_and_parser_constants():
+    # The scalar multipliers in _boxmuller.c against exact integer
+    # arithmetic over the ranges its comment gives.
+    source = (rng._C_SOURCE).read_text()
+    c = {k: int(v) for k, v in re.findall(r"#define (\w+) (\d+)", source)}
+    for e in range(1651):
+        assert (e * c["LOG10_2_MUL"]) >> c["LOG10_2_SHIFT"] == len(str(2**e)) - 1
+    for e in range(2621):
+        assert (e * c["LOG10_5_MUL"]) >> c["LOG10_5_SHIFT"] == len(str(5**e)) - 1
+    for e in range(3529):
+        assert ((e * c["LOG2_5_MUL"]) >> c["LOG2_5_SHIFT"]) + 1 == (5**e).bit_length()
+    assert c["POW5_BITS"] == matio._POW5_BITS
+    assert c["DOUBLE_TEXT_MAX"] + 2 == matio._CELL_BYTES
+
+
+def test_parser_table_brackets_every_power_of_ten():
+    _, _, pow10 = matio._tables()
+    words = pow10.reshape(-1, 4).tolist()
+    assert len(words) == matio._POW10_MAX - matio._POW10_MIN + 1
+    for q, (hi, lo, s, exact) in zip(range(matio._POW10_MIN, matio._POW10_MAX + 1), words):
+        t, s = hi << 64 | lo, s - 2**64 if s >= 2**63 else s
+        assert 2**127 <= t < 2**128
+        value = Fraction(10) ** q / Fraction(2) ** s
+        assert t <= value < t + 1
+        assert exact == (value == t)

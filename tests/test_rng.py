@@ -359,7 +359,10 @@ needs_cc = pytest.mark.skipif(shutil.which(rng_module._CC) is None,
 
 @needs_cc
 def test_compiled_loop_loads_where_a_compiler_is_present():
-    assert rng_module.compiled_loop().__name__ == "triwish_bartlett_walk"
+    lib = rng_module.compiled_loop()
+    assert lib.walk.__name__ == "triwish_bartlett_walk"
+    assert lib.format_rows.__name__ == "triwish_format_rows"
+    assert lib.parse_rows.__name__ == "triwish_parse_rows"
 
 
 @needs_cc
