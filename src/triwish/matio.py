@@ -152,6 +152,7 @@ def write_matrices(path, mats, kinds=None, header=(), fmt="csv"):
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidParameter(f"matrix {idx} is not an array of numbers") from exc
     mats = arrays
+    header = list(header)  # checked below, then written
     if kinds is None:
         kinds = [KIND_SQUARE] * len(mats)
     elif isinstance(kinds, str):

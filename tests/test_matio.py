@@ -170,6 +170,13 @@ def test_writer_bytes_on_edge_matrices(tmp_path, fmt, header):
             assert path.read_bytes() == _oracle_bytes([mat], ["cholU"], (), fmt)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "ndjson"])
+def test_header_may_be_any_iterable(tmp_path, fmt):
+    path = tmp_path / "out.txt"
+    matio.write_matrices(str(path), [np.eye(2)], header=(line for line in ["a", "b"]), fmt=fmt)
+    assert path.read_bytes() == _oracle_bytes([np.eye(2)], ["square"], ["a", "b"], fmt)
+
+
 def test_format_float_shortest_roundtrip():
     rng = np.random.default_rng(8)
     values = list(rng.standard_normal(1000) * 10.0 ** rng.integers(-300, 300, size=1000))
