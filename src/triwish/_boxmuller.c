@@ -15,9 +15,9 @@
  * Python code.
  *
  * The second half of the file is the matrix text of triwish.matio: doubles
- * written as Python's repr writes them, and CSV rows read as float() reads
- * each cell; both with integer arithmetic only, never the C library's
- * conversions.
+ * written as Python's repr writes them, and CSV or NDJSON rows read as
+ * float() reads each cell; both with integer arithmetic only, never the C
+ * library's conversions.
  */
 #include <math.h>
 #include <stddef.h>
@@ -163,7 +163,7 @@ size_t triwish_bartlett_walk(const uint64_t *philox_state, size_t lane, double *
 
 /* ---- Matrix text ----
  *
- * The writers' and the CSV reader's number conversions, for triwish.matio.
+ * The writers' and the readers' number conversions, for triwish.matio.
  * Their constant tables are built by triwish.matio from exact integer
  * arithmetic and passed in with every call; the scalar multipliers below
  * are recomputed over their ranges by the tests.
@@ -459,20 +459,23 @@ static int nearest(uint64_t w, const uint64_t *entry, uint64_t *bits)
     return *bits < 0x7ff0000000000000u;
 }
 
-/* One cell of the grammar [+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)? at *pp with
- * at most 19 significant digits, as the double float() makes of it; moves
- * *pp past it.  Returns 0 where the text is not such a cell or the value is
- * not decided here. */
-static int parse_cell(const char **pp, const char *end, const double *small,
+/* One cell at *pp, as the double float() makes of it; moves *pp past it.
+ * With json 0 the cell is of the grammar [+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?;
+ * with json 1 it is a JSON number that json.loads reads as a float,
+ * -?(0|[1-9]\d*)(\.\d+)?([eE][+-]?\d+)? with a fraction or an exponent.
+ * Either way it has at most 19 significant digits.  Returns 0 where the text
+ * is not such a cell or the value is not decided here. */
+static int parse_cell(const char **pp, const char *end, int json, const double *small,
                       const uint64_t *pow10, int64_t qmin, int64_t qmax, double *out)
 {
     const char *p = *pp;
-    int neg = 0, digits = 0, any = 0;
+    int neg = 0, digits = 0, any = 0, frac = 0;
     uint64_t w = 0;
     int64_t q = 0;
-    if (p < end && (*p == '+' || *p == '-'))
+    if (p < end && (*p == '-' || (*p == '+' && !json)))
         neg = *p++ == '-';
-    for (int frac = 0;; frac = 1) {
+    for (;; frac = 1) {
+        const char *run = p;
         for (; p < end && *p >= '0' && *p <= '9'; p++) {
             any = 1;
             q -= frac;
@@ -482,6 +485,9 @@ static int parse_cell(const char **pp, const char *end, const double *small,
                 w = w * 10 + (uint64_t)(*p - '0');
             }
         }
+        /* JSON has digits on both sides of a point, and no leading zero. */
+        if (json && (p == run || (!frac && *run == '0' && p - run > 1)))
+            return 0;
         if (frac || p == end || *p != '.')
             break;
         p++;
@@ -502,6 +508,8 @@ static int parse_cell(const char **pp, const char *end, const double *small,
                 return 0;
         }
         q += eneg ? -ev : ev;
+    } else if (json && !frac) {
+        return 0; /* an integer token, which json.loads reads as an int */
     }
     *pp = p;
     if (w == 0) {
@@ -526,30 +534,46 @@ static int parse_cell(const char **pp, const char *end, const double *small,
     return 1;
 }
 
-/* m rows of m cells from text[pos] on, read into the C-ordered m x m out:
- * cells joined by ",", each row ended by "\n" or, for the last row, by the
- * end of the text at text[end].  pow10 covers q = qmin..qmax (see nearest).
- * Returns the number of bytes read, or -1 where the rows are not in this
- * form or a value is not decided here. */
-ptrdiff_t triwish_parse_rows(const char *text, size_t pos, size_t end, size_t m, double *out,
-                             const uint64_t *pow10, int64_t qmin, int64_t qmax)
+/* Moves *pp past the text s if the text at *pp starts with it. */
+static int take(const char **pp, const char *end, const char *s)
+{
+    size_t n = strlen(s);
+    if ((size_t)(end - *pp) < n || memcmp(*pp, s, n) != 0)
+        return 0;
+    *pp += n;
+    return 1;
+}
+
+/* m rows of m cells from text[pos] on, read into the C-ordered m x m out,
+ * in the layouts of triwish_format_rows: cells joined by "," and each row
+ * ended by "\n" or, for the last row, by the end of the text at text[end]
+ * (layout 0, CSV); or each row's cells, JSON numbers joined by ", ", in
+ * brackets, and the rows joined by ", " (layout 1, the items of an NDJSON
+ * "rows" list), with anything after the last "]" left unread.  pow10 covers
+ * q = qmin..qmax (see nearest).  Returns the number of bytes read, or -1
+ * where the rows are not in this form or a value is not decided here. */
+ptrdiff_t triwish_parse_rows(const char *text, size_t pos, size_t end, size_t m, int layout,
+                             double *out, const uint64_t *pow10, int64_t qmin, int64_t qmax)
 {
     double small[23];
     small[0] = 1.0;
     for (int k = 1; k < 23; k++)
         small[k] = small[k - 1] * 10.0; /* exact up to 10^22 */
     const char *p = text + pos, *stop = text + end;
+    const char *sep = layout ? ", " : ",";
     for (size_t r = 0; r < m; r++) {
+        if (layout && !((r == 0 || take(&p, stop, ", ")) && take(&p, stop, "[")))
+            return -1;
         for (size_t c = 0; c < m; c++) {
-            if (!parse_cell(&p, stop, small, pow10, qmin, qmax, out + r * m + c))
+            if (!parse_cell(&p, stop, layout, small, pow10, qmin, qmax, out + r * m + c))
                 return -1;
-            if (c + 1 < m) {
-                if (p == stop || *p != ',')
-                    return -1;
-                p++;
-            }
+            if (c + 1 < m && !take(&p, stop, sep))
+                return -1;
         }
-        if (p < stop) {
+        if (layout) {
+            if (!take(&p, stop, "]"))
+                return -1;
+        } else if (p < stop) {
             if (*p != '\n')
                 return -1;
             p++;

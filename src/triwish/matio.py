@@ -19,8 +19,17 @@ significant digits, joined by ``,`` in ``\n``-ended lines (the text-mode
 read has already made every line end ``\n``), and rounds each exactly as
 ``float()`` does.  Any other file, and any value whose rounding
 it cannot decide, is parsed by the Python parser from the start, so the
-files accepted and the errors raised are the Python parser's.  NDJSON is
-read with ``json.loads``.  Without the library the Python code does it all.
+files accepted and the errors raised are the Python parser's.  The NDJSON
+reader gives the same parser each line in the writer's own layout: ASCII
+``{"m": <m>, "kind": "<kind>", "rows": [[<cells>], ...]}`` with m from 1 to
+999999999, the kinds above, exactly m rows of m cells joined by ``", "``,
+and each cell a JSON number with a fraction or an exponent and at most 19
+significant digits.  Every other line, such as the header, one with other
+spacing or key order, an integer token like ``-0`` (which ``json.loads``
+reads as the int 0), ``NaN``, or a value whose rounding the parser cannot
+decide, is read by ``json.loads``, so the records accepted and the errors
+raised are again the Python code's.  Without the library the Python code
+does it all.
 """
 
 import contextlib
@@ -223,7 +232,7 @@ def _parse_csv_compiled(text, parse_rows):
             if not 0 < 2 * m * m - 1 <= end - pos:
                 return None
             mat = np.empty((m, m))
-            used = parse_rows(data, pos, end, m, mat.ctypes.data, pow10.ctypes.data,
+            used = parse_rows(data, pos, end, m, _CSV, mat.ctypes.data, pow10.ctypes.data,
                               _POW10_MIN, _POW10_MAX)
             if used < 0:
                 return None
@@ -248,7 +257,10 @@ def _parse_csv_python(text):
             continue
         match = _BLOCK_RE.match(line)
         if match:
-            m = int(match.group(1))
+            try:
+                m = int(match.group(1))
+            except ValueError as exc:  # more digits than int() converts
+                raise InvalidParameter(f"block size on line {i + 1} is too large") from exc
             if m < 1:
                 raise InvalidParameter(f"block size must be positive on line {i + 1}")
             kind = match.group(2)
@@ -275,11 +287,40 @@ def _parse_csv_python(text):
     return header, blocks
 
 
+# The start of a matrix record as the writer lays it out.
+_RECORD_RE = re.compile(r'\{"m": ([1-9][0-9]{0,8}), "kind": "(square|cholU)", "rows": \[')
+
+
+def _record_compiled(line, parse_rows):
+    """(kind, matrix) of a matrix record in the writer's own layout, its rows
+    read by parse_rows; None for any other line, which json.loads reads."""
+    match = _RECORD_RE.match(line)
+    if match is None or not line.endswith("]}") or not line.isascii():
+        return None
+    m = int(match.group(1))
+    pos, end = match.end(), len(line) - 2
+    # As in the CSV reader: a block too large for the line is never allocated.
+    if 2 * m * m - 1 > end - pos:
+        return None
+    mat = np.empty((m, m))
+    _, _, pow10 = _tables()
+    used = parse_rows(line.encode("ascii"), pos, end, m, _NDJSON, mat.ctypes.data,
+                      pow10.ctypes.data, _POW10_MIN, _POW10_MAX)
+    if used != end - pos:
+        return None
+    return match.group(2), mat
+
+
 def _parse_ndjson(text):
     header = []
     blocks = []
+    lib = rng.compiled_loop()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
+            continue
+        block = lib and _record_compiled(line, lib.parse_rows)
+        if block:
+            blocks.append(block)
             continue
         try:
             rec = json.loads(line)

@@ -238,8 +238,8 @@ def _build_loop():
     fns.walk.restype = size
     fns.format_rows.argtypes = (ptr, size, ctypes.c_int, ptr, ptr, ptr)
     fns.format_rows.restype = size
-    fns.parse_rows.argtypes = (ctypes.c_char_p, size, size, size, ptr, ptr, ctypes.c_int64,
-                               ctypes.c_int64)
+    fns.parse_rows.argtypes = (ctypes.c_char_p, size, size, size, ctypes.c_int, ptr, ptr,
+                               ctypes.c_int64, ctypes.c_int64)
     fns.parse_rows.restype = ctypes.c_ssize_t
     return fns
 

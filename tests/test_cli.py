@@ -274,6 +274,16 @@ def test_density_non_utf8_matrix_file_exit_code(tmp_path, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+def test_density_block_size_too_long_to_convert_exit_code(tmp_path, capsys):
+    # More digits than int() converts from a string (4300 by default).
+    scale = write_scale(tmp_path, np.eye(2))
+    points = tmp_path / "points.csv"
+    points.write_bytes(b"# m=" + b"9" * 5000 + b" kind=square\n1.0\n")
+    rc = run_cli(["density", "wishart", str(points), "--n", "5", "--scale", scale, "--iscov"])
+    assert rc == 2
+    assert "block size on line 1 is too large" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", ["wishart", "invwishart", "cholwishart", "cholinvwishart"])
 def test_density_block_of_another_size_names_both_sizes(tmp_path, capsys, kind):
     # A 3x3 identity is a valid point and factor, so only the sizes clash;

@@ -297,12 +297,13 @@ def test_writer_refuses_what_the_reader_rejects(tmp_path, fmt, case):
         b'{"m": 2.0, "kind": "square", "rows": [[1.0, 0.0], [0.0, 1.0]]}\n',
         b'{"m": 2, "kind": "square", "rows": [[1.0, 0.0], [false, 1.0]]}\n',
         b'{"m": 1, "kind": "square", "rows": [2.5]}\n',
+        b"# m=" + b"9" * 5000 + b" kind=square\n1.0\n",
     ],
     ids=[
         "not-utf8", "number-record", "header-number", "header-string",
         "m-overflow", "m-too-many-digits", "deep-nesting", "empty-block",
         "m-fraction", "string-entry", "bool-entry", "m-bool", "m-float",
-        "bool-among-numbers", "flat-rows",
+        "bool-among-numbers", "flat-rows", "csv-m-too-many-digits",
     ],
 )
 def test_malformed_input_raises_invalid_parameter(tmp_path, data):
@@ -314,9 +315,10 @@ def test_malformed_input_raises_invalid_parameter(tmp_path, data):
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    prefix=st.sampled_from([b"", b"{", b"# m=2 kind=square\n", b'{"m": 1, "kind": "square", "rows": ']),
+    prefix=st.sampled_from([b"", b"{", b"# m=2 kind=square\n", b'{"m": 1, "kind": "square", "rows": ',
+                            b'{"m": 2, "kind": "square", "rows": [[']),
     body=st.binary(max_size=200)
-    | st.text(alphabet="0123456789.,eE+-_ \n#\x0c", max_size=200).map(str.encode),
+    | st.text(alphabet="0123456789.,eE+-_ \n#\x0c[]{}", max_size=200).map(str.encode),
 )
 def test_arbitrary_bytes_read_or_rejected(tmp_path, prefix, body):
     path = tmp_path / "fuzz.txt"
@@ -379,8 +381,8 @@ def _compiled_floats(library, cells, m=10):
     def parse(chunk, m):
         data = "\n".join(",".join(chunk[i:i + m]) for i in range(0, m * m, m)).encode("ascii")
         mat = np.empty((m, m))
-        used = library.parse_rows(data, 0, len(data), m, mat.ctypes.data, pow10.ctypes.data,
-                                  matio._POW10_MIN, matio._POW10_MAX)
+        used = library.parse_rows(data, 0, len(data), m, matio._CSV, mat.ctypes.data,
+                                  pow10.ctypes.data, matio._POW10_MIN, matio._POW10_MAX)
         return mat.ravel().tolist() if used == len(data) else None
 
     cells = list(cells) + ["0"] * (-len(cells) % (m * m))
@@ -466,6 +468,102 @@ def test_csv_in_the_grammar_is_read_by_the_compiled_parser(library, cell):
     parsed = matio._parse_csv_compiled(f"# a\n\n# m=1 kind=cholU\n{cell}", library.parse_rows)
     assert parsed is not None
     assert _outcome(parsed) == _outcome(matio._parse_csv_python(f"# a\n\n# m=1 kind=cholU\n{cell}"))
+
+
+def test_ndjson_reads_formatter_values_bit_exact(tmp_path, library):
+    # In 10 x 10 records, so that most hold no cell the C parser leaves to
+    # json.loads, which then reads the whole record.
+    blocks = _formatter_values().reshape(-1, 10, 10)
+    path = tmp_path / "values.ndjson"
+    matio.write_matrices(str(path), blocks, header=["h"], fmt="ndjson")
+    lines = path.read_text(encoding="ascii").splitlines()[1:]
+    compiled = [matio._record_compiled(line, library.parse_rows) for line in lines]
+    assert sum(block is not None for block in compiled) >= 0.9 * len(blocks)
+    _, back = _read_both(path)
+    assert np.stack([mat for _, mat in back]).tobytes() == blocks.tobytes()
+
+
+def test_ndjson_writer_records_never_reach_json_loads(tmp_path, library, monkeypatch):
+    mats = _plan_outputs(50) + _ugly_matrices()
+    kinds = [("square", "cholU")[i % 2] for i in range(len(mats))]
+    path = tmp_path / "draws.ndjson"
+    matio.write_matrices(str(path), mats, kinds=kinds, header=["h"], fmt="ndjson")
+    loads = json.loads
+
+    def header_only(line):
+        assert not line.startswith('{"m"'), "a matrix record reached json.loads"
+        return loads(line)
+
+    monkeypatch.setattr(matio.json, "loads", header_only)
+    header, blocks = matio.read_matrices(str(path))
+    assert header == ["h"]
+    assert [(kind, mat.tobytes()) for kind, mat in blocks] == [
+        (kind, mat.tobytes()) for kind, mat in zip(kinds, mats)
+    ]
+
+
+def _record(rows_text):
+    return '{"m": 2, "kind": "square", "rows": [' + rows_text + "]}"
+
+
+@pytest.mark.parametrize(
+    "cell",
+    ["-0", "0", "7", "12345678901234567890123", "+1.0", ".5", "1.", "01.5", "1.e5", "1e400",
+     "1e-400", "NaN", "Infinity", "-Infinity", "1.2345678901234567890", "4503599627370495.5"],
+)
+def test_ndjson_outside_the_grammar_goes_to_json_loads(tmp_path, library, cell):
+    line = _record(f"[1.0, {cell}], [2.0, 3.0]")
+    assert matio._record_compiled(line, library.parse_rows) is None
+    path = tmp_path / "m.ndjson"
+    path.write_text(line + "\n", encoding="utf-8")
+    try:
+        json.loads(cell)
+        python_reads = contextlib.nullcontext()
+    except ValueError:
+        python_reads = pytest.raises(InvalidParameter)
+    with python_reads:
+        _read_both(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _record("[1.0,2.0], [3.0, 4.0]"),
+        _record("[1.0, 2.0],[3.0, 4.0]"),
+        '{"m": 1, "kind": "square", "rows": [[ 1.0 ]]}',
+        _record("[1.0,\t2.0], [3.0, 4.0]"),
+        '{"kind": "square", "m": 2, "rows": [[1.0, 2.0], [3.0, 4.0]]}',
+        '{"m": 2, "kind": "square", "rows": [[1.0, 2.0], [3.0, 4.0]], "x": 1}',
+        '{"m": 2, "kind": "square", "rows": [[1.0, 2.0], [3.0, 4.0]], "m": 3}',
+        '{"m": 2, "m": 1, "kind": "square", "rows": [[1.0]]}',
+        _record("[1.0, 2.0], [3.0, 4.0]") + " ",
+        _record("[1.0, 2.0], [3.0, 4.0]") + "\r\n" + _record("[1.5, 2.0], [3.0, 4.0]"),
+        '{"m": 3, "kind": "square", "rows": [[1.0, 2.0], [3.0, 4.0]]}',
+        '{"m": 1, "kind": "square", "rows": [[1.0, 2.0], [3.0, 4.0]]}',
+        _record("[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]"),
+        _record("[1.0, 2.0, 3.0], [4.0, 5.0]"),
+        _record("[1.0, 2.0], [3.0, 4.0]")[:-1] + "\u00e9}",
+        _record("[1.0, 2.0], [3.0, 4.0]")[:-2] + "\u00e9]}",
+        '{"m": 02, "kind": "square", "rows": [[1.0, 2.0], [3.0, 4.0]]}',
+        '{"m": 1, "kind": "Square", "rows": [[1.0]]}',
+    ],
+    ids=[
+        "no-space", "no-space-between-rows", "spaced-cell", "tab", "reordered-keys", "extra-key",
+        "duplicate-key", "duplicate-m", "trailing-space", "crlf", "m-above-rows", "m-below-rows",
+        "extra-row", "ragged", "non-ascii-after", "non-ascii-before-end", "m-leading-zero",
+        "kind-case",
+    ],
+)
+def test_ndjson_layouts_outside_the_writer_go_to_json_loads(tmp_path, library, text):
+    # After the text-mode read "\r\n" ends lines as "\n" does, so each line
+    # of that file is the writer's; every other line goes to json.loads.
+    lines = text.splitlines()
+    if "\r\n" not in text:
+        assert [matio._record_compiled(line, library.parse_rows) for line in lines] == [None]
+    path = tmp_path / "m.ndjson"
+    path.write_bytes(text.encode("utf-8") + b"\n")
+    with contextlib.suppress(InvalidParameter):
+        _read_both(path)
 
 
 @pytest.mark.parametrize("line", ["# a\x0cb", "# a\x1cb", "\x0b", "# m=3 kind=square"])
