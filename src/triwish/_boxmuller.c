@@ -534,16 +534,6 @@ static int parse_cell(const char **pp, const char *end, int json, const double *
     return 1;
 }
 
-/* Moves *pp past the text s if the text at *pp starts with it. */
-static int take(const char **pp, const char *end, const char *s)
-{
-    size_t n = strlen(s);
-    if ((size_t)(end - *pp) < n || memcmp(*pp, s, n) != 0)
-        return 0;
-    *pp += n;
-    return 1;
-}
-
 /* m rows of m cells from text[pos] on, read into the C-ordered m x m out,
  * in the layouts of triwish_format_rows: cells joined by "," and each row
  * ended by "\n" or, for the last row, by the end of the text at text[end]
@@ -560,18 +550,19 @@ ptrdiff_t triwish_parse_rows(const char *text, size_t pos, size_t end, size_t m,
     for (int k = 1; k < 23; k++)
         small[k] = small[k - 1] * 10.0; /* exact up to 10^22 */
     const char *p = text + pos, *stop = text + end;
-    const char *sep = layout ? ", " : ",";
     for (size_t r = 0; r < m; r++) {
-        if (layout && !((r == 0 || take(&p, stop, ", ")) && take(&p, stop, "[")))
+        if (layout && ((r && (stop - p < 2 || *p++ != ',' || *p++ != ' '))
+                       || p == stop || *p++ != '['))
             return -1;
         for (size_t c = 0; c < m; c++) {
             if (!parse_cell(&p, stop, layout, small, pow10, qmin, qmax, out + r * m + c))
                 return -1;
-            if (c + 1 < m && !take(&p, stop, sep))
+            if (c + 1 < m && (p == stop || *p++ != ','
+                              || (layout && (p == stop || *p++ != ' '))))
                 return -1;
         }
         if (layout) {
-            if (!take(&p, stop, "]"))
+            if (p == stop || *p++ != ']')
                 return -1;
         } else if (p < stop) {
             if (*p != '\n')
