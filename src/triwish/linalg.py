@@ -16,13 +16,20 @@ library: the wrappers check them (shape, finite entries, symmetry for the
 Cholesky input) and leave them untouched.  Setup and draws pass the
 library's own matrices, checked once where they entered and in Fortran
 order, with ``owned=True``: no checks, and LAPACK/BLAS overwrite them in
-place, so a scale or a plan's factor goes in as a copy.
+place, so a scale or a plan's factor goes in as a copy.  Those copies and
+the fills are made in the draw's own array or in the per-thread workspace
+of :mod:`triwish.samplers`, which :func:`aligned_empty` allocates on a
+64-byte boundary and which holds every TRTRI operand: OpenBLAS's TRTRI is
+about a quarter slower on an operand that starts elsewhere (m = 200,
+SkylakeX kernels), with the same bits.  What a setup or a draw returns is
+always a new array, never the workspace.
 
 Counting convention: forming the symmetric products U^T U and V V^T each
 counts as one TRMM call (an actual LAPACK build might use LAUUM or SYRK
 instead, but the cost model here books them under TRMM).
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,6 +41,10 @@ from .errors import DimensionMismatch, InvalidParameter, NotPositiveDefinite, Si
 # Symmetry tolerance for Cholesky input: the upper triangle is authoritative,
 # the lower triangle may deviate by round-off up to this relative amount.
 SYMMETRY_RTOL = 1e-8
+
+# Byte boundary on which aligned_empty starts its arrays: a cache line, and
+# the width of an AVX-512 register.
+ALIGNMENT = 64
 
 
 @dataclass
@@ -49,6 +60,15 @@ class OpCounter:
 
     def total(self):
         return self.potrf + self.trtri + self.trmm
+
+
+def aligned_empty(shape, order="C"):
+    """Uninitialized float64 array of ``shape`` whose data starts on an
+    ALIGNMENT-byte boundary."""
+    size = math.prod(shape) * 8
+    raw = np.empty(size + ALIGNMENT, dtype=np.uint8)
+    start = -raw.ctypes.data % ALIGNMENT
+    return raw[start:start + size].view(np.float64).reshape(shape, order=order)
 
 
 def as_square(x):
@@ -165,7 +185,7 @@ def tri_mul(c, x, counter=None, *, owned=False):
 _PANEL = 64
 
 
-def _mirror_upper(raw):
+def _mirror_upper(raw, mirror=True):
     """Overwrite raw with ``np.triu(raw) + np.triu(raw, 1).T``, bit for bit.
 
     Each entry of that sum adds 0.0 to the kept entry, which turns -0.0
@@ -173,43 +193,59 @@ def _mirror_upper(raw):
     is written one panel of _PANEL columns at a time, so no temporary
     exceeds a panel: a whole-matrix temporary (320 KB at m = 200) kept
     landing on freshly mapped pages.  The masks are cached: building them
-    dominated the symmetrizing step at small m.
+    dominated the symmetrizing step at small m.  Without ``mirror`` only
+    the 0.0 is added and the lower triangle is left as it is.
     """
     m = raw.shape[0]
-    for j in range(0, m, _PANEL):
-        e = min(j + _PANEL, m)
-        if e < m:
-            raw[e:, j:e] = raw[j:e, e:].T
-        block = raw[j:e, j:e]
-        np.copyto(block, block.T, where=_strictly_lower(e - j))
+    if mirror:
+        for j in range(0, m, _PANEL):
+            e = min(j + _PANEL, m)
+            if e < m:
+                raw[e:, j:e] = raw[j:e, e:].T
+            block = raw[j:e, j:e]
+            np.copyto(block, block.T, where=_strictly_lower(e - j))
     raw += 0.0
     return raw
 
 
-def gram_ut(u, counter=None, *, owned=False):
+def _second_operand(u, out):
+    # TRMM overwrites its second operand with the product: here a copy of
+    # u, in out when it is given.
+    if out is None:
+        return u.copy(order="F")
+    np.copyto(out, u)
+    return out
+
+
+def gram_ut(u, counter=None, *, owned=False, out=None):
     """Symmetric product U^T U, exactly symmetric by construction.
 
     The upper triangle of the BLAS result is mirrored onto the lower so the
     output is bitwise symmetric.  Counts one TRMM (see module docstring).
-    U is both operands of the TRMM, so the product never overwrites it;
-    ``owned`` only skips the input check.
+    U is both operands of the TRMM, so the product never overwrites it: it
+    is written to ``out``, a Fortran-ordered float64 array of U's shape
+    other than U, or to a new array.  ``owned`` only skips the input check.
     """
     if not owned:
         u = as_square(u)
     if counter is not None:
         counter.trmm += 1
-    return _mirror_upper(blas.dtrmm(1.0, u, u, side=0, lower=0, trans_a=1))
+    b = _second_operand(u, out)
+    return _mirror_upper(blas.dtrmm(1.0, u, b, side=0, lower=0, trans_a=1, overwrite_b=True))
 
 
-def gram_vt(v, counter=None, *, owned=False):
+def gram_vt(v, counter=None, *, owned=False, mirror=True, out=None):
     """Symmetric product V V^T, exactly symmetric by construction.
 
     Counts one TRMM, matching the cost model of :func:`gram_ut`; ``owned``
-    as there.
+    and ``out`` as there.  ``mirror=False`` is for a product that goes
+    straight into :func:`chol_upper`, which reads only the upper triangle:
+    the lower one is then left as the TRMM wrote it.
     """
     if not owned:
         v = as_square(v)
     if counter is not None:
         counter.trmm += 1
-    return _mirror_upper(blas.dtrmm(1.0, v, v, side=1, lower=0, trans_a=1))
+    b = _second_operand(v, out)
+    return _mirror_upper(blas.dtrmm(1.0, v, b, side=1, lower=0, trans_a=1, overwrite_b=True), mirror)
 

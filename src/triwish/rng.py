@@ -259,21 +259,32 @@ _PHILOX_STATE = ctypes.c_uint64 * 6
 _WORD = 2 ** 64 - 1
 
 
-def bartlett_fills(rng, m, k, a, s):
+def bartlett_fills(rng, m, k, a, s, out=None):
     """k Bartlett fills of size m drawn from the stream rng, as a (k, m, m)
     array with each fill in Fortran order (each column contiguous).
 
     Column j = 0..m-1 of each fill gets j standard normals above the
-    diagonal, then the diagonal ``chi(a + s * (j + 1))``.  s is 1.0 or
-    -1.0, so the degrees of freedom are monotone in j; both ends are checked
-    before any uniform is drawn.  The stream ends where k * m column-by-column
-    draws of :meth:`RngStream.standard_normal` and :meth:`RngStream.chi` leave it.
+    diagonal, then the diagonal ``chi(a + s * (j + 1))``, then zeros.  s is
+    1.0 or -1.0, so the degrees of freedom are monotone in j; both ends are
+    checked before any uniform is drawn.  The stream ends where k * m
+    column-by-column draws of :meth:`RngStream.standard_normal` and
+    :meth:`RngStream.chi` leave it.
+
+    The fills are written to ``out`` when it is given, every double of it:
+    a writable C-contiguous float64 (k, m, m) array, in which ``out[f, j]``
+    is column j of fill f.  Any other ``out`` raises InvalidParameter
+    before a uniform is drawn, since the walk writes through its address.
     """
     a = float(a)
     if not (a + s > 0.0 and a + s * m > 0.0):
         # A NaN df fails too: the walk's chi would never accept it.
         raise InvalidDegreesOfFreedom("chi degrees of freedom must be positive")
-    out = np.zeros((k, m, m))  # out[f, j] is column j of fill f
+    if out is None:
+        out = np.empty((k, m, m))
+    elif not (isinstance(out, np.ndarray) and out.shape == (k, m, m)
+              and out.dtype == np.float64 and out.flags.c_contiguous and out.flags.writeable):
+        raise InvalidParameter(
+            f"fill output must be a writable C-contiguous float64 array of shape {(k, m, m)}")
     loop = compiled_loop()
     if loop is None:
         normal, chi = rng.standard_normal, rng.chi
@@ -281,6 +292,7 @@ def bartlett_fills(rng, m, k, a, s):
             for j, column in enumerate(fill):
                 column[:j] = [normal() for _ in range(j)]
                 column[j] = chi(a + s * (j + 1))
+                column[j + 1:] = 0.0
     else:
         c, lane = _philox_block(rng.position)
         c += 1

@@ -27,9 +27,22 @@ array), is drawn by :func:`triwish.rng.bartlett_fills`, which says how; a
 batch has the bytes, and leaves the stream where, k single fills would.
 Every fill is in Fortran order, as is every matrix the kernels get from a
 setup or a draw (see :mod:`triwish.linalg`, Ownership).
+
+Workspace: each thread keeps one reused m x m float64 buffer for the last
+m it drew at, allocated by :func:`triwish.linalg.aligned_empty` on a 64-byte
+boundary.  It holds every temporary of a draw that a kernel overwrites: the
+fill or the copy of the plan's factor that TRMM receives, then the matrix
+TRTRI inverts and the gram products read; in setup, the scale factor that
+:func:`cholesky_upper_param` inverts.  The draw's own array takes the other
+operand, so a draw allocates only what it returns (and a setup its plan's
+factor), every TRTRI gets an aligned operand, and repeated draws touch the
+same pages instead of fresh ones.  The buffer keeps 8 m^2 bytes alive per
+thread (0.32 MB at m = 200, 5.1 MB at m = 800) until the thread draws at
+another m.  No returned matrix is, or shares memory with, the workspace.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +50,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidDegreesOfFreedom, InvalidParameter, NumericalFailure
 from .linalg import (
     OpCounter,
+    aligned_empty,
     check_cholesky_factor,
     check_symmetric,
     chol_upper,
@@ -126,43 +140,62 @@ class SamplerSpec:
 
 # Column j = 1..m of a fill has chi degrees of freedom a + s * j, in double
 # precision: n + 1 - j is a = n + 1, s = -1.0, and n - m + j is a = n - m,
-# s = 1.0.
+# s = 1.0.  Each fill function writes into ``out``, a (1, m, m) or (k, m, m)
+# array as :func:`triwish.rng.bartlett_fills` takes it, when one is given.
 
 
-def draw_bartlett_wishart(rng, m, n):
+def draw_bartlett_wishart(rng, m, n, out=None):
     """Bartlett factor Z with Z ~ CholeskyWishart(n, identity).
 
     Column j gets j-1 standard normals above a chi_(n+1-j) diagonal entry,
     in the documented draw order.
     """
     m = _check_fill_args(m, n)
-    return bartlett_fills(rng, m, 1, n + 1, -1.0)[0]
+    return bartlett_fills(rng, m, 1, n + 1, -1.0, out)[0]
 
 
-def draw_bartlett_invwishart(rng, m, n):
+def draw_bartlett_invwishart(rng, m, n, out=None):
     """Factor Z whose inverse is ~ CholeskyInverseWishart(n, identity).
 
     Identical draw order to :func:`draw_bartlett_wishart`; the diagonal of
     column j uses chi_(n-m+j) instead.
     """
     m = _check_fill_args(m, n)
-    return bartlett_fills(rng, m, 1, n - m, 1.0)[0]
+    return bartlett_fills(rng, m, 1, n - m, 1.0, out)[0]
 
 
-def draw_bartlett_wishart_many(rng, m, n, k):
+def draw_bartlett_wishart_many(rng, m, n, k, out=None):
     """k Wishart fills as a (k, m, m) array: the bytes, and the stream
     position after them, of k successive :func:`draw_bartlett_wishart` calls."""
     m = _check_fill_args(m, n)
     k = _positive_int("batch size k", k)
-    return bartlett_fills(rng, m, k, n + 1, -1.0)
+    return bartlett_fills(rng, m, k, n + 1, -1.0, out)
 
 
-def draw_bartlett_invwishart_many(rng, m, n, k):
+def draw_bartlett_invwishart_many(rng, m, n, k, out=None):
     """k inverse-Wishart fills as a (k, m, m) array: the bytes, and the stream
     position after them, of k successive :func:`draw_bartlett_invwishart` calls."""
     m = _check_fill_args(m, n)
     k = _positive_int("batch size k", k)
-    return bartlett_fills(rng, m, k, n - m, 1.0)
+    return bartlett_fills(rng, m, k, n - m, 1.0, out)
+
+
+class _Workspace(threading.local):
+    """This thread's reused buffer (see the module docstring): ``fills``,
+    (1, m, m) in C order as the fill functions take it, and ``matrix``, the
+    same memory as the (m, m) Fortran-ordered matrix the kernels take."""
+
+    m = 0
+
+    def at(self, m):
+        if m != self.m:
+            self.fills = aligned_empty((1, m, m))
+            self.matrix = self.fills[0].T
+            self.m = m
+        return self
+
+
+_workspace = _Workspace()
 
 
 def cholesky_upper_param(scale, invert, counter=None):
@@ -172,18 +205,22 @@ def cholesky_upper_param(scale, invert, counter=None):
     S^-1 = (U^-1)(U^-1)^T (TRMM), and re-factorized (POTRF); without it the
     factor is computed directly, or passed through untouched when the scale
     is already a factor.  :class:`ScaleParam` checked the scale; the kernels
-    factor and invert a copy of it in place.  The result is a new array in
-    Fortran order, or ``scale.matrix`` itself when it is passed through.
+    factor and invert a copy of it in place, in this thread's workspace
+    when they invert.  The result is a new array in Fortran order, or
+    ``scale.matrix`` itself when it is passed through.
     """
     if scale.ischolu and not invert:
         return scale.matrix
-    u = scale.matrix.copy(order="F")
+    if not invert:
+        return chol_upper(scale.matrix.copy(order="F"), counter, owned=True)
+    # The factor and its inverse are scratch, so they are made in the
+    # workspace; the gram product is the new array.
+    u = _workspace.at(scale.dim).matrix
+    np.copyto(u, scale.matrix)
     if not scale.ischolu:
         u = chol_upper(u, counter, owned=True)
-    if invert:
-        u = tri_inverse(u, counter, owned=True)
-        u = chol_upper(gram_vt(u, counter, owned=True), counter, owned=True)
-    return u
+    u = tri_inverse(u, counter, owned=True)
+    return chol_upper(gram_vt(u, counter, owned=True, mirror=False), counter, owned=True)
 
 
 def check_draw(x):
@@ -217,45 +254,83 @@ class Plan:
     ``factor`` is the upper Cholesky factor, in Fortran order, of the side
     of the scale the route multiplies by: Sigma for ``'wishart'`` and
     ``'indirect'``, Omega for ``'direct'``.  Draws multiply a copy, so a
-    plan can be drawn from any number of times.  Make plans with :func:`prepare`.
+    plan can be drawn from any number of times, from any thread.  Make
+    plans with :func:`prepare`.
     """
 
     spec: SamplerSpec
     algorithm: str
     factor: np.ndarray
 
+    def __post_init__(self):
+        # Where TRMM writes its product: to the workspace when the route
+        # goes on to invert it (indirect) or to square it (a full Wishart
+        # draw), else to the draw's own array.  The direct route's workspace
+        # holds the inverted fill, and a factor output is the product itself.
+        self._product_in_workspace = self.algorithm == INDIRECT or (
+            self.algorithm == WISHART and not self.spec.retcholu)
+
     def draw(self, rng, counter=None):
         """One draw: the fill, the route's kernels, then :func:`check_draw`.
 
         Raises NumericalFailure for a draw that over- or underflowed.
         """
+        m = self.spec.m
+        ws = _workspace.at(m)
         fill = draw_bartlett_invwishart if self.algorithm == DIRECT else draw_bartlett_wishart
-        return self._kernels(fill(rng, self.spec.m, self.spec.n), counter)
+        # The fill goes where TRMM's product does not: into the draw's own
+        # array, or into the workspace.
+        if self._product_in_workspace:
+            z = fill(rng, m, self.spec.n, out=np.empty((1, m, m)))
+            return self._kernels(z, z, ws.matrix, counter)
+        return self._kernels(fill(rng, m, self.spec.n, out=ws.fills), None, ws.matrix, counter)
 
     def draw_many(self, rng, k):
         """k draws as a (k, m, m) array, from one batch of k fills: the
-        bytes, and the stream position after them, of k calls of :meth:`draw`."""
+        bytes, and the stream position after them, of k calls of :meth:`draw`.
+
+        The fills are drawn into the returned array, which starts on a
+        64-byte boundary, and so does each fill when m is a multiple of 4
+        (m^2 doubles a multiple of 64 bytes).  Draw i takes the place of
+        fill i once its kernels ran.
+        """
+        m = self.spec.m
+        out = aligned_empty((_positive_int("batch size k", k), m, m))
         many = draw_bartlett_invwishart_many if self.algorithm == DIRECT else draw_bartlett_wishart_many
-        fills = many(rng, self.spec.m, self.spec.n, k)
-        out = np.empty(fills.shape)
+        fills = many(rng, m, self.spec.n, k, out=out)
+        w = _workspace.at(m).matrix
         for i, z in enumerate(fills):
-            out[i] = self._kernels(z, None)
+            out[i] = self._kernels(z, None, w, None)
         return out
 
-    def _kernels(self, z, counter):
-        # Every route multiplies a triangular factor by the plan's: the fill
-        # (Wishart, indirect) or its inverse (direct).  The indirect route
-        # then inverts that Wishart factor and squares up.  TRMM overwrites
-        # its second operand, so it gets a copy of the plan's factor.
+    def _kernels(self, z, x, w, counter):
+        # z is the fill, x the draw's own (m, m) array when the fill is in
+        # it (else None: the draw gets a new array), and w the workspace's
+        # matrix; all in Fortran order.  Every route multiplies a triangular
+        # factor by the plan's: the fill (Wishart, indirect) or its inverse
+        # (direct).  TRMM overwrites its second operand, a copy of the
+        # plan's factor, with that product u.  The indirect route then
+        # inverts u and squares up, and a full draw of the others squares
+        # u; each gram product is written to x.
         if self.algorithm == DIRECT:
             z = tri_inverse(z, counter, owned=True)
-        u = tri_mul(z, self.factor.copy(order="F"), counter, owned=True)
-        if self.algorithm == INDIRECT:
-            u = tri_inverse(u, counter, owned=True)
-            b = gram_vt(u, counter, owned=True)
-            x = chol_upper(b, counter, owned=True) if self.spec.retcholu else b
+        if self._product_in_workspace:
+            np.copyto(w, self.factor)
+            u = tri_mul(z, w, counter, owned=True)
+            if x is None:
+                x = np.empty(w.shape, order="F")
         else:
-            x = u if self.spec.retcholu else gram_ut(u, counter, owned=True)
+            u = x = tri_mul(z, self.factor.copy(order="F"), counter, owned=True)
+        retcholu = self.spec.retcholu
+        if self.algorithm == INDIRECT:
+            v = tri_inverse(u, counter, owned=True)
+            x = gram_vt(v, counter, owned=True, mirror=not retcholu, out=x)
+            if retcholu:
+                x = chol_upper(x, counter, owned=True)
+        elif not retcholu:
+            if u is x:
+                np.copyto(w, u)  # the direct route's inverted fill is spent
+            x = gram_ut(w, counter, owned=True, out=x)
         return check_draw(x)
 
 

@@ -321,3 +321,31 @@ def test_opcounter_helpers():
     assert c.as_dict() == {"potrf": 2, "trtri": 1, "trmm": 3}
     assert c.total() == 6
     assert OpCounter() == OpCounter(0, 0, 0)
+
+
+@pytest.mark.parametrize("order", "CF")
+def test_aligned_empty_starts_on_the_boundary(order):
+    for shape in ((1, 1), (3, 5), (1, 7, 7), (4, 6, 6), (200, 200)):
+        a = linalg.aligned_empty(shape, order=order)
+        assert a.ctypes.data % linalg.ALIGNMENT == 0
+        assert a.shape == shape and a.dtype == np.float64 and a.flags.writeable
+        assert a.flags.c_contiguous if order == "C" else a.flags.f_contiguous
+
+
+def test_unmirrored_gram_gives_the_mirrored_gram_s_factor():
+    # chol_upper reads only the upper triangle, which mirror=False still
+    # passes through the += 0.0 that turns -0.0 into +0.0.
+    raw = np.array([[-0.0, 1.5, -0.0], [-0.0, 2.0, np.nan], [7.0, -0.0, -np.inf]])
+    got = linalg._mirror_upper(raw.copy(order="F"), mirror=False)
+    assert np.triu(got).tobytes() == np.triu(linalg._mirror_upper(raw.copy())).tobytes()
+    assert np.tril(got, -1).tobytes() == (np.tril(raw, -1) + 0.0).tobytes()
+    rng = np.random.default_rng(23)
+    for m in (1, 2, 5, 2 * linalg._PANEL + 3):
+        v = np.triu(rng.standard_normal((m, m))) + m * np.eye(m)
+        half = gram_vt(v, mirror=False)
+        full = gram_vt(v)
+        assert np.triu(half).tobytes() == np.triu(full).tobytes()
+        counter = OpCounter()
+        got = chol_upper(gram_vt(v, counter, owned=True, mirror=False), counter, owned=True)
+        assert got.tobytes() == chol_upper(full).tobytes()
+        assert counter.as_dict() == {"potrf": 1, "trtri": 0, "trmm": 1}

@@ -1,5 +1,8 @@
 """The samplers: draw order, setup and per-draw plans, op counts, and distributions."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -571,3 +574,103 @@ def test_any_draw_raises_or_is_well_formed(m, n, entries, gram, kind, algorithm,
         # Bitwise, so a mirrored 0.0 and -0.0 fail it: matio writes each
         # mirrored pair of such a matrix from one string.
         assert x.tobytes() == x.T.tobytes()
+
+
+class _TrtriOperands:
+    """Stand-in for the lapack module of :mod:`triwish.linalg` that records,
+    mod linalg.ALIGNMENT, the address of every dtrtri operand."""
+
+    def __init__(self, lapack):
+        self._lapack = lapack
+        self.offsets = []
+
+    def __getattr__(self, name):
+        return getattr(self._lapack, name)
+
+    def dtrtri(self, c, *args, **kwargs):
+        self.offsets.append(c.ctypes.data % linalg.ALIGNMENT)
+        return self._lapack.dtrtri(c, *args, **kwargs)
+
+
+def _scale(kind, m):
+    a = _spd(m, m)
+    matrix = np.triu(np.linalg.cholesky(a).T) if kind.endswith("_chol") else a
+    return ScaleParam(matrix, iscov=kind.startswith("cov"), ischolu=kind.endswith("_chol"))
+
+
+@pytest.mark.parametrize("key", list(EXPECTED_OP_COUNTS), ids=lambda k: f"{k[0]}-{k[1]}-{int(k[2])}")
+def test_every_trtri_operand_is_aligned(monkeypatch, key):
+    # OpenBLAS's dtrtri is about a quarter slower at m = 200 on an operand
+    # that does not start on a 64-byte boundary.  Every operand is a fill or
+    # a workspace buffer: in a one-shot draw, a plan's setup, its draws and
+    # a batch of its draws.
+    m = 200
+    kind, algorithm, retcholu = key
+    spec = SamplerSpec(m, m + 2.0, _scale(kind, m), retcholu=retcholu)
+    lapack = _TrtriOperands(linalg.lapack)
+    monkeypatch.setattr(linalg, "lapack", lapack)
+    one_shot, setup, draw = OpCounter(), OpCounter(), OpCounter()
+    sample_invwishart(RngStream(1), spec, algorithm, one_shot)
+    plan = prepare(spec, algorithm, setup)
+    plan.draw(RngStream(2), draw)
+    plan.draw_many(RngStream(3), 2)
+    assert len(lapack.offsets) == one_shot.trtri + setup.trtri + 3 * draw.trtri > 0
+    assert lapack.offsets == [0] * len(lapack.offsets)
+
+
+@pytest.mark.parametrize("key", ROUTES, ids=lambda k: f"{k[0]}-{k[1]}-{int(k[2])}")
+def test_draws_never_share_memory_with_the_workspace(key):
+    # The workspace is overwritten by the next draw in the thread, so no
+    # draw, batch or plan factor may be, or be a view of, it or another
+    # draw.
+    m = 6
+    kind, algorithm, retcholu = key
+    spec = SamplerSpec(m, m + 2.0, _scale(kind, m), retcholu=retcholu)
+    plan = prepare(spec, algorithm)
+    rng = RngStream(4)
+    draws = [plan.draw(rng), plan.draw(rng), _one_shot(rng, spec, algorithm, None),
+             plan.draw_many(rng, 2), plan.factor]
+    kept = [x.tobytes() for x in draws]
+    _one_shot(rng, spec, algorithm, None)
+    workspace = samplers._workspace.at(m).fills
+    for i, x in enumerate(draws):
+        assert not np.shares_memory(x, workspace)
+        assert not any(np.shares_memory(x, y) for y in draws[i + 1:])
+    assert [x.tobytes() for x in draws] == kept
+
+
+def test_threads_draw_the_bytes_of_draws_made_one_after_another():
+    # Each thread has a workspace of its own.  The compiled walk releases
+    # the GIL, and a short switch interval interleaves the rest, so a
+    # shared workspace would be overwritten mid-draw.  Four threads on two
+    # routes, more threads than this machine's CPUs.
+    m = 200
+    jobs = [(SamplerSpec(m, m + 2.0, _scale("cov", m)), INDIRECT),
+            (SamplerSpec(m, m + 2.0, _scale("prec_chol", m), retcholu=True), DIRECT)] * 2
+
+    def draws(i):
+        spec, algorithm = jobs[i]
+        rng = RngStream(9, i)
+        singles = [sample_invwishart(rng, spec, algorithm) for _ in range(6)]
+        return [x.tobytes() for x in singles + list(prepare(spec, algorithm).draw_many(rng, 2))]
+
+    want = [draws(i) for i in range(len(jobs))]
+    got = [None] * len(jobs)
+    start = threading.Barrier(len(jobs))
+
+    def worker(i):
+        start.wait()
+        got[i] = draws(i)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
