@@ -208,37 +208,30 @@ def _mirror_upper(raw, mirror=True):
     return raw
 
 
-def _second_operand(u, out):
-    # TRMM overwrites its second operand with the product: here a copy of
-    # u, in out when it is given.
-    if out is None:
-        return u.copy(order="F")
-    np.copyto(out, u)
-    return out
-
-
-def gram_ut(u, counter=None, *, owned=False, out=None):
+def gram_ut(u, counter=None, *, owned=False, b=None):
     """Symmetric product U^T U, exactly symmetric by construction.
 
     The upper triangle of the BLAS result is mirrored onto the lower so the
     output is bitwise symmetric.  Counts one TRMM (see module docstring).
-    U is both operands of the TRMM, so the product never overwrites it: it
-    is written to ``out``, a Fortran-ordered float64 array of U's shape
-    other than U, or to a new array.  ``owned`` only skips the input check.
+    U is both operands of the TRMM, which overwrites its second one, so
+    that one is a copy: a new one, or ``b``, a Fortran-ordered float64 copy
+    of U in other memory, which the product then overwrites.  ``owned``
+    only skips the input check.
     """
     if not owned:
         u = as_square(u)
     if counter is not None:
         counter.trmm += 1
-    b = _second_operand(u, out)
-    return _mirror_upper(blas.dtrmm(1.0, u, b, side=0, lower=0, trans_a=1, overwrite_b=True))
+    product = blas.dtrmm(1.0, u, u if b is None else b, side=0, lower=0, trans_a=1,
+                         overwrite_b=b is not None)
+    return _mirror_upper(product)
 
 
-def gram_vt(v, counter=None, *, owned=False, mirror=True, out=None):
+def gram_vt(v, counter=None, *, owned=False, mirror=True, b=None):
     """Symmetric product V V^T, exactly symmetric by construction.
 
     Counts one TRMM, matching the cost model of :func:`gram_ut`; ``owned``
-    and ``out`` as there.  ``mirror=False`` is for a product that goes
+    and ``b`` as there.  ``mirror=False`` is for a product that goes
     straight into :func:`chol_upper`, which reads only the upper triangle:
     the lower one is then left as the TRMM wrote it.
     """
@@ -246,6 +239,7 @@ def gram_vt(v, counter=None, *, owned=False, mirror=True, out=None):
         v = as_square(v)
     if counter is not None:
         counter.trmm += 1
-    b = _second_operand(v, out)
-    return _mirror_upper(blas.dtrmm(1.0, v, b, side=1, lower=0, trans_a=1, overwrite_b=True), mirror)
+    product = blas.dtrmm(1.0, v, v if b is None else b, side=1, lower=0, trans_a=1,
+                         overwrite_b=b is not None)
+    return _mirror_upper(product, mirror)
 

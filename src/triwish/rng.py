@@ -271,8 +271,8 @@ def bartlett_fills(rng, m, k, a, s, out=None):
     :meth:`RngStream.chi` leave it.
 
     The fills are written to ``out`` when it is given, every double of it:
-    a writable C-contiguous float64 (k, m, m) array, in which ``out[f, j]``
-    is column j of fill f.  Any other ``out`` raises InvalidParameter
+    a writable, aligned, C-contiguous float64 (k, m, m) array, in which
+    ``out[f, j]`` is column j of fill f.  Any other ``out`` raises InvalidParameter
     before a uniform is drawn, since the walk writes through its address.
     """
     a = float(a)
@@ -282,7 +282,7 @@ def bartlett_fills(rng, m, k, a, s, out=None):
     if out is None:
         out = np.empty((k, m, m))
     elif not (isinstance(out, np.ndarray) and out.shape == (k, m, m)
-              and out.dtype == np.float64 and out.flags.c_contiguous and out.flags.writeable):
+              and out.dtype == np.float64 and out.flags.carray):
         raise InvalidParameter(
             f"fill output must be a writable C-contiguous float64 array of shape {(k, m, m)}")
     loop = compiled_loop()

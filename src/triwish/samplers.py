@@ -180,22 +180,29 @@ def draw_bartlett_invwishart_many(rng, m, n, k, out=None):
     return bartlett_fills(rng, m, k, n - m, 1.0, out)
 
 
-class _Workspace(threading.local):
-    """This thread's reused buffer (see the module docstring): ``fills``,
+class _Workspace:
+    """One thread's reused buffer (see the module docstring): ``fills``,
     (1, m, m) in C order as the fill functions take it, and ``matrix``, the
     same memory as the (m, m) Fortran-ordered matrix the kernels take."""
 
-    m = 0
+    __slots__ = ("m", "fills", "matrix")
 
-    def at(self, m):
-        if m != self.m:
-            self.fills = aligned_empty((1, m, m))
-            self.matrix = self.fills[0].T
-            self.m = m
-        return self
+    def __init__(self, m):
+        self.m = m
+        self.fills = aligned_empty((1, m, m))
+        self.matrix = self.fills[0].T
 
 
-_workspace = _Workspace()
+_local = threading.local()
+
+
+def _workspace(m):
+    """This thread's workspace, made anew when the thread last drew at
+    another m."""
+    ws = getattr(_local, "workspace", None)
+    if ws is None or ws.m != m:
+        ws = _local.workspace = _Workspace(m)
+    return ws
 
 
 def cholesky_upper_param(scale, invert, counter=None):
@@ -215,8 +222,8 @@ def cholesky_upper_param(scale, invert, counter=None):
         return chol_upper(scale.matrix.copy(order="F"), counter, owned=True)
     # The factor and its inverse are scratch, so they are made in the
     # workspace; the gram product is the new array.
-    u = _workspace.at(scale.dim).matrix
-    np.copyto(u, scale.matrix)
+    u = _workspace(scale.dim).matrix
+    u[...] = scale.matrix
     if not scale.ischolu:
         u = chol_upper(u, counter, owned=True)
     u = tri_inverse(u, counter, owned=True)
@@ -276,12 +283,12 @@ class Plan:
         Raises NumericalFailure for a draw that over- or underflowed.
         """
         m = self.spec.m
-        ws = _workspace.at(m)
+        ws = _workspace(m)
         fill = draw_bartlett_invwishart if self.algorithm == DIRECT else draw_bartlett_wishart
-        # The fill goes where TRMM's product does not: into the draw's own
-        # array, or into the workspace.
+        # The fill goes where TRMM's product does not: into a new array,
+        # which becomes the draw's own, or into the workspace.
         if self._product_in_workspace:
-            z = fill(rng, m, self.spec.n, out=np.empty((1, m, m)))
+            z = fill(rng, m, self.spec.n)
             return self._kernels(z, z, ws.matrix, counter)
         return self._kernels(fill(rng, m, self.spec.n, out=ws.fills), None, ws.matrix, counter)
 
@@ -298,7 +305,7 @@ class Plan:
         out = aligned_empty((_positive_int("batch size k", k), m, m))
         many = draw_bartlett_invwishart_many if self.algorithm == DIRECT else draw_bartlett_wishart_many
         fills = many(rng, m, self.spec.n, k, out=out)
-        w = _workspace.at(m).matrix
+        w = _workspace(m).matrix
         for i, z in enumerate(fills):
             out[i] = self._kernels(z, None, w, None)
         return out
@@ -311,11 +318,11 @@ class Plan:
         # (direct).  TRMM overwrites its second operand, a copy of the
         # plan's factor, with that product u.  The indirect route then
         # inverts u and squares up, and a full draw of the others squares
-        # u; each gram product is written to x.
+        # u; each gram product reads the workspace's copy and overwrites x.
         if self.algorithm == DIRECT:
             z = tri_inverse(z, counter, owned=True)
         if self._product_in_workspace:
-            np.copyto(w, self.factor)
+            w[...] = self.factor
             u = tri_mul(z, w, counter, owned=True)
             if x is None:
                 x = np.empty(w.shape, order="F")
@@ -324,13 +331,16 @@ class Plan:
         retcholu = self.spec.retcholu
         if self.algorithm == INDIRECT:
             v = tri_inverse(u, counter, owned=True)
-            x = gram_vt(v, counter, owned=True, mirror=not retcholu, out=x)
+            x[...] = v
+            x = gram_vt(v, counter, owned=True, mirror=not retcholu, b=x)
             if retcholu:
                 x = chol_upper(x, counter, owned=True)
         elif not retcholu:
             if u is x:
-                np.copyto(w, u)  # the direct route's inverted fill is spent
-            x = gram_ut(w, counter, owned=True, out=x)
+                w[...] = u  # the direct route's inverted fill is spent
+            else:
+                x[...] = u
+            x = gram_ut(w, counter, owned=True, b=x)
         return check_draw(x)
 
 

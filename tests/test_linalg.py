@@ -314,6 +314,10 @@ def test_owned_calls_work_in_place_and_match_public_bits():
         x = tri.copy(order="F")
         assert gram(x, owned=True).tobytes() == gram(tri).tobytes()
         assert x.tobytes() == tri.tobytes()  # TRMM reads u twice; it stays
+        b = tri.copy(order="F")
+        out = gram(x, owned=True, b=b)
+        assert np.shares_memory(out, b) and out.tobytes() == gram(tri).tobytes()
+        assert x.tobytes() == tri.tobytes()
 
 
 def test_opcounter_helpers():

@@ -632,7 +632,7 @@ def test_draws_never_share_memory_with_the_workspace(key):
              plan.draw_many(rng, 2), plan.factor]
     kept = [x.tobytes() for x in draws]
     _one_shot(rng, spec, algorithm, None)
-    workspace = samplers._workspace.at(m).fills
+    workspace = samplers._workspace(m).fills
     for i, x in enumerate(draws):
         assert not np.shares_memory(x, workspace)
         assert not any(np.shares_memory(x, y) for y in draws[i + 1:])
