@@ -137,12 +137,13 @@ static double chi(struct source *s, double k)
  * order, so column c is the m doubles at z + c * m.  It is column j = c % m
  * of fill c / m: j normals above the diagonal, then the diagonal chi with
  * a + s * (j + 1) degrees of freedom, which the caller has checked to be
- * positive, then zeros below it, so every double of z is written.  The
- * uniforms are the Philox stream of key philox_state[0..1] from uniform
- * lane of the block with counter philox_state[2..5] (low word first) on.
- * Returns the number of uniforms used. */
+ * positive.  With zero_below the zeros below the diagonal are written too,
+ * for a z that may hold anything; without it they are left as they are.
+ * The uniforms are the Philox stream of key philox_state[0..1] from
+ * uniform lane of the block with counter philox_state[2..5] (low word
+ * first) on.  Returns the number of uniforms used. */
 size_t triwish_bartlett_walk(const uint64_t *philox_state, size_t lane, double *z,
-                             size_t m, size_t k, double a, double s)
+                             size_t m, size_t k, double a, double s, int zero_below)
 {
     struct source src;
     src.key = philox_state;
@@ -157,7 +158,7 @@ size_t triwish_bartlett_walk(const uint64_t *philox_state, size_t lane, double *
             for (size_t r = 0; r < j; r++)
                 top[r] = normal(&src);
             top[j] = chi(&src, a + s * (double)(j + 1));
-            for (size_t r = j + 1; r < m; r++)
+            for (size_t r = j + 1; zero_below && r < m; r++)
                 top[r] = 0.0;
         }
     }
