@@ -20,8 +20,8 @@ place, so a scale or a plan's factor goes in as a copy.  Those copies and
 the fills are made in the draw's own array or in the per-thread workspace
 of :mod:`triwish.samplers`, which :func:`aligned_empty` allocates on a
 64-byte boundary and which holds every TRTRI operand: OpenBLAS's TRTRI is
-about a quarter slower on an operand that starts elsewhere (m = 200,
-SkylakeX kernels), with the same bits.  What a setup or a draw returns is
+about 30% slower on an operand that starts elsewhere (m = 200, SkylakeX
+kernels), with the same bits.  What a setup or a draw returns is
 always a new array, never the workspace.
 
 Counting convention: forming the symmetric products U^T U and V V^T each
