@@ -62,13 +62,13 @@ class OpCounter:
         return self.potrf + self.trtri + self.trmm
 
 
-def aligned_empty(shape, order="C"):
-    """Uninitialized float64 array of ``shape`` whose data starts on an
-    ALIGNMENT-byte boundary."""
+def aligned_empty(shape):
+    """Uninitialized C-ordered float64 array of ``shape`` whose data starts
+    on an ALIGNMENT-byte boundary."""
     size = math.prod(shape) * 8
     raw = np.empty(size + ALIGNMENT, dtype=np.uint8)
     start = -raw.ctypes.data % ALIGNMENT
-    return raw[start:start + size].view(np.float64).reshape(shape, order=order)
+    return raw[start:start + size].view(np.float64).reshape(shape)
 
 
 def as_square(x):
@@ -214,11 +214,13 @@ def gram_ut(u, counter=None, *, owned=False, b=None):
     The upper triangle of the BLAS result is mirrored onto the lower so the
     output is bitwise symmetric.  Counts one TRMM (see module docstring).
     U is both operands of the TRMM, which overwrites its second one, so
-    that one is a copy: a new one, or ``b``, a Fortran-ordered float64 copy
-    of U in other memory, which the product then overwrites.  ``owned``
-    only skips the input check.
+    that one is a new copy; with ``owned``, ``b`` may instead be a
+    Fortran-ordered float64 copy of U in other memory, which the product
+    then overwrites.  Without ``owned``, a ``b`` raises InvalidParameter.
     """
     if not owned:
+        if b is not None:
+            raise InvalidParameter("b is for owned operands only")
         u = as_square(u)
     if counter is not None:
         counter.trmm += 1
@@ -231,15 +233,16 @@ def gram_vt(v, counter=None, *, owned=False, mirror=True, b=None):
     """Symmetric product V V^T, exactly symmetric by construction.
 
     Counts one TRMM, matching the cost model of :func:`gram_ut`; ``owned``
-    and ``b`` as there.  ``mirror=False`` is for a product that goes
-    straight into :func:`chol_upper`, which reads only the upper triangle:
-    the lower one is then left as the TRMM wrote it.
+    and ``b`` as there.  ``mirror=False``, likewise with ``owned`` only, is
+    for a product that goes straight into :func:`chol_upper`, which reads
+    only the upper triangle: the lower one is then left as the TRMM wrote it.
     """
     if not owned:
+        if b is not None or not mirror:
+            raise InvalidParameter("b and mirror=False are for owned operands only")
         v = as_square(v)
     if counter is not None:
         counter.trmm += 1
     product = blas.dtrmm(1.0, v, v if b is None else b, side=1, lower=0, trans_a=1,
                          overwrite_b=b is not None)
     return _mirror_upper(product, mirror)
-

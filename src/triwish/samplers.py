@@ -269,65 +269,67 @@ class Plan:
     algorithm: str
     factor: np.ndarray
 
-    def __post_init__(self):
-        # Where TRMM writes its product: to the workspace when the route
-        # goes on to invert it (indirect) or to square it (a full Wishart
-        # draw), else to the draw's own array.  The direct route's workspace
-        # holds the inverted fill, and a factor output is the product itself.
-        self._product_in_workspace = self.algorithm == INDIRECT or (
-            self.algorithm == WISHART and not self.spec.retcholu)
-
     def draw(self, rng, counter=None):
         """One draw: the fill, the route's kernels, then :func:`check_draw`.
 
         Raises NumericalFailure for a draw that over- or underflowed.
         """
-        m = self.spec.m
+        m, n = self.spec.m, self.spec.n
         ws = _workspace(m)
-        fill = draw_bartlett_invwishart if self.algorithm == DIRECT else draw_bartlett_wishart
-        # The fill goes where TRMM's product does not: into a new array,
-        # which becomes the draw's own, or into the workspace.
-        if self._product_in_workspace:
-            z = fill(rng, m, self.spec.n)
+        # The fill goes where TRMM's product does not.  The direct route
+        # inverts its fill, and a Wishart factor is the product itself, so
+        # their fills go to the workspace; the others' TRMM product goes to
+        # the workspace, to be inverted or squared, and their fill's new
+        # array becomes the draw.
+        if self.algorithm == DIRECT:
+            z = draw_bartlett_invwishart(rng, m, n, out=ws.fills)
+        elif self.algorithm == WISHART and self.spec.retcholu:
+            z = draw_bartlett_wishart(rng, m, n, out=ws.fills)
+        else:
+            z = draw_bartlett_wishart(rng, m, n)
             return self._kernels(z, z, ws.matrix, counter)
-        return self._kernels(fill(rng, m, self.spec.n, out=ws.fills), None, ws.matrix, counter)
+        return self._kernels(z, None, ws.matrix, counter)
 
     def draw_many(self, rng, k):
         """k draws as a (k, m, m) array, from one batch of k fills: the
         bytes, and the stream position after them, of k calls of :meth:`draw`.
 
-        The fills are drawn into the returned array, which starts on a
-        64-byte boundary, and so does each fill when m is a multiple of 4
-        (m^2 doubles a multiple of 64 bytes).  Draw i takes the place of
-        fill i once its kernels ran.
+        The fills are drawn into the returned array, and draw i takes the
+        place of fill i once its kernels ran.  The kernels take each fill
+        where :meth:`draw` has it: the direct route's is copied to the
+        workspace, so TRTRI gets an aligned operand at any m.
         """
         m = self.spec.m
         out = aligned_empty((_positive_int("batch size k", k), m, m))
         many = draw_bartlett_invwishart_many if self.algorithm == DIRECT else draw_bartlett_wishart_many
         fills = many(rng, m, self.spec.n, k, out=out)
         w = _workspace(m).matrix
+        product_in_workspace = self.algorithm == INDIRECT or (
+            self.algorithm == WISHART and not self.spec.retcholu)
         for i, z in enumerate(fills):
-            out[i] = self._kernels(z, None, w, None)
+            if self.algorithm == DIRECT:
+                w[...] = z
+                z = w
+            x = np.empty((m, m), order="F") if product_in_workspace else None
+            out[i] = self._kernels(z, x, w, None)
         return out
 
     def _kernels(self, z, x, w, counter):
-        # z is the fill, x the draw's own (m, m) array when the fill is in
-        # it (else None: the draw gets a new array), and w the workspace's
-        # matrix; all in Fortran order.  Every route multiplies a triangular
-        # factor by the plan's: the fill (Wishart, indirect) or its inverse
-        # (direct).  TRMM overwrites its second operand, a copy of the
-        # plan's factor, with that product u.  The indirect route then
-        # inverts u and squares up, and a full draw of the others squares
+        # z is the fill and w the workspace's matrix, both in Fortran order.
+        # x is the draw's own (m, m) array when TRMM's product is to go to
+        # the workspace, else None: the product is made in a copy of the
+        # plan's factor, which becomes the draw.  Every route multiplies a
+        # triangular factor by the plan's: the fill (Wishart, indirect) or
+        # its inverse (direct).  The indirect route then inverts that
+        # product u and squares up, and a full draw of the others squares
         # u; each gram product reads the workspace's copy and overwrites x.
         if self.algorithm == DIRECT:
             z = tri_inverse(z, counter, owned=True)
-        if self._product_in_workspace:
+        if x is None:
+            u = x = tri_mul(z, self.factor.copy(order="F"), counter, owned=True)
+        else:
             w[...] = self.factor
             u = tri_mul(z, w, counter, owned=True)
-            if x is None:
-                x = np.empty(w.shape, order="F")
-        else:
-            u = x = tri_mul(z, self.factor.copy(order="F"), counter, owned=True)
         retcholu = self.spec.retcholu
         if self.algorithm == INDIRECT:
             v = tri_inverse(u, counter, owned=True)

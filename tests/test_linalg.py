@@ -327,13 +327,11 @@ def test_opcounter_helpers():
     assert OpCounter() == OpCounter(0, 0, 0)
 
 
-@pytest.mark.parametrize("order", "CF")
-def test_aligned_empty_starts_on_the_boundary(order):
+def test_aligned_empty_starts_on_the_boundary():
     for shape in ((1, 1), (3, 5), (1, 7, 7), (4, 6, 6), (200, 200)):
-        a = linalg.aligned_empty(shape, order=order)
+        a = linalg.aligned_empty(shape)
         assert a.ctypes.data % linalg.ALIGNMENT == 0
-        assert a.shape == shape and a.dtype == np.float64 and a.flags.writeable
-        assert a.flags.c_contiguous if order == "C" else a.flags.f_contiguous
+        assert a.shape == shape and a.dtype == np.float64 and a.flags.carray
 
 
 def test_unmirrored_gram_gives_the_mirrored_gram_s_factor():
@@ -346,10 +344,23 @@ def test_unmirrored_gram_gives_the_mirrored_gram_s_factor():
     rng = np.random.default_rng(23)
     for m in (1, 2, 5, 2 * linalg._PANEL + 3):
         v = np.triu(rng.standard_normal((m, m))) + m * np.eye(m)
-        half = gram_vt(v, mirror=False)
+        half = gram_vt(v.copy(order="F"), owned=True, mirror=False)
         full = gram_vt(v)
         assert np.triu(half).tobytes() == np.triu(full).tobytes()
         counter = OpCounter()
         got = chol_upper(gram_vt(v, counter, owned=True, mirror=False), counter, owned=True)
         assert got.tobytes() == chol_upper(full).tobytes()
         assert counter.as_dict() == {"potrf": 1, "trtri": 0, "trmm": 1}
+
+
+def test_gram_output_options_are_for_owned_operands_only():
+    # A b that is u itself would have TRMM overwrite the operand it reads,
+    # and mirror=False leaves the lower triangle unsymmetrized, so neither
+    # reaches the kernel from a caller's matrix.
+    u = np.asfortranarray(np.triu(np.arange(1.0, 10.0).reshape(3, 3)))
+    kept = u.tobytes()
+    for call in (lambda: gram_ut(u, b=u), lambda: gram_vt(u, b=u),
+                 lambda: gram_ut(u, b=u.copy(order="F")), lambda: gram_vt(u, mirror=False)):
+        with pytest.raises(InvalidParameter, match="owned"):
+            call()
+    assert u.tobytes() == kept

@@ -598,13 +598,14 @@ def _scale(kind, m):
     return ScaleParam(matrix, iscov=kind.startswith("cov"), ischolu=kind.endswith("_chol"))
 
 
+@pytest.mark.parametrize("m", [200, 50])
 @pytest.mark.parametrize("key", list(EXPECTED_OP_COUNTS), ids=lambda k: f"{k[0]}-{k[1]}-{int(k[2])}")
-def test_every_trtri_operand_is_aligned(monkeypatch, key):
+def test_every_trtri_operand_is_aligned(monkeypatch, key, m):
     # OpenBLAS's dtrtri is about a quarter slower at m = 200 on an operand
-    # that does not start on a 64-byte boundary.  Every operand is a fill or
-    # a workspace buffer: in a one-shot draw, a plan's setup, its draws and
-    # a batch of its draws.
-    m = 200
+    # that does not start on a 64-byte boundary.  Every operand is a
+    # workspace buffer: in a one-shot draw, a plan's setup, its draws and a
+    # batch of its draws.  At m = 50, m^2 doubles are not a multiple of 64
+    # bytes, so every other fill of a batch starts off the boundary.
     kind, algorithm, retcholu = key
     spec = SamplerSpec(m, m + 2.0, _scale(kind, m), retcholu=retcholu)
     lapack = _TrtriOperands(linalg.lapack)
