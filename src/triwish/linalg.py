@@ -16,13 +16,14 @@ library: the wrappers check them (shape, finite entries, symmetry for the
 Cholesky input) and leave them untouched.  Setup and draws pass the
 library's own matrices, checked once where they entered and in Fortran
 order, with ``owned=True``: no checks, and LAPACK/BLAS overwrite them in
-place, so a scale or a plan's factor goes in as a copy.  Those copies and
-the fills are made in the draw's own array or in the per-thread workspace
-of :mod:`triwish.samplers`, which :func:`aligned_empty` allocates on a
-64-byte boundary and which holds every TRTRI operand: OpenBLAS's TRTRI is
-about 30% slower on an operand that starts elsewhere (m = 200, SkylakeX
-kernels), with the same bits.  What a setup or a draw returns is
-always a new array, never the workspace.
+place, so a scale or a plan's factor goes in as a copy.  A draw's fill is
+in the per-thread workspace of :mod:`triwish.samplers`, which
+:func:`aligned_empty` allocates on a 64-byte boundary and which holds every
+TRTRI operand: OpenBLAS's TRTRI is about 30% slower on an operand that
+starts elsewhere (m = 200, SkylakeX kernels), with the same bits.  The draw
+is made in its own array, a copy of the plan's factor that TRMM and the
+gram products overwrite.  What a setup or a draw returns is always a new
+array, never the workspace.
 
 Counting convention: forming the symmetric products U^T U and V V^T each
 counts as one TRMM call (an actual LAPACK build might use LAUUM or SYRK

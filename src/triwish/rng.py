@@ -234,7 +234,7 @@ def _build_loop():
         return None
     size, dbl, ptr = ctypes.c_size_t, ctypes.c_double, ctypes.c_void_p
     fns.walk.argtypes = (ctypes.POINTER(ctypes.c_uint64), size, ctypes.POINTER(dbl), size, size,
-                         dbl, dbl, ctypes.c_int)
+                         dbl, dbl)
     fns.walk.restype = size
     fns.format_rows.argtypes = (ptr, size, ctypes.c_int, ptr, ptr, ptr)
     fns.format_rows.restype = size
@@ -270,20 +270,18 @@ def bartlett_fills(rng, m, k, a, s, out=None):
     column-by-column draws of :meth:`RngStream.standard_normal` and
     :meth:`RngStream.chi` leave it.
 
-    The fills are written to ``out`` when it is given, every double of it:
-    a writable, aligned, C-contiguous float64 (k, m, m) array, in which
+    Every double of the fills is written, to ``out`` when it is given: a
+    writable, aligned, C-contiguous float64 (k, m, m) array, in which
     ``out[f, j]`` is column j of fill f.  Any other ``out`` raises
     InvalidParameter before a uniform is drawn, since the walk writes
-    through its address.  Without ``out`` the fills go to a new array of
-    zeros, whose zeros below the diagonals the walk leaves as they are.
+    through its address.  Without ``out`` the fills go to a new array.
     """
     a = float(a)
     if not (a + s > 0.0 and a + s * m > 0.0):
         # A NaN df fails too: the walk's chi would never accept it.
         raise InvalidDegreesOfFreedom("chi degrees of freedom must be positive")
-    given = out is not None
-    if not given:
-        out = np.zeros((k, m, m))
+    if out is None:
+        out = np.empty((k, m, m))
     elif not (isinstance(out, np.ndarray) and out.shape == (k, m, m)
               and out.dtype == np.float64 and out.flags.carray):
         raise InvalidParameter(
@@ -304,5 +302,5 @@ def bartlett_fills(rng, m, k, a, s, out=None):
         # byref of the double at the start of out passes its address, and
         # holds out's buffer for the call.
         z = ctypes.byref(ctypes.c_double.from_buffer(out))
-        rng.skip(loop.walk(state, lane, z, m, k, a, s, given))
+        rng.skip(loop.walk(state, lane, z, m, k, a, s))
     return out.transpose(0, 2, 1)

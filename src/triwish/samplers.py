@@ -30,15 +30,19 @@ setup or a draw (see :mod:`triwish.linalg`, Ownership).
 
 Workspace: each thread keeps one reused m x m float64 buffer for the last
 m it drew at, allocated by :func:`triwish.linalg.aligned_empty` on a 64-byte
-boundary.  It holds every temporary of a draw that a kernel overwrites: the
-fill or the copy of the plan's factor that TRMM receives, then the matrix
-TRTRI inverts and the gram products read; in setup, the scale factor that
-:func:`cholesky_upper_param` inverts.  The draw's own array takes the other
-operand, so a draw allocates only what it returns (and a setup its plan's
-factor), every TRTRI gets an aligned operand, and repeated draws touch the
-same pages instead of fresh ones.  The buffer keeps 8 m^2 bytes alive per
-thread (0.32 MB at m = 200, 5.1 MB at m = 800) until the thread draws at
-another m.  No returned matrix is, or shares memory with, the workspace.
+boundary.  Every draw places its matrices by one rule: the fill is in the
+workspace, and the draw is made in its own array, which starts as a copy
+of the plan's factor.  The direct route inverts the fill in place (TRTRI);
+TRMM multiplies the draw's array in place by the fill or its inverse; the
+indirect route copies that product to the workspace and inverts it there;
+and each gram product reads the workspace and overwrites the draw's array.
+In setup the workspace holds the scale factor that
+:func:`cholesky_upper_param` inverts.  So a draw allocates only what it
+returns (and a setup its plan's factor), every TRTRI gets an aligned
+operand, and repeated draws touch the same pages instead of fresh ones.
+The buffer keeps 8 m^2 bytes alive per thread (0.32 MB at m = 200, 5.1 MB
+at m = 800) until the thread draws at another m.  No returned matrix is,
+or shares memory with, the workspace.
 """
 
 import math
@@ -140,8 +144,8 @@ class SamplerSpec:
 
 # Column j = 1..m of a fill has chi degrees of freedom a + s * j, in double
 # precision: n + 1 - j is a = n + 1, s = -1.0, and n - m + j is a = n - m,
-# s = 1.0.  Each fill function writes into ``out``, a (1, m, m) or (k, m, m)
-# array as :func:`triwish.rng.bartlett_fills` takes it, when one is given.
+# s = 1.0.  A single fill is written into ``out``, a (1, m, m) array as
+# :func:`triwish.rng.bartlett_fills` takes it, when one is given.
 
 
 def draw_bartlett_wishart(rng, m, n, out=None):
@@ -164,20 +168,20 @@ def draw_bartlett_invwishart(rng, m, n, out=None):
     return bartlett_fills(rng, m, 1, n - m, 1.0, out)[0]
 
 
-def draw_bartlett_wishart_many(rng, m, n, k, out=None):
+def draw_bartlett_wishart_many(rng, m, n, k):
     """k Wishart fills as a (k, m, m) array: the bytes, and the stream
     position after them, of k successive :func:`draw_bartlett_wishart` calls."""
     m = _check_fill_args(m, n)
     k = _positive_int("batch size k", k)
-    return bartlett_fills(rng, m, k, n + 1, -1.0, out)
+    return bartlett_fills(rng, m, k, n + 1, -1.0)
 
 
-def draw_bartlett_invwishart_many(rng, m, n, k, out=None):
+def draw_bartlett_invwishart_many(rng, m, n, k):
     """k inverse-Wishart fills as a (k, m, m) array: the bytes, and the stream
     position after them, of k successive :func:`draw_bartlett_invwishart` calls."""
     m = _check_fill_args(m, n)
     k = _positive_int("batch size k", k)
-    return bartlett_fills(rng, m, k, n - m, 1.0, out)
+    return bartlett_fills(rng, m, k, n - m, 1.0)
 
 
 class _Workspace:
@@ -276,72 +280,53 @@ class Plan:
         """
         m, n = self.spec.m, self.spec.n
         ws = _workspace(m)
-        # The fill goes where TRMM's product does not.  The direct route
-        # inverts its fill, and a Wishart factor is the product itself, so
-        # their fills go to the workspace; the others' TRMM product goes to
-        # the workspace, to be inverted or squared, and their fill's new
-        # array becomes the draw.
-        if self.algorithm == DIRECT:
-            z = draw_bartlett_invwishart(rng, m, n, out=ws.fills)
-        elif self.algorithm == WISHART and self.spec.retcholu:
-            z = draw_bartlett_wishart(rng, m, n, out=ws.fills)
-        else:
-            z = draw_bartlett_wishart(rng, m, n)
-            return self._kernels(z, z, ws.matrix, counter)
-        return self._kernels(z, None, ws.matrix, counter)
+        fill = draw_bartlett_invwishart if self.algorithm == DIRECT else draw_bartlett_wishart
+        fill(rng, m, n, out=ws.fills)
+        return self._kernels(ws.matrix, self.factor.copy(order="F"), counter)
 
     def draw_many(self, rng, k):
         """k draws as a (k, m, m) array, from one batch of k fills: the
         bytes, and the stream position after them, of k calls of :meth:`draw`.
 
-        The fills are drawn into the returned array, and draw i takes the
-        place of fill i once its kernels ran.  The kernels take each fill
-        where :meth:`draw` has it: the direct route's is copied to the
-        workspace, so TRTRI gets an aligned operand at any m.
+        The workspace rule of :meth:`draw`, with the batch's array as the
+        draws' own: fill i is copied to the workspace, its place takes the
+        copy of the plan's factor, and the draw made there is written back
+        over it in C order.  So the batch is the one array allocated, and
+        the one returned.  It stays C-ordered, each draw's rows contiguous:
+        a log kernel of :mod:`triwish.densities` takes a C-ordered factor
+        draw through the lower-stored ``dtrtrs`` call of
+        ``_right_div_upper``, the call behind the density rows that
+        ``golden_cli_v1.json``'s validate digest pins, and an F-ordered one
+        through the other call.
         """
-        m = self.spec.m
-        out = aligned_empty((_positive_int("batch size k", k), m, m))
         many = draw_bartlett_invwishart_many if self.algorithm == DIRECT else draw_bartlett_wishart_many
-        fills = many(rng, m, self.spec.n, k, out=out)
-        w = _workspace(m).matrix
-        product_in_workspace = self.algorithm == INDIRECT or (
-            self.algorithm == WISHART and not self.spec.retcholu)
-        for i, z in enumerate(fills):
-            if self.algorithm == DIRECT:
-                w[...] = z
-                z = w
-            x = np.empty((m, m), order="F") if product_in_workspace else None
-            out[i] = self._kernels(z, x, w, None)
-        return out
+        fills = many(rng, self.spec.m, self.spec.n, k)
+        w = _workspace(self.spec.m).matrix
+        for z in fills:
+            w[...] = z
+            z[...] = self.factor
+            z.T[...] = self._kernels(w, z, None)
+        return fills.transpose(0, 2, 1)
 
-    def _kernels(self, z, x, w, counter):
-        # z is the fill and w the workspace's matrix, both in Fortran order.
-        # x is the draw's own (m, m) array when TRMM's product is to go to
-        # the workspace, else None: the product is made in a copy of the
-        # plan's factor, which becomes the draw.  Every route multiplies a
-        # triangular factor by the plan's: the fill (Wishart, indirect) or
-        # its inverse (direct).  The indirect route then inverts that
-        # product u and squares up, and a full draw of the others squares
-        # u; each gram product reads the workspace's copy and overwrites x.
+    def _kernels(self, w, x, counter):
+        # w is the workspace's matrix holding the fill, and x the draw's own
+        # array holding a copy of the plan's factor, both in Fortran order;
+        # the kernels run in them by the module docstring's Workspace rule.
+        # The indirect route inverts the product and squares up, and a full
+        # draw of the others squares the product.
         if self.algorithm == DIRECT:
-            z = tri_inverse(z, counter, owned=True)
-        if x is None:
-            u = x = tri_mul(z, self.factor.copy(order="F"), counter, owned=True)
-        else:
-            w[...] = self.factor
-            u = tri_mul(z, w, counter, owned=True)
+            w = tri_inverse(w, counter, owned=True)
+        x = tri_mul(w, x, counter, owned=True)
         retcholu = self.spec.retcholu
         if self.algorithm == INDIRECT:
-            v = tri_inverse(u, counter, owned=True)
-            x[...] = v
-            x = gram_vt(v, counter, owned=True, mirror=not retcholu, b=x)
+            w[...] = x
+            w = tri_inverse(w, counter, owned=True)
+            x[...] = w
+            x = gram_vt(w, counter, owned=True, mirror=not retcholu, b=x)
             if retcholu:
                 x = chol_upper(x, counter, owned=True)
         elif not retcholu:
-            if u is x:
-                w[...] = u  # the direct route's inverted fill is spent
-            else:
-                x[...] = u
+            w[...] = x
             x = gram_ut(w, counter, owned=True, b=x)
         return check_draw(x)
 

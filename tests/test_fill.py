@@ -290,19 +290,24 @@ def test_fills_into_a_given_array_write_every_double(fill_path):
 
 def test_a_wrong_fill_output_raises_before_any_uniform(fill_path):
     # The walk writes k * m * m doubles through the array's bare address,
-    # so a buffer one fill too small must never reach it.
-    m, k = 4, 3
-    read_only = np.empty((k, m, m))
-    read_only.flags.writeable = False
-    for out in (np.empty((k - 1, m, m)), np.empty((k, m, m - 1)), np.empty((k, m, m), np.float32),
-                np.empty((k, m, m), dtype=">f8"), np.empty((k, m, m), order="F"),
-                np.empty((k, m, m + 1))[:, :, :m], read_only, np.empty((k, m, m)).tolist()):
-        rng = RngStream(1)
-        with pytest.raises(InvalidParameter, match="fill output"):
-            rng_module.bartlett_fills(rng, m, k, m + 3.0, -1.0, out)
-        with pytest.raises(InvalidParameter, match="fill output"):
-            draw_bartlett_invwishart_many(rng, m, m + 2.0, k, out=out)
-        assert rng.position == 0
+    # so a buffer one fill too small must never reach it.  The single fills
+    # take a (1, m, m) output.
+    m = 4
+    for k in (3, 1):
+        read_only = np.empty((k, m, m))
+        read_only.flags.writeable = False
+        for out in (np.empty((k - 1, m, m)), np.empty((k, m, m - 1)),
+                    np.empty((k, m, m), np.float32), np.empty((k, m, m), dtype=">f8"),
+                    np.empty((k, m, m), order="F"), np.empty((k, m, m + 1))[:, :, :m], read_only,
+                    np.empty((k, m, m)).tolist()):
+            rng = RngStream(1)
+            with pytest.raises(InvalidParameter, match="fill output"):
+                rng_module.bartlett_fills(rng, m, k, m + 3.0, -1.0, out)
+            if k == 1:
+                for fill in FILLS.values():
+                    with pytest.raises(InvalidParameter, match="fill output"):
+                        fill(rng, m, m + 2.0, out=out)
+            assert rng.position == 0
 
 
 _U53 = 2.0 ** -53
