@@ -291,8 +291,9 @@ class Plan:
         The workspace rule of :meth:`draw`, with the batch's array as the
         draws' own: fill i is copied to the workspace, its place takes the
         copy of the plan's factor, and the draw made there is written back
-        over it in C order.  So the batch is the one array allocated, and
-        the one returned.  It stays C-ordered, each draw's rows contiguous:
+        over it in C order, through the spent workspace.  So the batch is
+        the one array allocated, and the one returned.  It stays C-ordered,
+        each draw's rows contiguous:
         a log kernel of :mod:`triwish.densities` takes a C-ordered factor
         draw through the lower-stored ``dtrtrs`` call of
         ``_right_div_upper``, the call behind the density rows that
@@ -305,7 +306,8 @@ class Plan:
         for z in fills:
             w[...] = z
             z[...] = self.factor
-            z.T[...] = self._kernels(w, z, None)
+            w.T[...] = self._kernels(w, z, None)
+            z.T[...] = w.T
         return fills.transpose(0, 2, 1)
 
     def _kernels(self, w, x, counter):
