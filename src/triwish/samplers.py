@@ -302,13 +302,14 @@ class Plan:
         """
         many = draw_bartlett_invwishart_many if self.algorithm == DIRECT else draw_bartlett_wishart_many
         fills = many(rng, self.spec.m, self.spec.n, k)
+        draws = fills.transpose(0, 2, 1)
         w = _workspace(self.spec.m).matrix
-        for z in fills:
+        for z, draw in zip(fills, draws):
             w[...] = z
             z[...] = self.factor
             w.T[...] = self._kernels(w, z, None)
-            z.T[...] = w.T
-        return fills.transpose(0, 2, 1)
+            draw[...] = w.T
+        return draws
 
     def _kernels(self, w, x, counter):
         # w is the workspace's matrix holding the fill, and x the draw's own
