@@ -293,10 +293,9 @@ class Plan:
         copy of the plan's factor, and the draw made there is written back
         over it in C order, through the spent workspace.  So the batch is
         the one array allocated, and the one returned.  It stays C-ordered,
-        each draw's rows contiguous:
-        a log kernel of :mod:`triwish.densities` takes a C-ordered factor
-        draw through the lower-stored ``dtrtrs`` call of
-        ``_right_div_upper``, the call behind the density rows that
+        each draw's rows contiguous: a log kernel of :mod:`triwish.densities`
+        takes a C-ordered factor draw through the lower-stored ``dtrtrs``
+        call of ``_right_div_upper``, the call behind the density rows that
         ``golden_cli_v1.json``'s validate digest pins, and an F-ordered one
         through the other call.
         """
