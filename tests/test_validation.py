@@ -1,6 +1,7 @@
 """KS machinery, chi-square CDF, moment checks, FD Jacobians, outer oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,17 +67,167 @@ def test_ks_one_sample_too_few():
         ks_one_sample(np.arange(5) / 5.0, lambda x: x)
 
 
-def test_ks_one_sample_calls_the_cdf_once_on_the_sorted_draws():
-    draws = np.random.default_rng(3).standard_normal(200)
+def ks_one_sample_reference(draws, cdf):
+    """The CDF at every draw: the implementation ks_one_sample replaced."""
+    xs = np.sort(np.asarray(draws, dtype=float))
+    n = xs.size
+    if n < validation.MIN_KS_SAMPLES:
+        raise TooFewSamples(f"need at least {validation.MIN_KS_SAMPLES} draws, got {n}")
+    f = np.asarray(cdf(xs), dtype=float)
+    if f.shape != xs.shape:
+        raise InvalidParameter(f"cdf returned shape {f.shape} for {n} draws; it must be vectorized")
+    i = np.arange(1, n + 1)
+    d_plus = np.max(i / n - f)
+    d_minus = np.max(f - (i - 1) / n)
+    d = max(float(d_plus), float(d_minus), 0.0)
+    return validation.KsResult(statistic=d, pvalue=validation._ks_pvalue(d, math.sqrt(n)), n=n)
+
+
+def assert_same_ks(draws, cdf):
+    got, want = ks_one_sample(draws, cdf), ks_one_sample_reference(draws, cdf)
+    for a, b in ((got.statistic, want.statistic), (got.pvalue, want.pvalue)):
+        assert a == b or math.isnan(a) and math.isnan(b)
+    assert got.n == want.n
+    return got
+
+
+# The scalar rows' CDFs (suite.check_scalar_wishart and
+# check_scalar_invwishart) and draws from their laws.
+SCALAR_CDFS = {
+    "scalar.wishart": (lambda x: chi_square_cdf(x / 2.0, 4.5),
+                       lambda rng, n: 2.0 * rng.chisquare(4.5, n)),
+    "scalar.invwishart": (lambda x: 1.0 - chi_square_cdf(3.0 / x, 6),
+                          lambda rng, n: 6.0 / rng.chisquare(6, n)),
+}
+KS_SIZES = (10, 31, 32, 33, 63, 64, 65, 1000, 50_000)
+
+
+@pytest.mark.parametrize("n", KS_SIZES)
+def test_ks_one_sample_matches_the_cdf_at_every_draw(n):
+    rng = np.random.default_rng(n)
+    for df in range(6, 11):
+        assert_same_ks(rng.chisquare(df, n), lambda x, d=df: chi_square_cdf(x, d))
+    # A sample of the law, and one of a wider law, whose supremum lies elsewhere.
+    assert_same_ks(rng.standard_normal(n), normal_cdf)
+    assert_same_ks(1.2 * rng.standard_normal(n), normal_cdf)
+    for cdf, draw in SCALAR_CDFS.values():
+        assert_same_ks(draw(rng, n), cdf)
+
+
+def test_ks_one_sample_matches_the_cdf_at_every_draw_at_500_000():
+    assert_same_ks(np.random.default_rng(500).standard_normal(500_000), normal_cdf)
+
+
+@pytest.mark.parametrize("n", (10, 33, 1000))
+def test_ks_one_sample_matches_on_ties(n):
+    rng = np.random.default_rng(n)
+    assert_same_ks(np.full(n, 0.3), lambda x: x)
+    assert_same_ks(np.full(n, 0.3), normal_cdf)
+    assert_same_ks(np.round(rng.standard_normal(n), 2), normal_cdf)
+    assert_same_ks(np.round(rng.standard_normal(50 * n), 2), normal_cdf)
+
+
+def test_ks_one_sample_matches_on_flat_stretches():
+    rng = np.random.default_rng(8)
+    for n in KS_SIZES:
+        assert_same_ks(rng.uniform(-0.5, 1.5, n), lambda x: np.clip(x, 0.0, 1.0))
+        assert_same_ks(rng.uniform(0.0, 1.0, n), lambda x: np.clip(x, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("n", (10, 33, 1000, 50_000))
+def test_ks_one_sample_matches_on_infinite_and_nan_draws(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n)
+    x[::7] = np.inf
+    assert_same_ks(x, normal_cdf)
+    x[::5] = -np.inf
+    assert_same_ks(x, normal_cdf)
+    x[3] = np.nan
+    assert math.isnan(assert_same_ks(x, normal_cdf).statistic)
+    c = rng.chisquare(7, n)
+    c[::3] = np.inf
+    assert_same_ks(c, lambda x: chi_square_cdf(x, 7))
+    c[-1] = np.nan
+    assert math.isnan(assert_same_ks(c, lambda x: chi_square_cdf(x, 7)).pvalue)
+    for cdf, draw in SCALAR_CDFS.values():
+        s = draw(rng, n)
+        s[1] = np.inf
+        assert_same_ks(s, cdf)
+        s[2] = np.nan
+        assert_same_ks(s, cdf)
+
+
+def raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return info.value
+
+
+def test_ks_one_sample_raises_what_the_cdf_at_every_draw_raises():
+    rng = np.random.default_rng(9)
+    cases = [
+        (TooFewSamples, rng.standard_normal(9), normal_cdf),
+        (InvalidParameter, rng.standard_normal(200), lambda x: float(np.mean(normal_cdf(x)))),
+        (InvalidParameter, rng.standard_normal(200), lambda x: normal_cdf(x)[:-1]),
+    ]
+    for n in (10, 50_000):
+        cases.append((InvalidParameter, rng.standard_normal(n), lambda x: chi_square_cdf(x, 6)))
+        c = rng.chisquare(6, n)
+        c[n // 2] = -1.0
+        cases.append((InvalidParameter, c.copy(), lambda x: chi_square_cdf(x, 6)))
+        c[-1] = np.nan
+        cases.append((InvalidParameter, c, lambda x: chi_square_cdf(x, 6)))
+        cases.append((InvalidParameter, -rng.chisquare(6, n), SCALAR_CDFS["scalar.invwishart"][0]))
+    for kind, draws, cdf in cases:
+        got, want = raised(ks_one_sample, draws, cdf), raised(ks_one_sample_reference, draws, cdf)
+        assert type(got) is type(want) is kind
+        if kind is TooFewSamples:
+            assert str(got) == str(want)
+        elif "vectorized" in str(want):
+            assert "vectorized" in str(got)
+        else:
+            assert "must be nonnegative" in str(got)
+    # chi_square_cdf names its least argument: the least draw, or NaN where
+    # a draw is NaN, and the first call's subset holds both.
+    for _, draws, cdf in cases[-3:-1]:
+        got, want = raised(ks_one_sample, draws, cdf), raised(ks_one_sample_reference, draws, cdf)
+        assert str(got) == str(want)
+
+
+def test_ks_one_sample_calls_the_cdf_at_most_twice_on_sorted_draws():
+    draws = np.random.default_rng(3).standard_normal(50_000)
     calls = []
 
     def cdf(x):
         calls.append(x.copy())
         return normal_cdf(x)
 
-    assert ks_one_sample(draws, cdf) == ks_one_sample(draws, normal_cdf)
-    assert len(calls) == 1
-    assert np.array_equal(calls[0], np.sort(draws))
+    assert ks_one_sample(draws, cdf) == ks_one_sample_reference(draws, normal_cdf)
+    assert 1 <= len(calls) <= 2
+    for x in calls:
+        assert x.dtype == np.float64 and x.ndim == 1
+        assert np.all(np.diff(x) >= 0.0)
+        assert np.all(np.isin(x, draws))
+    assert sum(x.size for x in calls) <= draws.size / 4
+
+
+@pytest.mark.parametrize("shape", [(3, 50), (1, 50), (50, 1), (2, 5, 10)])
+def test_ks_samples_must_be_1d(shape):
+    draws = np.random.default_rng(5).standard_normal(shape)
+    calls = []
+
+    def cdf(x):
+        calls.append(x)
+        return normal_cdf(x)
+
+    with pytest.raises(InvalidParameter, match=re.escape(str(shape))):
+        ks_one_sample(draws, cdf)
+    assert not calls
+    flat = draws.ravel()
+    with pytest.raises(InvalidParameter, match=re.escape(str(shape))):
+        ks_two_sample(draws, flat)
+    with pytest.raises(InvalidParameter, match=re.escape(str(shape))):
+        ks_two_sample(flat, draws)
 
 
 def test_ks_one_sample_rejects_a_scalar_only_cdf():
