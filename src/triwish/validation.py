@@ -59,8 +59,9 @@ def _ks_pvalue(d, en):
 
 
 def _sample_1d(draws):
-    # The draws as a float array, refused unless 1-D: sorting sorts the last
-    # axis only, so a 2-D sample would be tested row by row or fail in numpy.
+    # The draws as a float array, refused unless 1-D: np.sort sorts the last
+    # axis only, so a 2-D sample would be sorted row by row, then broadcast
+    # against the CDF's values or fail inside numpy.
     x = np.asarray(draws, dtype=float)
     if x.ndim != 1:
         raise InvalidParameter(f"KS draws must be a 1-D array, got shape {x.shape}")
