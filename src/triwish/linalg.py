@@ -21,9 +21,9 @@ in the per-thread workspace of :mod:`triwish.samplers`, which
 :func:`aligned_empty` allocates on a 64-byte boundary and which holds every
 TRTRI operand: OpenBLAS's TRTRI is about 30% slower on an operand that
 starts elsewhere (m = 200, SkylakeX kernels), with the same bits.  The draw
-is made in its own array, a copy of the plan's factor that TRMM and the
-gram products overwrite.  What a setup or a draw returns is always a new
-array, never the workspace.
+is made in its fill's place in the batch of fills, as a copy of the plan's
+factor that TRMM and the gram products overwrite.  What a setup or a draw
+returns is always a new array, never the workspace.
 
 Counting convention: forming the symmetric products U^T U and V V^T each
 counts as one TRMM call (an actual LAPACK build might use LAUUM or SYRK

@@ -259,37 +259,28 @@ _PHILOX_STATE = ctypes.c_uint64 * 6
 _WORD = 2 ** 64 - 1
 
 
-def bartlett_fills(rng, m, k, a, s, out=None):
-    """k Bartlett fills of size m drawn from the stream rng, as a (k, m, m)
-    array with each fill in Fortran order (each column contiguous).
+def bartlett_fills(rng, m, k, a, s):
+    """k Bartlett fills of size m drawn from the stream rng, as a new
+    (k, m, m) array with each fill in Fortran order (each column contiguous).
 
     Column j = 0..m-1 of each fill gets j standard normals above the
     diagonal, then the diagonal ``chi(a + s * (j + 1))``, then zeros.  s is
     1.0 or -1.0, so the degrees of freedom are monotone in j; both ends are
     checked before any uniform is drawn.  The stream ends where k * m
     column-by-column draws of :meth:`RngStream.standard_normal` and
-    :meth:`RngStream.chi` leave it.
-
-    Every double of the fills is written, to ``out`` when it is given: a
-    writable, aligned, C-contiguous float64 (k, m, m) array, in which
-    ``out[f, j]`` is column j of fill f.  Any other ``out`` raises
-    InvalidParameter before a uniform is drawn, since the walk writes
-    through its address.  Without ``out`` the fills go to a new array.
+    :meth:`RngStream.chi` leave it.  The walk writes every double of a
+    C-ordered array in which ``fills[f, j]`` is column j of fill f, and the
+    fills are returned as its transpose.
     """
     a = float(a)
     if not (a + s > 0.0 and a + s * m > 0.0):
         # A NaN df fails too: the walk's chi would never accept it.
         raise InvalidDegreesOfFreedom("chi degrees of freedom must be positive")
-    if out is None:
-        out = np.empty((k, m, m))
-    elif not (isinstance(out, np.ndarray) and out.shape == (k, m, m)
-              and out.dtype == np.float64 and out.flags.carray):
-        raise InvalidParameter(
-            f"fill output must be a writable C-contiguous float64 array of shape {(k, m, m)}")
+    fills = np.empty((k, m, m))
     loop = compiled_loop()
     if loop is None:
         normal, chi = rng.standard_normal, rng.chi
-        for fill in out:
+        for fill in fills:
             for j, column in enumerate(fill):
                 column[:j] = [normal() for _ in range(j)]
                 column[j] = chi(a + s * (j + 1))
@@ -299,8 +290,8 @@ def bartlett_fills(rng, m, k, a, s, out=None):
         c += 1
         state = _PHILOX_STATE(rng.seed, rng.stream, c & _WORD, c >> 64 & _WORD,
                               c >> 128 & _WORD, c >> 192 & _WORD)
-        # byref of the double at the start of out passes its address, and
-        # holds out's buffer for the call.
-        z = ctypes.byref(ctypes.c_double.from_buffer(out))
+        # byref of the double at the start of fills passes its address, and
+        # holds their buffer for the call.
+        z = ctypes.byref(ctypes.c_double.from_buffer(fills))
         rng.skip(loop.walk(state, lane, z, m, k, a, s))
-    return out.transpose(0, 2, 1)
+    return fills.transpose(0, 2, 1)

@@ -28,21 +28,23 @@ batch has the bytes, and leaves the stream where, k single fills would.
 Every fill is in Fortran order, as is every matrix the kernels get from a
 setup or a draw (see :mod:`triwish.linalg`, Ownership).
 
-Workspace: each thread keeps one reused m x m float64 buffer for the last
-m it drew at, allocated by :func:`triwish.linalg.aligned_empty` on a 64-byte
-boundary.  Every draw places its matrices by one rule: the fill is in the
-workspace, and the draw is made in its own array, which starts as a copy
-of the plan's factor.  The direct route inverts the fill in place (TRTRI);
-TRMM multiplies the draw's array in place by the fill or its inverse; the
-indirect route copies that product to the workspace and inverts it there;
-and each gram product reads the workspace and overwrites the draw's array.
-In setup the workspace holds the scale factor that
-:func:`cholesky_upper_param` inverts.  So a draw allocates only what it
-returns (and a setup its plan's factor), every TRTRI gets an aligned
-operand, and repeated draws touch the same pages instead of fresh ones.
-The buffer keeps 8 m^2 bytes alive per thread (0.32 MB at m = 200, 5.1 MB
-at m = 800) until the thread draws at another m.  No returned matrix is,
-or shares memory with, the workspace.
+Workspace: each thread keeps one reused m x m float64 matrix, in Fortran
+order, for the last m it drew at, allocated by
+:func:`triwish.linalg.aligned_empty` on a 64-byte boundary.  Every draw is
+made by one loop, :meth:`Plan.draw_many`, of which :meth:`Plan.draw` is the
+batch of one: it draws the batch's k fills into one new (k, m, m) array,
+and for each fill copies it to the workspace and puts a copy of the plan's
+factor in its place, so each draw is made in its fill's place in the batch.
+The direct route inverts the fill in place (TRTRI); TRMM multiplies the
+draw in place by the fill or its inverse; the indirect route copies that
+product to the workspace and inverts it there; and each gram product reads
+the workspace and overwrites the draw.  In setup the workspace holds the
+scale factor that :func:`cholesky_upper_param` inverts.  So a draw
+allocates only the batch it returns (and a setup its plan's factor), every
+TRTRI gets an aligned operand, and repeated draws touch the same pages
+instead of fresh ones.  The workspace keeps 8 m^2 bytes alive per thread
+(0.32 MB at m = 200, 5.1 MB at m = 800) until the thread draws at another
+m.  No returned matrix is, or shares memory with, the workspace.
 """
 
 import math
@@ -142,30 +144,31 @@ class SamplerSpec:
             )
 
 
-# Column j = 1..m of a fill has chi degrees of freedom a + s * j, in double
-# precision: n + 1 - j is a = n + 1, s = -1.0, and n - m + j is a = n - m,
-# s = 1.0.  A single fill is written into ``out``, a (1, m, m) array as
-# :func:`triwish.rng.bartlett_fills` takes it, when one is given.
+def _chi_line(m, n, inverse):
+    """(a, s) of the chi degrees of freedom a + s * j of fill column
+    j = 1..m, for a checked m: n + 1 - j for the Wishart fill, and n - m + j
+    for the inverse-Wishart fill."""
+    return (n - m, 1.0) if inverse else (n + 1, -1.0)
 
 
-def draw_bartlett_wishart(rng, m, n, out=None):
+def draw_bartlett_wishart(rng, m, n):
     """Bartlett factor Z with Z ~ CholeskyWishart(n, identity).
 
     Column j gets j-1 standard normals above a chi_(n+1-j) diagonal entry,
     in the documented draw order.
     """
     m = _check_fill_args(m, n)
-    return bartlett_fills(rng, m, 1, n + 1, -1.0, out)[0]
+    return bartlett_fills(rng, m, 1, *_chi_line(m, n, False))[0]
 
 
-def draw_bartlett_invwishart(rng, m, n, out=None):
+def draw_bartlett_invwishart(rng, m, n):
     """Factor Z whose inverse is ~ CholeskyInverseWishart(n, identity).
 
     Identical draw order to :func:`draw_bartlett_wishart`; the diagonal of
     column j uses chi_(n-m+j) instead.
     """
     m = _check_fill_args(m, n)
-    return bartlett_fills(rng, m, 1, n - m, 1.0, out)[0]
+    return bartlett_fills(rng, m, 1, *_chi_line(m, n, True))[0]
 
 
 def draw_bartlett_wishart_many(rng, m, n, k):
@@ -173,7 +176,7 @@ def draw_bartlett_wishart_many(rng, m, n, k):
     position after them, of k successive :func:`draw_bartlett_wishart` calls."""
     m = _check_fill_args(m, n)
     k = _positive_int("batch size k", k)
-    return bartlett_fills(rng, m, k, n + 1, -1.0)
+    return bartlett_fills(rng, m, k, *_chi_line(m, n, False))
 
 
 def draw_bartlett_invwishart_many(rng, m, n, k):
@@ -181,20 +184,18 @@ def draw_bartlett_invwishart_many(rng, m, n, k):
     position after them, of k successive :func:`draw_bartlett_invwishart` calls."""
     m = _check_fill_args(m, n)
     k = _positive_int("batch size k", k)
-    return bartlett_fills(rng, m, k, n - m, 1.0)
+    return bartlett_fills(rng, m, k, *_chi_line(m, n, True))
 
 
 class _Workspace:
-    """One thread's reused buffer (see the module docstring): ``fills``,
-    (1, m, m) in C order as the fill functions take it, and ``matrix``, the
-    same memory as the (m, m) Fortran-ordered matrix the kernels take."""
+    """One thread's reused (m, m) Fortran-ordered ``matrix`` (see the
+    module docstring)."""
 
-    __slots__ = ("m", "fills", "matrix")
+    __slots__ = ("m", "matrix")
 
     def __init__(self, m):
         self.m = m
-        self.fills = aligned_empty((1, m, m))
-        self.matrix = self.fills[0].T
+        self.matrix = aligned_empty((m, m)).T
 
 
 _local = threading.local()
@@ -274,46 +275,38 @@ class Plan:
     factor: np.ndarray
 
     def draw(self, rng, counter=None):
-        """One draw: the fill, the route's kernels, then :func:`check_draw`.
+        """One draw: the batch of one of :meth:`draw_many`.
 
         Raises NumericalFailure for a draw that over- or underflowed.
         """
-        m, n = self.spec.m, self.spec.n
-        ws = _workspace(m)
-        fill = draw_bartlett_invwishart if self.algorithm == DIRECT else draw_bartlett_wishart
-        fill(rng, m, n, out=ws.fills)
-        return self._kernels(ws.matrix, self.factor.copy(order="F"), counter)
+        return self._draws(rng, 1, counter)[0]
 
     def draw_many(self, rng, k):
-        """k draws as a (k, m, m) array, from one batch of k fills: the
-        bytes, and the stream position after them, of k calls of :meth:`draw`.
+        """k draws as a (k, m, m) array, each draw Fortran-ordered, from one
+        batch of k fills: the bytes, and the stream position after them, of
+        k calls of :meth:`draw`."""
+        return self._draws(rng, _positive_int("batch size k", k), None)
 
-        The workspace rule of :meth:`draw`, with the batch's array as the
-        draws' own: fill i is copied to the workspace, its place takes the
-        copy of the plan's factor, and the draw made there is written back
-        over it in C order, through the spent workspace.  So the batch is
-        the one array allocated, and the one returned.  It stays C-ordered,
-        each draw's rows contiguous: a log kernel of :mod:`triwish.densities`
-        takes a C-ordered factor draw through the lower-stored ``dtrtrs``
-        call of ``_right_div_upper``, the call behind the density rows that
-        ``golden_cli_v1.json``'s validate digest pins, and an F-ordered one
-        through the other call.
-        """
-        many = draw_bartlett_invwishart_many if self.algorithm == DIRECT else draw_bartlett_wishart_many
-        fills = many(rng, self.spec.m, self.spec.n, k)
-        draws = fills.transpose(0, 2, 1)
-        w = _workspace(self.spec.m).matrix
-        for z, draw in zip(fills, draws):
-            w[...] = z
-            z[...] = self.factor
-            w.T[...] = self._kernels(w, z, None)
-            draw[...] = w.T
+    def _draws(self, rng, k, counter):
+        # The one per-draw loop, by the module docstring's Workspace rule:
+        # each draw is made in place of its fill, which goes to the
+        # workspace.  A range index is cheaper at m = 4 than iterating the
+        # batch.
+        m = self.spec.m
+        draws = bartlett_fills(rng, m, k, *_chi_line(m, self.spec.n, self.algorithm == DIRECT))
+        w = _workspace(m).matrix
+        for i in range(k):
+            x = draws[i]
+            w[...] = x
+            x[...] = self.factor
+            self._kernels(w, x, counter)
         return draws
 
     def _kernels(self, w, x, counter):
-        # w is the workspace's matrix holding the fill, and x the draw's own
-        # array holding a copy of the plan's factor, both in Fortran order;
-        # the kernels run in them by the module docstring's Workspace rule.
+        # w is the workspace's matrix holding the fill, and x the draw's
+        # place in the batch holding a copy of the plan's factor, both in
+        # Fortran order; the kernels run in them in place, by the module
+        # docstring's Workspace rule, and the draw is left in x.
         # The indirect route inverts the product and squares up, and a full
         # draw of the others squares the product.
         if self.algorithm == DIRECT:
@@ -330,7 +323,7 @@ class Plan:
         elif not retcholu:
             w[...] = x
             x = gram_ut(w, counter, owned=True, b=x)
-        return check_draw(x)
+        check_draw(x)
 
 
 def prepare(spec, algorithm, counter=None):

@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from triwish import rng as rng_module
-from triwish.errors import InvalidDegreesOfFreedom, InvalidParameter
+from triwish.errors import InvalidDegreesOfFreedom
 from triwish.rng import RngStream
 from triwish.samplers import (
     draw_bartlett_invwishart,
@@ -271,43 +271,6 @@ def test_df_line_is_checked_before_any_uniform(fill_path):
             rng_module.bartlett_fills(rng, m, 2, a, s)
         assert rng.position == 0
     assert rng_module.bartlett_fills(RngStream(1), 3, 2, 3.5, -1.0).shape == (2, 3, 3)
-
-
-def test_fills_into_a_given_array_write_every_double(fill_path):
-    # A reused buffer holds the last fills, or anything else: NaN here.
-    # Every double is written, zeros below the diagonals included, with the
-    # bytes and end position of fills into a new array.
-    for m, k in ((1, 1), (2, 3), (5, 2), (30, 2)):
-        want_rng, rng = RngStream(m), RngStream(m)
-        want = rng_module.bartlett_fills(want_rng, m, k, m + 3.0, -1.0)
-        out = np.full((k, m, m), np.nan)
-        got = rng_module.bartlett_fills(rng, m, k, m + 3.0, -1.0, out)
-        assert np.shares_memory(got, out)
-        assert got.tobytes() == want.tobytes() and rng.position == want_rng.position
-        single = draw_bartlett_wishart(RngStream(m), m, m + 2.0, out=out[:1])
-        assert single.tobytes() == want[0].tobytes() and np.shares_memory(single, out)
-
-
-def test_a_wrong_fill_output_raises_before_any_uniform(fill_path):
-    # The walk writes k * m * m doubles through the array's bare address,
-    # so a buffer one fill too small must never reach it.  The single fills
-    # take a (1, m, m) output.
-    m = 4
-    for k in (3, 1):
-        read_only = np.empty((k, m, m))
-        read_only.flags.writeable = False
-        for out in (np.empty((k - 1, m, m)), np.empty((k, m, m - 1)),
-                    np.empty((k, m, m), np.float32), np.empty((k, m, m), dtype=">f8"),
-                    np.empty((k, m, m), order="F"), np.empty((k, m, m + 1))[:, :, :m], read_only,
-                    np.empty((k, m, m)).tolist()):
-            rng = RngStream(1)
-            with pytest.raises(InvalidParameter, match="fill output"):
-                rng_module.bartlett_fills(rng, m, k, m + 3.0, -1.0, out)
-            if k == 1:
-                for fill in FILLS.values():
-                    with pytest.raises(InvalidParameter, match="fill output"):
-                        fill(rng, m, m + 2.0, out=out)
-            assert rng.position == 0
 
 
 _U53 = 2.0 ** -53

@@ -16,10 +16,12 @@ products U^T U, so the inputs are the same everywhere; the draws pass
 through LAPACK and BLAS, whose kernels round differently on different
 CPUs.  So the file also stores the OpenBLAS core names, and the numpy and
 scipy versions, of the process that made it; the digests are asserted
-where the cores match and the test is skipped elsewhere.
+where the cores match and the test is skipped elsewhere.  From m of about
+50 on the bytes also depend on whether OpenBLAS runs one thread or more, so
+the digests are made and checked with OpenBLAS pinned to the file's thread
+count (``golden_env.golden_threads``).
 """
 
-import ctypes
 import hashlib
 import json
 import pathlib
@@ -27,8 +29,8 @@ import sys
 
 import numpy as np
 import pytest
-import scipy
 
+from golden_env import fingerprint, golden_threads, openblas_cores
 from triwish import rng as rng_module
 from triwish.rng import RngStream
 from triwish.samplers import (
@@ -47,33 +49,6 @@ GOLDEN_M = (1, 2, 4, 5, 13, 50, 64, 65, 200)
 PYTHON_M = (1, 4, 13, 50)
 ROUTES = list(EXPECTED_OP_COUNTS) + [(kind, WISHART, retcholu)
                                      for kind in ("cov", "cov_chol") for retcholu in (False, True)]
-
-
-def openblas_cores():
-    """The sorted core names of the OpenBLAS libraries loaded in this
-    process, each read through ctypes from the library itself."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "openblas" in line.lower() and "/" in line})
-    except OSError:
-        return []
-    cores = set()
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
-                     "openblas_get_corename64_", "openblas_get_corename"):
-            get_corename = getattr(lib, name, None)
-            if get_corename is not None:
-                get_corename.restype = ctypes.c_char_p
-                cores.add(get_corename().decode())
-                break
-    return sorted(cores)
-
-
-def fingerprint():
-    return {"openblas_cores": openblas_cores(), "numpy": np.__version__,
-            "scipy": scipy.__version__}
 
 
 def dyadic_factor(m):
@@ -133,7 +108,8 @@ def test_draws_match_golden_digests(stored, m):
         pytest.skip("no compiled column walk: every fill runs the Python loop")
     want = {key: d for key, d in stored["compiled"].items() if f" m={m} " in key}
     assert len(want) == 2 * len(ROUTES)
-    assert golden_draws_records(m) == want
+    with golden_threads():
+        assert golden_draws_records(m) == want
 
 
 @pytest.mark.parametrize("m", PYTHON_M)
@@ -141,7 +117,8 @@ def test_draws_without_the_compiled_walk_match_golden_digests(stored, monkeypatc
     monkeypatch.setattr(rng_module, "_loop", None)
     want = {key: d for key, d in stored["python"].items() if f" m={m} " in key}
     assert len(want) == 2 * len(ROUTES)
-    assert golden_draws_records(m) == want
+    with golden_threads():
+        assert golden_draws_records(m) == want
 
 
 if __name__ == "__main__":
@@ -150,9 +127,10 @@ if __name__ == "__main__":
     if rng_module.compiled_loop() is None:
         sys.exit("the compiled column walk does not load here")
     golden = {"fingerprint": fingerprint(), "compiled": {}, "python": {}}
-    for m in GOLDEN_M:
-        golden["compiled"].update(golden_draws_records(m))
-    rng_module._loop = None
-    for m in PYTHON_M:
-        golden["python"].update(golden_draws_records(m))
+    with golden_threads():
+        for m in GOLDEN_M:
+            golden["compiled"].update(golden_draws_records(m))
+        rng_module._loop = None
+        for m in PYTHON_M:
+            golden["python"].update(golden_draws_records(m))
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")

@@ -23,7 +23,7 @@ import sys
 
 import pytest
 
-from test_golden_draws import fingerprint, openblas_cores
+from golden_env import fingerprint, openblas_cores
 from triwish import rng as rng_module
 from triwish import suite
 
