@@ -60,9 +60,9 @@ def fingerprint():
 
 
 @contextlib.contextmanager
-def golden_threads(n=GOLDEN_THREADS):
-    """Run every loaded OpenBLAS with n threads inside the block, and
-    restore each one's own count afterwards."""
+def golden_threads():
+    """Run every loaded OpenBLAS with ``GOLDEN_THREADS`` threads inside the
+    block, and restore each one's own count afterwards."""
     pins = []
     for lib in _openblas_libraries():
         get, put = _function(lib, "openblas_get_num_threads"), _function(lib, "openblas_set_num_threads")
@@ -70,7 +70,7 @@ def golden_threads(n=GOLDEN_THREADS):
             pins.append((put, get()))
     try:
         for put, _ in pins:
-            put(n)
+            put(GOLDEN_THREADS)
         yield
     finally:
         for put, old in pins:
