@@ -19,10 +19,9 @@ pushforwards through the upper-Cholesky map, whose Jacobian is
 import math
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, SingularMatrix
-from .linalg import as_square, check_cholesky_factor, chol_upper
+from .linalg import as_square, check_cholesky_factor, chol_upper, lapack
 from .samplers import _check_df
 
 

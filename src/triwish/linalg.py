@@ -11,6 +11,16 @@ diagonal.  The kernels accept any memory layout and return arrays in
 Fortran (column-major) order, the layout LAPACK and BLAS work in; a
 C-ordered operand costs a transposing copy before the call.
 
+LAPACK and BLAS come from scipy's compiled modules ``_flapack`` and
+``_fblas``, which this module loads from their files in scipy's ``linalg``
+directory as ``lapack`` and ``blas``.  It does not import the package
+:mod:`scipy.linalg`, whose ``__init__`` loads scipy's array-API layer
+(``numpy.f2py``, ``numpy.testing`` and more), which triwish never calls and
+which more than doubled the time and the peak RSS of importing triwish.
+CPython initializes a single-phase extension module once per file and name,
+so ``lapack.dpotrf`` is the very object ``scipy.linalg.lapack.dpotrf`` is,
+whichever of the two is imported first, and the bits cannot differ.
+
 Ownership: ``owned=False``, the default, is for matrices from outside the
 library: the wrappers check them (shape, finite entries, symmetry for the
 Cholesky input) and leave them untouched.  Setup and draws pass the
@@ -30,14 +40,34 @@ counts as one TRMM call (an actual LAPACK build might use LAUUM or SYRK
 instead, but the cost model here books them under TRMM).
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import blas, lapack
+import scipy
 
 from .errors import DimensionMismatch, InvalidParameter, NotPositiveDefinite, SingularMatrix
+
+
+def _scipy_linalg_extension(name):
+    """scipy's compiled module ``scipy.linalg.<name>``, loaded from its file
+    without running scipy/linalg/__init__.py or touching sys.modules."""
+    found = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(os.path.dirname(scipy.__file__), "linalg")])
+    if found is None:
+        raise ImportError(f"scipy has no compiled module scipy.linalg.{name}")
+    spec = importlib.util.spec_from_file_location(f"scipy.linalg.{name}", found.origin)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = _scipy_linalg_extension("_flapack")
+blas = _scipy_linalg_extension("_fblas")
 
 # Symmetry tolerance for Cholesky input: the upper triangle is authoritative,
 # the lower triangle may deviate by round-off up to this relative amount.

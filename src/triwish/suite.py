@@ -50,6 +50,7 @@ from .samplers import (
 )
 from .validation import (
     BATCH_ENTRIES,
+    _ks_sorted,
     chi_square_cdf,
     fd_logdet_jacobian,
     ks_one_sample,
@@ -181,7 +182,11 @@ def check_fill_marginals(name, seed, stream, draw_many, diag_df):
                 ALPHA / m,
             )
         )
-    res = ks_one_sample(offdiags.ravel(), normal_cdf)
+    # The off-diagonals are not needed again: sorting them in place spares
+    # ks_one_sample's sorted copy, 4 MB at 500,000 draws.
+    flat = offdiags.reshape(-1)
+    flat.sort()
+    res = _ks_sorted(flat, normal_cdf)
     records.append(
         _ks_record(
             f"{name}.offdiag",

@@ -96,9 +96,15 @@ def ks_one_sample(draws, cdf):
     [s, e] deviates by more than max((e+1)/n - F(x_s), F(x_e) - s/n), and
     the second call takes the draws inside the blocks where that bound
     reaches the largest deviation at the ends.  NaN draws, which sort last,
-    give a NaN statistic and p-value.
+    give a NaN statistic and p-value.  The draws are sorted in a copy and
+    never written.
     """
-    xs = np.sort(_sample_1d(draws))
+    return _ks_sorted(np.sort(_sample_1d(draws)), cdf)
+
+
+def _ks_sorted(xs, cdf):
+    # ks_one_sample on draws xs already sorted ascending into a 1-D float
+    # array, for a caller that sorted a sample it no longer needs in place.
     n = xs.size
     if n < MIN_KS_SAMPLES:
         raise TooFewSamples(f"need at least {MIN_KS_SAMPLES} draws, got {n}")

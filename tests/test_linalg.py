@@ -1,7 +1,13 @@
 """Instrumented triangular kernels against hand-worked and naive-loop oracles."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import triwish
 
 from triwish import linalg
 from triwish.errors import (
@@ -18,6 +24,41 @@ from triwish.linalg import (
     tri_inverse,
     tri_mul,
 )
+
+
+def test_kernels_are_scipy_linalgs_own_functions():
+    # linalg loads scipy's _flapack and _fblas from their files; CPython
+    # reuses a single-phase extension's first load, so the kernels are the
+    # very objects scipy.linalg exposes, whichever is imported first.
+    import scipy.linalg
+
+    for name in ("dpotrf", "dtrtri", "dtrtrs"):
+        assert getattr(linalg.lapack, name) is getattr(scipy.linalg.lapack, name)
+    assert linalg.blas.dtrmm is scipy.linalg.blas.dtrmm
+
+
+def test_a_missing_scipy_extension_raises_import_error_naming_it():
+    with pytest.raises(ImportError, match="^scipy has no compiled module scipy.linalg._nosuch$"):
+        linalg._scipy_linalg_extension("_nosuch")
+
+
+def test_importing_and_using_triwish_leaves_scipy_linalg_unloaded():
+    # A fresh interpreter, since this process may already hold scipy.linalg.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import triwish as t\n"
+        "spec = t.SamplerSpec(4, 6.5, t.ScaleParam(np.eye(4), iscov=False))\n"
+        "b = t.sample_invwishart(t.RngStream(1), spec, 'direct')\n"
+        "assert np.isfinite(t.logkernel_invwishart(b, 6.5, np.eye(4)))\n"
+        "print(sorted(m for m in ('scipy.linalg', 'scipy._lib._array_api') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(triwish.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_check_cholesky_factor_reads_only_below_the_diagonal():

@@ -241,6 +241,20 @@ def test_ks_one_sample_rejects_a_scalar_only_cdf():
         ks_one_sample(draws, lambda x: 0.5 * (1.0 + math.erf(float(np.mean(x)) / math.sqrt(2.0))))
 
 
+@pytest.mark.parametrize("n", (10, 65, 500_000))
+def test_ks_sorted_matches_ks_one_sample_and_ks_one_sample_leaves_its_input(n):
+    # suite.check_fill_marginals sorts its off-diagonal draws in place and
+    # calls _ks_sorted on them; ks_one_sample sorts a copy.
+    draws = np.random.default_rng(n).standard_normal(n)
+    kept = draws.copy()
+    got = ks_one_sample(draws, normal_cdf)
+    assert draws.tobytes() == kept.tobytes()
+    xs = np.sort(draws)
+    want = validation._ks_sorted(xs, normal_cdf)
+    assert (got.statistic, got.pvalue, got.n) == (want.statistic, want.pvalue, want.n)
+    assert xs.tobytes() == np.sort(kept).tobytes()
+
+
 def test_ks_one_sample_matches_scipy():
     rng = np.random.default_rng(99)
     draws = rng.standard_normal(5000)
